@@ -32,7 +32,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -119,18 +119,22 @@ def _shards(total: int) -> List[int]:
 
 def _count_event_hits(n: int, m: int, samples: int, event: ConstraintSet,
                       seed: int) -> int:
-    """Hits of a degree-law event over ``samples`` G(n, m) draws, sharded."""
+    """Hits of a degree-law event over ``samples`` G(n, m) draws, sharded.
+
+    Each draw's whole degree law is tested against the event extended to
+    every possible degree, which is how the rate predictor reads the event:
+    vectors are zero beyond the cap K, except the mean, which stays the mean.
+    """
+    event = event.extended(max(event.support_cap, n - 1))
     feq, req = event.eq_arrays()
     fge, rge = event.ge_arrays()
-    width = min(event.support_cap + 1, n)
+    # degrees above n - 1 have no mass, so their coefficients do not matter
+    feq, fge = feq[:, :n], fge[:, :n]
     hits = 0
     for shard_index, count in enumerate(_shards(samples)):
         rng = np.random.default_rng([seed, n, shard_index])
         for hist in iter_er_degree_histograms(n, m, count, rng):
-            p = hist[:, :width] / float(n)
-            if p.shape[1] < event.support_cap + 1:  # degree law shorter than K
-                pad = event.support_cap + 1 - p.shape[1]
-                p = np.hstack([p, np.zeros((p.shape[0], pad))])
+            p = hist / float(n)
             ok = np.ones(p.shape[0], dtype=bool)
             if feq.shape[0]:
                 ok &= np.all(np.abs(p @ feq.T - req) <= 1e-9, axis=1)
@@ -194,14 +198,6 @@ def matching_measure() -> ProbMeasure:
         ("a", CountingMeasure({"b": 1})): half,
         ("b", CountingMeasure({"a": 1})): half,
     })
-
-
-def run_lldp_study(specs: Sequence[ConditionSpec],
-                   targets: Union[ProbMeasure, Sequence[ProbMeasure]],
-                   ) -> List[Tuple[int, float]]:
-    """Exact exponent gaps along a spec family; see
-    :func:`graphld.oracle.lldp_exponent_gap`."""
-    return lldp_exponent_gap(specs, targets)
 
 
 def lldp_rows_to_csv(rows: Sequence[Tuple[int, float]]) -> str:
@@ -296,7 +292,7 @@ def _specs_from_config(config: Dict[str, object]) -> Tuple[List[ConditionSpec], 
     return specs, target
 
 
-def _cmd_sample(config, seed, out, fmt) -> str:
+def _cmd_sample(config, seed, fmt) -> str:
     seed = _require_seed(seed)
     rng = np.random.default_rng(seed)
     if "er" in config:
@@ -308,17 +304,17 @@ def _cmd_sample(config, seed, out, fmt) -> str:
     return graph.to_text()
 
 
-def _cmd_measure(config, seed, out, fmt) -> str:
+def _cmd_measure(config, seed, fmt) -> str:
     with open(config["graph"], "r", encoding="utf-8") as fh:
         graph = TypedGraph.from_text(fh.read())
     return _json_text(run_measure(graph))
 
 
-def _cmd_rate(config, seed, out, fmt) -> str:
+def _cmd_rate(config, seed, fmt) -> str:
     return _json_text(run_rate(config))
 
 
-def _cmd_enumerate(config, seed, out, fmt) -> str:
+def _cmd_enumerate(config, seed, fmt) -> str:
     spec = ConditionSpec.from_json_dict(config["spec"])
     report = type_class_counts(spec)
     payload = report.to_json_dict()
@@ -329,11 +325,11 @@ def _cmd_enumerate(config, seed, out, fmt) -> str:
     return _json_text(payload)
 
 
-def _cmd_optimize(config, seed, out, fmt) -> str:
+def _cmd_optimize(config, seed, fmt) -> str:
     return _json_text(run_optimize(config))
 
 
-def _cmd_decay(config, seed, out, fmt) -> str:
+def _cmd_decay(config, seed, fmt) -> str:
     seed = _require_seed(seed)
     records = run_decay_study(
         c=float(config["c"]),
@@ -348,9 +344,9 @@ def _cmd_decay(config, seed, out, fmt) -> str:
     return decay_records_to_csv(records)
 
 
-def _cmd_lldp(config, seed, out, fmt) -> str:
+def _cmd_lldp(config, seed, fmt) -> str:
     specs, target = _specs_from_config(config)
-    rows = run_lldp_study(specs, target)
+    rows = lldp_exponent_gap(specs, target)
     if fmt == "json":
         return _json_text([{"n": n, "gap": gap} for n, gap in rows])
     return lldp_rows_to_csv(rows)
@@ -393,7 +389,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     try:
         config = _load_config(args.config)
-        text = _COMMANDS[args.command](config, args.seed, args.out, fmt)
+        text = _COMMANDS[args.command](config, args.seed, fmt)
         _emit(text, args.out)
         return 0
     except (EnumerationGuardError, InadmissibleSpecError, InfeasibleConstraintsError) as exc:

@@ -55,19 +55,8 @@ class TypedGraph:
         object.__setattr__(self, "types", tuple(types))
         object.__setattr__(self, "edges", frozenset(normalized))
 
-    def type_of(self, node: int) -> str:
-        return self.types[node - 1]
-
     def num_edges(self) -> int:
         return len(self.edges)
-
-    def adjacency(self) -> List[List[int]]:
-        """Neighbor lists indexed by node - 1."""
-        adj: List[List[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u - 1].append(v)
-            adj[v - 1].append(u)
-        return adj
 
     def sorted_edges(self) -> List[Edge]:
         return sorted(self.edges)

@@ -28,7 +28,6 @@ operation in this module and only dropped at serialization boundaries.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -217,8 +216,6 @@ class FiniteMeasure:
     immutable.
     """
 
-    _is_probability = False
-
     __slots__ = ("_w",)
 
     def __init__(self, weights: Mapping[Key, Scalar]):
@@ -316,14 +313,9 @@ class FiniteMeasure:
     def from_json_dict(cls, obj: Mapping[str, Scalar], kind: str) -> "FiniteMeasure":
         return cls({decode_key(k, kind): v for k, v in obj.items()})
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 class ProbMeasure(FiniteMeasure):
     """A FiniteMeasure whose total mass is 1 (within ``PROB_MASS_TOL``)."""
-
-    _is_probability = True
 
     __slots__ = ()
 

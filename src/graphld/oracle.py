@@ -25,11 +25,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .graphs import TypedGraph, empirical_locality_measure, locality_atoms_of
+from .graphs import Edge, TypedGraph, empirical_locality_measure, locality_atoms_of
 from .measures import CountingMeasure, ProbMeasure, encode_measure
 from .rate import ReferenceLaw, relative_entropy
 from .sampler import ConditionalSampler, ConditionSpec
@@ -44,21 +44,19 @@ class EnumerationGuardError(ValueError):
     """Raised when a spec's support is too large to enumerate."""
 
 
+def _support_size(sampler: ConditionalSampler) -> int:
+    return math.prod(math.comb(block.capacity, block.edge_count) for block in sampler.blocks)
+
+
 def support_size(spec: ConditionSpec) -> int:
     """Exact number of admissible graphs: the product over pair blocks of
     C(capacity, edge_count)."""
-    sampler = ConditionalSampler(spec)
-    size = 1
-    for block in sampler.blocks:
-        size *= math.comb(block.capacity, block.edge_count)
-    return size
+    return _support_size(ConditionalSampler(spec))
 
 
 def _guard(spec: ConditionSpec) -> ConditionalSampler:
     sampler = ConditionalSampler(spec)
-    size = 1
-    for block in sampler.blocks:
-        size *= math.comb(block.capacity, block.edge_count)
+    size = _support_size(sampler)
     if size > ENUMERATION_GUARD:
         raise EnumerationGuardError(
             f"support has {size} graphs, more than the enumeration guard "
@@ -66,11 +64,8 @@ def _guard(spec: ConditionSpec) -> ConditionalSampler:
     return sampler
 
 
-def enumerate_support(spec: ConditionSpec) -> Iterator[TypedGraph]:
-    """Yield every admissible graph exactly once, as the cartesian product of
-    per-block pair combinations in lexicographic order."""
-    sampler = _guard(spec)
-    types = sampler.types
+def _support_edges(sampler: ConditionalSampler) -> Iterator[List[Edge]]:
+    """Edge lists of the graphs ``enumerate_support`` yields, in its order."""
     blocks = sampler.blocks
     pools = [
         itertools.combinations(range(block.capacity), block.edge_count)
@@ -80,7 +75,15 @@ def enumerate_support(spec: ConditionSpec) -> Iterator[TypedGraph]:
         edges = []
         for block, indices in zip(blocks, choice):
             edges.extend(block.pair_at(i) for i in indices)
-        yield TypedGraph(types, edges)
+        yield edges
+
+
+def enumerate_support(spec: ConditionSpec) -> Iterator[TypedGraph]:
+    """Yield every admissible graph exactly once, as the cartesian product of
+    per-block pair combinations in lexicographic order."""
+    sampler = _guard(spec)
+    for edges in _support_edges(sampler):
+        yield TypedGraph(sampler.types, edges)
 
 
 # A type class is keyed internally by the sorted multiset of per-node locality
@@ -114,37 +117,25 @@ class EnumerationReport:
     spec: ConditionSpec
     support_size: int
     class_counts: Dict[str, int]
-    event_probability: Optional[Fraction] = None
 
     def class_probability(self, key: str) -> Fraction:
         return Fraction(self.class_counts.get(key, 0), self.support_size)
 
     def to_json_dict(self) -> Dict[str, object]:
-        prob = self.event_probability
         return {
             "spec": self.spec.to_json_dict(),
             "support_size": self.support_size,
             "class_counts": dict(sorted(self.class_counts.items())),
-            "event_probability": None if prob is None else f"{prob.numerator}/{prob.denominator}",
         }
 
 
 def type_class_counts(spec: ConditionSpec) -> EnumerationReport:
     """Group the full support by exact empirical locality measure."""
     sampler = _guard(spec)
-    types = sampler.types
-    blocks = sampler.blocks
-    pools = [
-        itertools.combinations(range(block.capacity), block.edge_count)
-        for block in blocks
-    ]
     counts: Dict[_ClassKey, int] = {}
     total = 0
-    for choice in itertools.product(*pools):
-        edges = []
-        for block, indices in zip(blocks, choice):
-            edges.extend(block.pair_at(i) for i in indices)
-        key = _class_key(types, edges)
+    for edges in _support_edges(sampler):
+        key = _class_key(sampler.types, edges)
         counts[key] = counts.get(key, 0) + 1
         total += 1
     encoded = {

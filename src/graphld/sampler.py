@@ -12,15 +12,20 @@ Two models:
   invariant under permuting nodes within a type, so fixing the assignment is
   harmless.)
 
-* ``sample_erdos_renyi`` -- the single-type graph with exactly ``m`` edges,
-  a uniform m-subset of all node pairs.
+* ``sample_erdos_renyi`` -- G(n, m), a uniform m-subset of all node pairs:
+  the conditional sampler on a single-type spec.
 
-Subsets are drawn with Floyd's algorithm, so memory is O(m) and node counts
-up to ~1e5 are practical.  RNG contract: every sampler consumes an explicit
-``numpy.random.Generator`` (PCG64 via ``numpy.random.default_rng``); identical
-seed + spec produces the identical graph for a fixed numpy version.  Sampling
-is pure given the generator state; parallel Monte Carlo must give each worker
-an independently seeded generator.
+One draw picks each block's subset with Floyd's algorithm (Bentley & Floyd,
+CACM 1987) in O(m) time and memory, so node counts up to ~1e5 are practical.
+Batched G(n, m) Monte Carlo (``iter_er_degree_histograms``) uses one
+vectorized kernel instead; single draws keep Floyd because the kernel's numpy
+set-up costs more than a Floyd draw of the small blocks they see.
+
+RNG contract: every sampler consumes an explicit ``numpy.random.Generator``
+(PCG64 via ``numpy.random.default_rng``); identical seed + spec produces the
+identical graph for a fixed numpy version.  Sampling is pure given the
+generator state; parallel Monte Carlo must give each worker an independently
+seeded generator.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from .graphs import Edge, TypedGraph
-from .measures import FiniteMeasure, ProbMeasure, Scalar, TypeAlphabet, decode_key
+from .measures import FiniteMeasure, ProbMeasure, Scalar, TypeAlphabet, dirac
 
 #: Tolerance when checking that n * weight is an integer for float weights.
 COUNT_TOL = 1e-9
@@ -237,17 +242,13 @@ def sample_conditional_graph(spec: ConditionSpec, rng: np.random.Generator) -> T
     return ConditionalSampler(spec).sample(rng)
 
 
-def sample_erdos_renyi(n: int, m: int, rng: np.random.Generator,
-                       label: str = "a") -> TypedGraph:
-    """A uniformly random graph with n nodes and exactly m edges, single type."""
-    capacity = n * (n - 1) // 2
-    if not 0 <= m <= capacity:
-        raise ValueError(f"m = {m} out of range 0..{capacity}")
-    edges = []
-    for idx in _sample_subset(rng, capacity, m):
-        r, s = _unrank_pair(idx, n)
-        edges.append((r + 1, s + 1))
-    return TypedGraph((label,) * n, edges)
+def sample_erdos_renyi(n: int, m: int, rng: np.random.Generator) -> TypedGraph:
+    """A uniformly random graph with n nodes and exactly m edges, single type
+    ``a``.  Raises ValueError when m is outside 0..C(n, 2)."""
+    if n < 1:
+        raise ValueError(f"n = {n} must be >= 1")
+    spec = ConditionSpec(n, dirac("a"), FiniteMeasure({("a", "a"): Fraction(2 * m, n)}))
+    return sample_conditional_graph(spec, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -266,47 +267,76 @@ def _unrank_pairs_np(idx: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def iter_er_degree_histograms(n: int, m: int, count: int, rng: np.random.Generator,
-                              batch_size: int = 16384) -> Iterator[np.ndarray]:
+def _subset_rows(rng: np.random.Generator, capacity: int, m: int, rows: int) -> np.ndarray:
+    """``rows`` independent uniform m-subsets of range(capacity), shape
+    (rows, m), each row sorted ascending.
+
+    Each row draws an i.i.d. uniform stream of L indices and keeps the first
+    m distinct values in draw order, which is sequential sampling without
+    replacement.  A row whose stream holds fewer than m distinct values is
+    redrawn whole.  This rejection keeps the law exact:
+    permuting the labels of range(capacity) maps an i.i.d. uniform stream to
+    another one with the same law, does not change whether the stream holds
+    m distinct values, and permutes the kept set; so the law of the kept set
+    given acceptance is invariant under every permutation, i.e. uniform over
+    m-subsets.  (Keeping the m smallest distinct values instead would favour
+    small labels.)
+    """
+    # L = mean + 4 sd of the number of draws needed to see m distinct values:
+    # a sum of geometric waits, success probabilities (capacity - j) / capacity
+    seen = np.arange(m)
+    mean = np.sum(capacity / (capacity - seen))
+    sd = math.sqrt(np.sum(seen * capacity / (capacity - seen) ** 2.0))
+    length = math.ceil(mean + 4.0 * sd)
+    out = np.empty((rows, m), dtype=np.int64)
+    todo = np.arange(rows)
+    while todo.size:
+        # value * length + position sorts by value, then by draw position
+        keys = rng.integers(0, capacity, size=(todo.size, length)) * length
+        keys += np.arange(length)
+        keys.sort(axis=1)
+        values, position = np.divmod(keys, length)
+        first = np.ones(keys.shape, dtype=bool)
+        np.not_equal(values[:, 1:], values[:, :-1], out=first[:, 1:])
+        # draw positions of first occurrences, `length` elsewhere and in a
+        # last column, so that column m of the partition always exists: it is
+        # where the (m+1)-th distinct value first appears
+        first_position = np.full((todo.size, length + 1), length)
+        first_position[:, :length] = np.where(first, position, length)
+        cut = np.partition(first_position, m, axis=1)[:, m:m + 1]
+        keep = first & (position < cut)
+        full = np.count_nonzero(keep, axis=1) == m
+        keep &= full[:, None]
+        out[todo[full]] = values[keep].reshape(np.count_nonzero(full), m)
+        todo = todo[~full]
+    return out
+
+
+#: Rows per yielded batch of ``iter_er_degree_histograms``; part of the
+#: stream layout, so seeded Monte Carlo output depends on it.
+BATCH_SIZE = 16384
+
+
+def iter_er_degree_histograms(n: int, m: int, count: int,
+                              rng: np.random.Generator) -> Iterator[np.ndarray]:
     """Degree histograms of ``count`` independent G(n, m) draws, in batches.
 
     Yields arrays of shape (batch, n): row i holds the number of nodes of each
-    degree 0..n-1 in the i-th sampled graph.  Each graph is an exact-uniform
-    m-subset of the pair space: batches draw i.i.d. pair indices and redraw
-    any row containing a duplicate, which conditions on distinctness.  When
-    the collision rate would make rejection wasteful the loop falls back to
-    per-row Floyd sampling.
-
-    The generator state fully determines the output, so a fixed (seed,
-    batch_size) is reproducible; batch_size is part of the stream layout.
+    degree 0..n-1 in the i-th sampled graph.  Each batch of up to
+    ``BATCH_SIZE`` graphs draws its edge sets with the one kernel
+    ``_subset_rows``, whatever n and m are: each row keeps the first m
+    distinct pair indices of an i.i.d. uniform stream, and its docstring shows
+    why every edge set is exactly uniform.  One-graph draws keep Floyd's
+    algorithm (see the module docstring).  The generator state fully
+    determines the output.
     """
     capacity = n * (n - 1) // 2
     if not 0 <= m <= capacity:
         raise ValueError(f"m = {m} out of range 0..{capacity}")
-    # rejection is efficient while P(all distinct) ~ exp(-m^2 / 2C) is not tiny
-    use_rejection = m <= 1 or m * (m - 1) <= 8 * capacity
     done = 0
     while done < count:
-        b = min(batch_size, count - done)
-        if m == 0:
-            hist = np.zeros((b, n), dtype=np.int64)
-            hist[:, 0] = n
-            yield hist
-            done += b
-            continue
-        if use_rejection:
-            idx = rng.integers(0, capacity, size=(b, m))
-            if m > 1:
-                bad = _rows_with_duplicates(idx)
-                while bad.size:
-                    idx[bad] = rng.integers(0, capacity, size=(bad.size, m))
-                    bad_local = _rows_with_duplicates(idx[bad])
-                    bad = bad[bad_local]
-        else:
-            idx = np.empty((b, m), dtype=np.int64)
-            for i in range(b):
-                idx[i] = _sample_subset(rng, capacity, m)
-        u, v = _unrank_pairs_np(idx, n)
+        b = min(BATCH_SIZE, count - done)
+        u, v = _unrank_pairs_np(_subset_rows(rng, capacity, m, b), n)
         offsets = (np.arange(b, dtype=np.int64) * n)[:, None]
         flat = np.bincount((u + offsets).ravel(), minlength=b * n)
         flat += np.bincount((v + offsets).ravel(), minlength=b * n)
@@ -316,11 +346,6 @@ def iter_er_degree_histograms(n: int, m: int, count: int, rng: np.random.Generat
         np.add.at(hist, (rows, degrees.ravel()), 1)
         yield hist
         done += b
-
-
-def _rows_with_duplicates(idx: np.ndarray) -> np.ndarray:
-    s = np.sort(idx, axis=1)
-    return np.flatnonzero(np.any(np.diff(s, axis=1) == 0, axis=1))
 
 
 # ---------------------------------------------------------------------------

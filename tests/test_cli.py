@@ -18,13 +18,13 @@ from graphld.cli import (
     main,
     matching_measure,
     run_decay_study,
-    run_lldp_study,
     run_measure,
     run_optimize,
     run_rate,
 )
 from graphld.graphs import TypedGraph
-from graphld.optimizer import ConstraintSet, point_vector, rate_infimum_for_event
+from graphld.optimizer import ConstraintSet, mean_vector, point_vector, rate_infimum_for_event
+from graphld.oracle import lldp_exponent_gap
 from graphld.sampler import binary_cross_spec
 from oracles import isolated_tail_probability
 
@@ -78,12 +78,18 @@ def test_decay_full_space_event_estimates_zero():
 
 
 def test_decay_mean_event_always_holds():
-    # every G(n, nc/2) degree law has mean exactly c; K above the max degree
-    event = ConstraintSet.from_json_dict(
-        {"K": 19, "eq": [{"f": "mean", "r": 2.0}]})
-    records = run_decay_study(2.0, [10, 20], samples=2000, event=event, seed=6)
-    for rec in records:
-        assert rec.hits == rec.samples and rec.estimate == 0.0
+    # every G(n, nc/2) degree law has mean exactly c
+    events = [
+        # K above the max degree
+        ConstraintSet.from_json_dict({"K": 19, "eq": [{"f": "mean", "r": 2.0}]}),
+        # K below it: the mean is still the mean of the whole degree law, as
+        # the rate predictor reads it (predicted rate 0)
+        ConstraintSet(2, inequalities=[(mean_vector(2), 1.9)]),
+    ]
+    for event in events:
+        records = run_decay_study(2.0, [10, 20], samples=2000, event=event, seed=6)
+        for rec in records:
+            assert rec.hits == rec.samples and rec.estimate == 0.0
 
 
 def test_decay_no_hit_records_absence():
@@ -169,8 +175,8 @@ def test_decay_slope_tracks_predicted_rate_on_feasible_event():
 
 
 def test_lldp_study_csv():
-    rows = run_lldp_study([binary_cross_spec(4), binary_cross_spec(6)],
-                          matching_measure())
+    rows = lldp_exponent_gap([binary_cross_spec(4), binary_cross_spec(6)],
+                             matching_measure())
     text = lldp_rows_to_csv(rows)
     lines = text.splitlines()
     assert lines[0] == "n,gap"

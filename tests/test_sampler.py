@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
 from graphld.graphs import empirical_link_measure, empirical_locality_measure, \
@@ -18,7 +19,9 @@ from graphld.sampler import (
     ConditionSpec,
     ConditionalSampler,
     InadmissibleSpecError,
+    _subset_rows,
     _unrank_pair,
+    _unrank_pairs_np,
     admissible,
     binary_cross_spec,
     iter_er_degree_histograms,
@@ -110,10 +113,39 @@ def test_conditional_sampler_is_uniform_on_small_support():
     assert stat < chi2.ppf(0.999, df=5)
 
 
+def _unrank_pairs_listed(ks, size):
+    u, v = _unrank_pairs_np(np.array(ks, dtype=np.int64), size)
+    return list(zip(u.tolist(), v.tolist()))
+
+
 def test_unrank_pair_matches_lexicographic_order():
     for size in (2, 3, 5, 9):
         pairs = list(itertools.combinations(range(size), 2))
         assert [_unrank_pair(k, size) for k in range(len(pairs))] == pairs
+        assert _unrank_pairs_listed(range(len(pairs)), size) == pairs
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=2, max_value=300), st.data())
+def test_vectorized_unranking_is_the_lexicographic_bijection(size, data):
+    total = size * (size - 1) // 2
+    ks = data.draw(st.lists(st.integers(0, total - 1), min_size=1, max_size=50))
+    pairs = _unrank_pairs_listed(ks, size)
+    assert pairs == [_unrank_pair(k, size) for k in ks]
+    assert all(0 <= r < s < size for r, s in pairs)
+    # lexicographic rank of (r, s) inverts the unranking
+    assert [r * size - r * (r + 1) // 2 + s - r - 1 for r, s in pairs] == ks
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=60), st.data(),
+       st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=2**32))
+def test_subset_kernel_rows_are_distinct_subsets(capacity, data, rows, seed):
+    m = data.draw(st.integers(0, capacity))
+    out = _subset_rows(np.random.default_rng(seed), capacity, m, rows)
+    assert out.shape == (rows, m)
+    assert all(len(set(row)) == m for row in out.tolist())
+    assert np.all((out >= 0) & (out < capacity))
 
 
 def test_erdos_renyi_extremes_and_bounds():
@@ -139,7 +171,7 @@ def test_erdos_renyi_is_uniform_over_edge_sets():
 def test_degree_histogram_batches_exact_small_case():
     # n=3, m=1: every graph is one edge + one isolated node
     rng = np.random.default_rng(5)
-    for hist in iter_er_degree_histograms(3, 1, 1000, rng, batch_size=256):
+    for hist in iter_er_degree_histograms(3, 1, 1000, rng):
         assert np.all(hist[:, 0] == 1) and np.all(hist[:, 1] == 2)
 
 
@@ -158,6 +190,25 @@ def test_degree_histogram_batches_match_per_graph_sampler():
     p_hat = disjoint / total
     p_true = 3 / 15
     assert abs(p_hat - p_true) < 4 * math.sqrt(p_true * (1 - p_true) / total)
+
+
+def test_degree_histogram_law_in_the_dense_regime():
+    """n=6, m=12 (12 of the 15 pairs): chi-square of the sampled degree
+    histograms against the census of all C(15, 12) = 455 graphs, below the
+    99.9% quantile."""
+    n, m, draws = 6, 12, 100_000
+    census = Counter()
+    for edges in itertools.combinations(itertools.combinations(range(n), 2), m):
+        degree = Counter(v for e in edges for v in e)
+        census[tuple(sorted(Counter(degree[v] for v in range(n)).items()))] += 1
+    assert sum(census.values()) == math.comb(15, 12)
+    freq = Counter()
+    for hist in iter_er_degree_histograms(n, m, draws, np.random.default_rng(12)):
+        freq.update(tuple((k, c) for k, c in enumerate(row) if c) for row in hist.tolist())
+    assert set(freq) <= set(census)
+    stat = sum((freq[key] - draws * count / 455) ** 2 / (draws * count / 455)
+               for key, count in census.items())
+    assert stat < chi2.ppf(0.999, df=len(census) - 1)
 
 
 def test_degree_histogram_m_zero():
