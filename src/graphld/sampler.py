@@ -312,9 +312,14 @@ def _subset_rows(rng: np.random.Generator, capacity: int, m: int, rows: int) -> 
     return out
 
 
-#: Rows per yielded batch of ``iter_er_degree_histograms``; part of the
-#: stream layout, so seeded Monte Carlo output depends on it.
-BATCH_SIZE = 16384
+#: Entries per work array of ``iter_er_degree_histograms``, about: a batch
+#: holds ``BATCH_ENTRIES // max(n, m)`` graphs, at least one, so its arrays stay
+#: small enough to be reused from batch to batch instead of being mapped and
+#: paged in afresh.  It decides which row an accepted draw lands in, not
+#: which graphs a call yields: every redraw pass draws exactly the rows still
+#: missing, so a call stops at the same accepted draw of the generator stream
+#: whatever the batch size.
+BATCH_ENTRIES = 16384
 
 
 def iter_er_degree_histograms(n: int, m: int, count: int,
@@ -322,8 +327,8 @@ def iter_er_degree_histograms(n: int, m: int, count: int,
     """Degree histograms of ``count`` independent G(n, m) draws, in batches.
 
     Yields arrays of shape (batch, n): row i holds the number of nodes of each
-    degree 0..n-1 in the i-th sampled graph.  Each batch of up to
-    ``BATCH_SIZE`` graphs draws its edge sets with the one kernel
+    degree 0..n-1 in the i-th sampled graph.  Each batch (see
+    ``BATCH_ENTRIES``) draws its edge sets with the one kernel
     ``_subset_rows``, whatever n and m are: each row keeps the first m
     distinct pair indices of an i.i.d. uniform stream, and its docstring shows
     why every edge set is exactly uniform.  One-graph draws keep Floyd's
@@ -333,19 +338,16 @@ def iter_er_degree_histograms(n: int, m: int, count: int,
     capacity = n * (n - 1) // 2
     if not 0 <= m <= capacity:
         raise ValueError(f"m = {m} out of range 0..{capacity}")
-    done = 0
-    while done < count:
-        b = min(BATCH_SIZE, count - done)
+    step = max(1, BATCH_ENTRIES // max(1, n, m))
+    for start in range(0, count, step):
+        b = min(step, count - start)
         u, v = _unrank_pairs_np(_subset_rows(rng, capacity, m, b), n)
         offsets = (np.arange(b, dtype=np.int64) * n)[:, None]
-        flat = np.bincount((u + offsets).ravel(), minlength=b * n)
-        flat += np.bincount((v + offsets).ravel(), minlength=b * n)
-        degrees = flat.reshape(b, n)
-        hist = np.zeros((b, n), dtype=np.int64)
-        rows = np.repeat(np.arange(b), n)
-        np.add.at(hist, (rows, degrees.ravel()), 1)
-        yield hist
-        done += b
+        degrees = np.bincount((u + offsets).ravel(), minlength=b * n)
+        degrees += np.bincount((v + offsets).ravel(), minlength=b * n)
+        # bin i * n + d counts the nodes of degree d in graph i
+        degrees += np.repeat(offsets.ravel(), n)
+        yield np.bincount(degrees, minlength=b * n).reshape(b, n)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
+from graphld import sampler
 from graphld.graphs import empirical_link_measure, empirical_locality_measure, \
     empirical_type_measure
 from graphld.measures import FiniteMeasure, ProbMeasure, total_variation
@@ -209,6 +210,21 @@ def test_degree_histogram_law_in_the_dense_regime():
     stat = sum((freq[key] - draws * count / 455) ** 2 / (draws * count / 455)
                for key, count in census.items())
     assert stat < chi2.ppf(0.999, df=len(census) - 1)
+
+
+def test_batch_size_moves_rows_but_not_the_draws(monkeypatch):
+    """Every redraw pass draws exactly the missing rows, so the batch size
+    changes the order of the yielded graphs but not which graphs they are."""
+    def sorted_rows(n, m, count):
+        hist = np.concatenate(list(iter_er_degree_histograms(
+            n, m, count, np.random.default_rng(3))))
+        return hist[np.lexsort(hist.T[::-1])]
+
+    cases = [(6, 12, 5000), (30, 60, 2000)]
+    default = [sorted_rows(*case) for case in cases]
+    monkeypatch.setattr(sampler, "BATCH_ENTRIES", 100)
+    for case, rows in zip(cases, default):
+        assert np.array_equal(sorted_rows(*case), rows)
 
 
 def test_degree_histogram_m_zero():
