@@ -381,8 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Built once: ``parse_args`` leaves the parser as it was.
+_PARSER = build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     fmt = args.format or ("csv" if args.command in ("decay", "lldp") else "json")
     if fmt == "csv" and args.command not in ("decay", "lldp"):
         print(f"error: {args.command} only supports --format json", file=sys.stderr)

@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Callable, Dict, Iterable, Iterator, Mapping, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 Scalar = Union[int, float, Fraction]
 
@@ -360,6 +360,20 @@ def link_marginal(p: ProbMeasure) -> FiniteMeasure:
 def marginal_pair(p: ProbMeasure) -> Tuple[ProbMeasure, FiniteMeasure]:
     """Both marginals of a locality measure: ``(type_marginal, link_marginal)``."""
     return type_marginal(p), link_marginal(p)
+
+
+def link_law_problem(link_law: FiniteMeasure, alphabet: TypeAlphabet) -> Optional[str]:
+    """The first reason ``link_law`` is not a symmetric measure over pairs of
+    ``alphabet`` labels, or None.  Float weights are symmetric to 1e-12."""
+    if link_law.kind() not in (None, "pair"):
+        return "link law must be a measure over type pairs"
+    sym_tol = 0 if link_law.is_exact() else 1e-12
+    for (a, b) in link_law.keys():
+        if a not in alphabet or b not in alphabet:
+            return f"link law key ({a!r}, {b!r}) outside the alphabet"
+        if abs(link_law((a, b)) - link_law((b, a))) > sym_tol:
+            return f"link law is not symmetric at ({a!r}, {b!r})"
+    return None
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple, Union
@@ -32,7 +33,7 @@ import numpy as np
 from .graphs import Edge, TypedGraph, empirical_locality_measure, locality_atoms_of
 from .measures import CountingMeasure, ProbMeasure, encode_measure
 from .rate import ReferenceLaw, relative_entropy
-from .sampler import ConditionalSampler, ConditionSpec
+from .sampler import BATCH_ENTRIES, ConditionalSampler, ConditionSpec
 
 #: Enumeration refuses supports larger than this.
 ENUMERATION_GUARD = 10**8
@@ -96,6 +97,47 @@ def _class_key(types: Sequence[str], edges) -> _ClassKey:
     for atom in locality_atoms_of(types, edges):
         counts[atom] = counts.get(atom, 0) + 1
     return tuple(sorted(counts.items()))
+
+
+def _row_ids(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Ids of the distinct rows of a 2-D integer array: ``(ids, first)`` with
+    ``rows[first[ids[i]]]`` equal to ``rows[i]``."""
+    order = np.lexsort(rows.T)
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ids, order[new]
+
+
+def _class_keys(types: Sequence[str], u: np.ndarray,
+                v: np.ndarray) -> Tuple[List[_ClassKey], np.ndarray]:
+    """``_class_key`` of every graph (u[i], v[i]) of a batch (endpoint arrays
+    as ``ConditionalSampler.sample_batch`` returns them), without a Python
+    loop over graphs: the distinct keys, and each graph's index into them."""
+    labels, node_type = np.unique(np.asarray(types), return_inverse=True)
+    labels = labels.tolist()
+    rows, n, t = u.shape[0], len(types), len(labels)
+    # bin (graph * n + node) * t + b counts the type-b neighbours of a node
+    # (0-based node ids; u and v are 1-based)
+    base = (np.arange(rows) * n)[:, None] - 1
+    bins = np.concatenate([((u + base) * t + node_type[v - 1]).ravel(),
+                           ((v + base) * t + node_type[u - 1]).ravel()])
+    neighbours = np.bincount(bins, minlength=rows * n * t).reshape(rows * n, t)
+    atoms = np.column_stack([np.tile(node_type, rows), neighbours])
+    atom_ids, atom_first = _row_ids(atoms)
+    classes = np.sort(atom_ids.reshape(rows, n), axis=1)
+    class_ids, class_first = _row_ids(classes)
+    atom_keys = [
+        (labels[a], tuple((b, c) for b, c in zip(labels, counts) if c))
+        for a, *counts in atoms[atom_first].tolist()
+    ]
+    keys = [
+        tuple(sorted((atom_keys[i], len(list(run))) for i, run in itertools.groupby(row)))
+        for row in classes[class_first].tolist()
+    ]
+    return keys, class_ids
 
 
 def class_measure(n: int, key: _ClassKey) -> ProbMeasure:
@@ -208,16 +250,23 @@ def sampled_class_counts(spec: ConditionSpec, num_samples: int,
     """Class frequencies of ``num_samples`` conditional draws, keyed like
     :func:`type_class_counts` (canonical locality-measure encodings).
 
-    Uses the sampler's bare edge path, so a million draws of a small spec
-    stay cheap.
+    Draws and classifies in batches (``ConditionalSampler.sample_batch`` and
+    ``_class_keys``) of ``BATCH_ENTRIES // max(n * (types + 1), edges)``
+    graphs, at least one, so a million draws of a small spec stay cheap and
+    the work arrays stay small.
     """
     sampler = ConditionalSampler(spec)
     types = sampler.types
+    edges = sum(block.edge_count for block in sampler.blocks)
+    step = max(1, BATCH_ENTRIES // max(spec.n * (len(set(types)) + 1), edges))
     counts: Dict[_ClassKey, int] = {}
-    for _ in range(num_samples):
-        key = _class_key(types, sampler.sample_edges(rng))
-        counts[key] = counts.get(key, 0) + 1
+    for start in range(0, num_samples, step):
+        u, v = sampler.sample_batch(rng, min(step, num_samples - start))
+        keys, class_ids = _class_keys(types, u, v)
+        for key, count in zip(keys, np.bincount(class_ids).tolist()):
+            counts[key] = counts.get(key, 0) + count
+    # interned: callers that keep many results share one copy of each class
     return {
-        encode_measure(class_measure(spec.n, key)): count
+        sys.intern(encode_measure(class_measure(spec.n, key))): count
         for key, count in counts.items()
     }

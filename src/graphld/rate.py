@@ -44,6 +44,7 @@ from .measures import (
     Scalar,
     TypeAlphabet,
     is_sub_consistent,
+    link_law_problem,
     total_variation,
     type_marginal,
 )
@@ -112,18 +113,13 @@ class ReferenceLaw:
     def __init__(self, type_law: ProbMeasure, link_law: FiniteMeasure):
         if type_law.kind() != "type":
             raise ValueError("type_law must be a measure over type labels")
-        if link_law.kind() not in (None, "pair"):
-            raise ValueError("link_law must be a measure over type pairs")
         alphabet = TypeAlphabet(type_law.keys())
         for a in alphabet:
             if type_law(a) <= 0:
                 raise ValueError(f"type_law({a!r}) must be > 0")
-        sym_tol = 0 if link_law.is_exact() else 1e-12
-        for (a, b) in link_law.keys():
-            if a not in alphabet or b not in alphabet:
-                raise ValueError(f"link_law key ({a!r}, {b!r}) outside the alphabet")
-            if abs(link_law((a, b)) - link_law((b, a))) > sym_tol:
-                raise ValueError(f"link_law is not symmetric at ({a!r}, {b!r})")
+        problem = link_law_problem(link_law, alphabet)
+        if problem:
+            raise ValueError(problem)
         self.type_law = type_law
         self.link_law = link_law
         self.alphabet = alphabet

@@ -17,9 +17,10 @@ Two models:
 
 One draw picks each block's subset with Floyd's algorithm (Bentley & Floyd,
 CACM 1987) in O(m) time and memory, so node counts up to ~1e5 are practical.
-Batched G(n, m) Monte Carlo (``iter_er_degree_histograms``) uses one
-vectorized kernel instead; single draws keep Floyd because the kernel's numpy
-set-up costs more than a Floyd draw of the small blocks they see.
+Batches of draws (``ConditionalSampler.sample_batch`` and
+``iter_er_degree_histograms``) use one vectorized kernel instead; single draws
+keep Floyd because the kernel's numpy set-up costs more than a Floyd draw of
+the small blocks they see.
 
 RNG contract: every sampler consumes an explicit ``numpy.random.Generator``
 (PCG64 via ``numpy.random.default_rng``); identical seed + spec produces the
@@ -30,6 +31,7 @@ seeded generator.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,7 +41,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from .graphs import Edge, TypedGraph
-from .measures import FiniteMeasure, ProbMeasure, Scalar, TypeAlphabet, dirac
+from .measures import FiniteMeasure, ProbMeasure, Scalar, TypeAlphabet, dirac, link_law_problem
 
 #: Tolerance when checking that n * weight is an integer for float weights.
 COUNT_TOL = 1e-9
@@ -122,7 +124,7 @@ def _as_count(x: Scalar, what: str) -> int:
     return int(rounded)
 
 
-def _analyze(spec: ConditionSpec) -> Tuple[Tuple[str, ...], List[_Block]]:
+def _analyze(spec: ConditionSpec) -> Tuple[Tuple[str, ...], Tuple[_Block, ...]]:
     """Validate a spec and lay out its node segments and pair blocks.
 
     Raises InadmissibleSpecError naming the first violated constraint.
@@ -131,16 +133,10 @@ def _analyze(spec: ConditionSpec) -> Tuple[Tuple[str, ...], List[_Block]]:
         raise InadmissibleSpecError(f"n = {spec.n} must be >= 1")
     if spec.type_law.kind() != "type":
         raise InadmissibleSpecError("eta must be a measure over type labels")
-    if spec.link_law.kind() not in (None, "pair"):
-        raise InadmissibleSpecError("pi must be a measure over type pairs")
     alphabet = TypeAlphabet(spec.type_law.keys())
-
-    sym_tol = 0 if spec.link_law.is_exact() else 1e-12
-    for (a, b) in spec.link_law.keys():
-        if a not in alphabet or b not in alphabet:
-            raise InadmissibleSpecError(f"pi key ({a!r}, {b!r}) outside the type support")
-        if abs(spec.link_law((a, b)) - spec.link_law((b, a))) > sym_tol:
-            raise InadmissibleSpecError(f"pi is not symmetric at ({a!r}, {b!r})")
+    problem = link_law_problem(spec.link_law, alphabet)
+    if problem:
+        raise InadmissibleSpecError(problem)
 
     sizes = {a: _as_count(spec.n * spec.type_law(a), f"n*eta({a})") for a in alphabet}
     if sum(sizes.values()) != spec.n:
@@ -170,7 +166,7 @@ def _analyze(spec: ConditionSpec) -> Tuple[Tuple[str, ...], List[_Block]]:
                     f"block ({a},{b}) needs {count} pairs but capacity is {capacity}")
             blocks.append(_Block(a, b, starts[a], sizes[a], starts[b], sizes[b],
                                  capacity, count))
-    return tuple(types), blocks
+    return tuple(types), tuple(blocks)
 
 
 def admissible(spec: ConditionSpec) -> AdmissibilityReport:
@@ -229,6 +225,30 @@ class ConditionalSampler:
                 edges.append(block.pair_at(idx))
         return edges
 
+    def sample_batch(self, rng: np.random.Generator,
+                     count: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``count`` independent draws as endpoint arrays ``(u, v)`` of shape
+        (count, E), E the spec's edge count: row i holds the edges
+        (u[i, j], v[i, j]), with the node ids of ``sample_edges``.
+
+        Each block draws its ``count`` subsets with the exact kernel
+        ``_subset_rows``, independently of the other blocks, so each row is
+        exactly uniform over the support.  Columns come block by block, and a
+        block's pair indices decode as in ``_Block.pair_at``.
+        """
+        us, vs = [], []
+        for block in self.blocks:
+            idx = _subset_rows(rng, block.capacity, block.edge_count, count)
+            if block.a == block.b:
+                u, v = _unrank_pairs_np(idx, block.a_size)
+                us.append(u + block.a_start)
+                vs.append(v + block.a_start)
+            else:
+                u, v = np.divmod(idx, block.b_size)
+                us.append(u + block.a_start)
+                vs.append(v + block.b_start)
+        return np.hstack(us), np.hstack(vs)
+
     def sample(self, rng: np.random.Generator) -> TypedGraph:
         return TypedGraph(self.types, self.sample_edges(rng))
 
@@ -242,13 +262,18 @@ def sample_conditional_graph(spec: ConditionSpec, rng: np.random.Generator) -> T
     return ConditionalSampler(spec).sample(rng)
 
 
+@functools.lru_cache(maxsize=64)
+def _erdos_renyi_sampler(n: int, m: int) -> ConditionalSampler:
+    spec = ConditionSpec(n, dirac("a"), FiniteMeasure({("a", "a"): Fraction(2 * m, n)}))
+    return ConditionalSampler(spec)
+
+
 def sample_erdos_renyi(n: int, m: int, rng: np.random.Generator) -> TypedGraph:
     """A uniformly random graph with n nodes and exactly m edges, single type
     ``a``.  Raises ValueError when m is outside 0..C(n, 2)."""
     if n < 1:
         raise ValueError(f"n = {n} must be >= 1")
-    spec = ConditionSpec(n, dirac("a"), FiniteMeasure({("a", "a"): Fraction(2 * m, n)}))
-    return sample_conditional_graph(spec, rng)
+    return _erdos_renyi_sampler(n, m).sample(rng)
 
 
 # ---------------------------------------------------------------------------

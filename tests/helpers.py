@@ -80,3 +80,20 @@ def random_condition_spec(rng: np.random.Generator, max_types: int = 3,
                     pi[(a, b)] = Fraction(m, n)
                     pi[(b, a)] = Fraction(m, n)
     return ConditionSpec(n, eta, FiniteMeasure(pi))
+
+
+def single_type_spec4() -> ConditionSpec:
+    """Criterion 3's single-type spec: 4 nodes, 3 edges (20 graphs)."""
+    return ConditionSpec(4, ProbMeasure({"a": Fraction(1)}),
+                         FiniteMeasure({("a", "a"): Fraction(3, 2)}))
+
+
+def three_type_spec5() -> ConditionSpec:
+    """Criterion 3's three-type spec: groups a:2, b:2, c:1; blocks ab=2,
+    ac=1, bc=1, aa=1 (24 graphs)."""
+    f = Fraction
+    eta = ProbMeasure({"a": f(2, 5), "b": f(2, 5), "c": f(1, 5)})
+    pi = FiniteMeasure({
+        ("a", "b"): f(2, 5), ("b", "a"): f(2, 5), ("a", "c"): f(1, 5), ("c", "a"): f(1, 5),
+        ("b", "c"): f(1, 5), ("c", "b"): f(1, 5), ("a", "a"): f(2, 5)})
+    return ConditionSpec(5, eta, pi)

@@ -17,6 +17,8 @@ from graphld.measures import (
 )
 from graphld.oracle import (
     EnumerationGuardError,
+    _class_key,
+    _class_keys,
     entropy_neighborhood,
     enumerate_support,
     exact_event_probability,
@@ -26,7 +28,8 @@ from graphld.oracle import (
     type_class_counts,
 )
 from graphld.rate import ReferenceLaw, relative_entropy
-from graphld.sampler import ConditionSpec, binary_cross_spec
+from graphld.sampler import ConditionalSampler, ConditionSpec, binary_cross_spec
+from helpers import single_type_spec4, three_type_spec5
 
 
 def atom(a, counts):
@@ -216,3 +219,18 @@ def test_sampled_class_frequencies_match_exact_probabilities():
         p = count / report.support_size
         se = math.sqrt(p * (1 - p) / draws)
         assert abs(counts.get(key, 0) / draws - p) <= 4 * se
+
+
+@pytest.mark.parametrize("spec", [binary_cross_spec(4), binary_cross_spec(6), binary_cross_spec(8),
+                                  single_type_spec4(), three_type_spec5()],
+                         ids=["binary4", "binary6", "binary8", "single4", "three5"])
+def test_batched_class_keys_equal_the_per_graph_key(spec):
+    """``_class_keys`` on the whole support, as one batch in
+    ``sample_batch`` form, against ``_class_key`` graph by graph."""
+    sampler = ConditionalSampler(spec)
+    graphs = [sorted(graph.edges) for graph in enumerate_support(spec)]
+    edges = np.array(graphs, dtype=np.int64).reshape(len(graphs), -1, 2)
+    keys, class_ids = _class_keys(sampler.types, edges[:, :, 0], edges[:, :, 1])
+    assert len(set(keys)) == len(keys)
+    assert [keys[i] for i in class_ids.tolist()] == \
+        [_class_key(sampler.types, graph) for graph in graphs]

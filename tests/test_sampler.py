@@ -12,9 +12,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
 from graphld import sampler
-from graphld.graphs import empirical_link_measure, empirical_locality_measure, \
+from graphld.graphs import TypedGraph, empirical_link_measure, empirical_locality_measure, \
     empirical_type_measure
 from graphld.measures import FiniteMeasure, ProbMeasure, total_variation
+from graphld.oracle import _class_key, _class_keys, enumerate_support
 from graphld.rate import ReferenceLaw
 from graphld.sampler import (
     ConditionSpec,
@@ -29,7 +30,7 @@ from graphld.sampler import (
     sample_conditional_graph,
     sample_erdos_renyi,
 )
-from helpers import random_condition_spec
+from helpers import random_condition_spec, single_type_spec4, three_type_spec5
 
 
 def test_binary_cross_spec_is_admissible():
@@ -112,6 +113,49 @@ def test_conditional_sampler_is_uniform_on_small_support():
     expected = draws / 6
     stat = sum((count - expected) ** 2 / expected for count in freq.values())
     assert stat < chi2.ppf(0.999, df=5)
+
+
+@pytest.mark.parametrize("spec, size", [(single_type_spec4(), 20), (three_type_spec5(), 24)],
+                         ids=["single4", "three5"])
+def test_batched_draws_are_uniform_over_the_support(spec, size):
+    """Chi-square of 100,000 batched draws over every graph of the support,
+    below the 99.9% quantile."""
+    support = {graph.edges for graph in enumerate_support(spec)}
+    assert len(support) == size
+    draws = 100_000
+    u, v = ConditionalSampler(spec).sample_batch(np.random.default_rng(2718), draws)
+    freq = Counter(frozenset(zip(r, s)) for r, s in zip(u.tolist(), v.tolist()))
+    assert set(freq) == support
+    expected = draws / size
+    stat = sum((count - expected) ** 2 / expected for count in freq.values())
+    assert stat < chi2.ppf(0.999, df=size - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=20))
+def test_batched_rows_realize_the_link_law_exactly(seed, rows):
+    """Every row holds edge_count distinct pairs of each block, inside that
+    block, so its empirical link measure is the spec's pi exactly; its
+    batched class key is its per-graph one."""
+    rng = np.random.default_rng(seed)
+    spec = random_condition_spec(rng)
+    sampler = ConditionalSampler(spec)
+    u, v = sampler.sample_batch(rng, rows)
+    assert u.shape == v.shape == (rows, sum(block.edge_count for block in sampler.blocks))
+    start = 0
+    for block in sampler.blocks:
+        stop = start + block.edge_count
+        bu, bv = u[:, start:stop], v[:, start:stop]
+        assert np.all((bu >= block.a_start) & (bu < block.a_start + block.a_size))
+        assert np.all((bv >= block.b_start) & (bv < block.b_start + block.b_size))
+        assert np.all(bu < bv)
+        assert all(len(set(zip(r, s))) == block.edge_count
+                   for r, s in zip(bu.tolist(), bv.tolist()))
+        start = stop
+    keys, class_ids = _class_keys(sampler.types, u, v)
+    for r, s, i in zip(u.tolist(), v.tolist(), class_ids.tolist()):
+        assert empirical_link_measure(TypedGraph(sampler.types, zip(r, s))) == spec.link_law
+        assert keys[i] == _class_key(sampler.types, zip(r, s))
 
 
 def _unrank_pairs_listed(ks, size):
