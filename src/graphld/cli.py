@@ -14,7 +14,9 @@ Subcommands (``graphld <cmd> --config FILE [--seed U64] [--out PATH]
 * ``decay``     -- Monte Carlo decay-rate study over a list of graph sizes;
 * ``lldp``      -- exact finite-size exponent gaps along a spec family.
 
-Exit codes: 0 on success, 1 on parse errors, 2 on guard/feasibility errors.
+Exit codes: 0 on success, 1 on parse errors, 2 on guard, feasibility and
+convergence errors (``optimize`` writes nothing when its solve did not
+converge; ``decay`` still writes its table and warns on stderr).
 
 Determinism contract: a stochastic run is sharded into fixed-size blocks of
 samples; shard ``i`` for graph size ``n`` consumes the dedicated substream
@@ -64,6 +66,10 @@ from .sampler import (
 
 #: Fixed Monte Carlo shard size (part of the determinism contract).
 SHARD_SIZE = 1 << 16
+
+
+class NotConvergedError(RuntimeError):
+    """The optimizer stopped before meeting its tolerances."""
 
 
 @dataclass(frozen=True)
@@ -157,8 +163,11 @@ def run_decay_study(c: float, n_list: Sequence[int], samples: int,
         raise ValueError("samples must be >= 1")
     if list(n_list) != sorted(set(n_list)):
         raise ValueError("n_list must be strictly increasing")
-    predicted = rate_infimum_for_event(c, event, support_cap).value
+    optimum = rate_infimum_for_event(c, event, support_cap)
     event_id = event.describe()
+    if not optimum.converged:
+        warnings.warn(f"the predicted rate of {event_id} did not converge "
+                      f"(KKT residual {optimum.kkt_residual!r})")
     records = []
     for n in n_list:
         m_exact = n * c / 2
@@ -175,7 +184,7 @@ def run_decay_study(c: float, n_list: Sequence[int], samples: int,
             estimate = None
             stderr = None
         records.append(ExperimentRecord(n, event_id, estimate, stderr,
-                                        predicted, samples, hits))
+                                        optimum.value, samples, hits))
     return records
 
 
@@ -241,6 +250,8 @@ def run_optimize(config: Dict[str, object]) -> Dict[str, object]:
                     decay rate (mean-c equality appended).
     Reference form: {"q": {degree: weight}, "constraints": {...}} -- plain
                     projection onto the constraints.
+
+    Raises NotConvergedError when the solve did not meet its tolerances.
     """
     cons = ConstraintSet.from_json_dict(config["constraints"])
     if "c" in config:
@@ -251,6 +262,10 @@ def run_optimize(config: Dict[str, object]) -> Dict[str, object]:
         q_obj = {int(k): float(v) for k, v in config["q"].items()}
         q = [q_obj.get(k, 0.0) for k in range(cons.support_cap + 1)]
         optimum = minimize_relative_entropy(q, cons)
+    if not optimum.converged:
+        raise NotConvergedError(
+            f"the optimizer did not converge: KKT residual {optimum.kkt_residual!r} "
+            f"after {optimum.iterations} iterations")
     return optimum.to_json_dict()
 
 
@@ -396,7 +411,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         text = _COMMANDS[args.command](config, args.seed, fmt)
         _emit(text, args.out)
         return 0
-    except (EnumerationGuardError, InadmissibleSpecError, InfeasibleConstraintsError) as exc:
+    except (EnumerationGuardError, InadmissibleSpecError, InfeasibleConstraintsError,
+            NotConvergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (KeyError, ValueError, TypeError, OSError, json.JSONDecodeError) as exc:

@@ -12,7 +12,8 @@ normalized -- the natural mirror-descent step for a relative-entropy
 objective on the simplex.  The multipliers are driven by dual ascent with
 an active set over the inequalities, taking damped Newton steps on the
 (tiny) dual problem; iteration stops at KKT residual 1e-6 -- with
-constraint satisfaction tightened to 1e-8 -- or 1e5 iterations.  Problems
+constraint satisfaction tightened to 1e-8 -- or 1e5 iterations, and a solve
+that stops short of the tolerances reports ``converged = False``.  Problems
 here are tiny (K of order 100, a handful of constraints), so robustness
 beats sophistication.
 
@@ -213,6 +214,10 @@ class Optimum:
     ``dual_eq`` / ``dual_ge`` are the multipliers certifying stationarity (the
     minimizer is q_ref tilted by their constraint combination), and
     ``kkt_residual`` the worst primal/complementarity defect at exit.
+    ``converged`` says whether the solve met its tolerances: primal defect
+    at most the feasibility tolerance and complementarity defect at most
+    the KKT tolerance.  When it is False the minimizer and value are the
+    last iterate, not the projection.
     ``reference_tail`` reports the mass of the untruncated reference beyond
     the support cap, when the reference came from one.
     """
@@ -223,6 +228,7 @@ class Optimum:
     dual_ge: Tuple[float, ...]
     kkt_residual: float
     iterations: int
+    converged: bool
     reference_tail: float = 0.0
 
     def to_json_dict(self) -> Dict[str, object]:
@@ -233,6 +239,7 @@ class Optimum:
             "dual_ge": list(self.dual_ge),
             "kkt_residual": self.kkt_residual,
             "iterations": self.iterations,
+            "converged": self.converged,
             "reference_tail": self.reference_tail,
         }
 
@@ -375,10 +382,11 @@ def minimize_relative_entropy(q_ref, cons: ConstraintSet, *,
 
     primal_res, comp_res = residuals(p, x)
     residual = max(primal_res, comp_res)
+    converged = primal_res <= feasibility_tol and comp_res <= kkt_tol
     value = float(p @ (log_p - log_q))
     minimizer = ProbMeasure({k: float(w) for k, w in enumerate(p) if w > 0})
     return Optimum(minimizer, max(value, 0.0) if value > -1e-12 else value,
-                   tuple(x[:n_eq]), tuple(x[n_eq:]), residual, iterations)
+                   tuple(x[:n_eq]), tuple(x[n_eq:]), residual, iterations, converged)
 
 
 def tilted_family(q_ref, theta: float, support_cap: int) -> ProbMeasure:

@@ -20,7 +20,12 @@ CACM 1987) in O(m) time and memory, so node counts up to ~1e5 are practical.
 Batches of draws (``ConditionalSampler.sample_batch`` and
 ``iter_er_degree_histograms``) use one vectorized kernel instead; single draws
 keep Floyd because the kernel's numpy set-up costs more than a Floyd draw of
-the small blocks they see.
+the small blocks they see.  The kernel sorts packed keys
+``value << bits | position``, int32 when they fit and int64 otherwise, and
+batched pair ranks decode in closed form, exactly for n <= 2**24
+(``_unrank_pairs_np``).  Neither touches the int64 index stream, so the key
+width and the decode do not change seeded ``decay``, ``sample`` or
+``sampled_class_counts`` output.
 
 RNG contract: every sampler consumes an explicit ``numpy.random.Generator``
 (PCG64 via ``numpy.random.default_rng``); identical seed + spec produces the
@@ -281,14 +286,26 @@ def sample_erdos_renyi(n: int, m: int, rng: np.random.Generator) -> TypedGraph:
 # ---------------------------------------------------------------------------
 
 def _unrank_pairs_np(idx: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized pair unranking over C(n, 2), 0-based nodes."""
+    """Vectorized pair unranking over C(n, 2), 0-based nodes: the pairs
+    (u, v), 0 <= u < v < n, of lexicographic ranks ``idx``.
+
+    Pair (u, v) has w = n - u candidates (u, u+1..n-1) in its row, and the
+    rows from u on hold w(w - 1)/2 pairs, so w is the smallest integer with
+    w(w - 1)/2 >= rem = C(n, 2) - idx, in closed form
+    w = ceil((1 + sqrt(x)) / 2) with x = 8 rem + 1.  In float64 this is exact
+    while 8 C(n, 2) < 2**50, i.e. for n <= 2**24: x is then an exact odd
+    integer below 2**50.  When x is a square its root is an odd integer and
+    every step is exact.  Otherwise sqrt(x) lies at least
+    1/(2 sqrt(x) + 2) > 2**-27 from every integer, so (1 + sqrt(x)) / 2 lies
+    more than 2**-28 from every integer, while 0.5 + 0.5 sqrt(x) is computed
+    with an error of at most 3 * 2**-30 (sqrt, then the sum); so the ceiling
+    cannot tip.
+    """
     total = n * (n - 1) // 2
-    rem = total - idx
-    w = np.floor((1.0 + np.sqrt(8.0 * rem)) / 2.0).astype(np.int64)
-    w = np.where((w - 1) * (w - 2) // 2 >= rem, w - 1, w)
-    w = np.where(w * (w - 1) // 2 < rem, w + 1, w)
+    w = np.ceil(0.5 + 0.5 * np.sqrt((8 * total + 1) - 8.0 * idx)).astype(np.int64)
     u = n - w
-    v = u + 1 + (idx - (total - w * (w - 1) // 2))
+    # v = u + 1 + idx - (total - w(w - 1)/2), and w(w - 3) is even
+    v = idx + (n + 1 - total) + ((w * (w - 3)) >> 1)
     return u, v
 
 
@@ -313,20 +330,26 @@ def _subset_rows(rng: np.random.Generator, capacity: int, m: int, rows: int) -> 
     mean = np.sum(capacity / (capacity - seen))
     sd = math.sqrt(np.sum(seen * capacity / (capacity - seen) ** 2.0))
     length = math.ceil(mean + 4.0 * sd)
+    bits = (length - 1).bit_length()
+    key_type = np.int32 if capacity << bits < 2**31 else np.int64
+    positions = np.arange(length, dtype=key_type)
     out = np.empty((rows, m), dtype=np.int64)
     todo = np.arange(rows)
     while todo.size:
-        # value * length + position sorts by value, then by draw position
-        keys = rng.integers(0, capacity, size=(todo.size, length)) * length
-        keys += np.arange(length)
+        # value << bits | position sorts by value, then by draw position; the
+        # draws stay int64 whatever the key width, so the stream is the same
+        keys = rng.integers(0, capacity, size=(todo.size, length)).astype(key_type, copy=False)
+        keys <<= bits
+        keys |= positions
         keys.sort(axis=1)
-        values, position = np.divmod(keys, length)
+        values = keys >> bits
+        position = keys & ((1 << bits) - 1)
         first = np.ones(keys.shape, dtype=bool)
         np.not_equal(values[:, 1:], values[:, :-1], out=first[:, 1:])
         # draw positions of first occurrences, `length` elsewhere and in a
         # last column, so that column m of the partition always exists: it is
         # where the (m+1)-th distinct value first appears
-        first_position = np.full((todo.size, length + 1), length)
+        first_position = np.full((todo.size, length + 1), length, dtype=key_type)
         first_position[:, :length] = np.where(first, position, length)
         cut = np.partition(first_position, m, axis=1)[:, m:m + 1]
         keep = first & (position < cut)

@@ -244,6 +244,36 @@ def test_main_guard_and_feasibility_exit_codes(tmp_path, capsys):
     assert main(["optimize", "--config", str(infeasible)]) == 2
 
 
+#: Feasible (mass 0.04 far out keeps the mean at 2), but the solve stops at
+#: p(0) = 0.945 with KKT residual 0.62.
+NOT_CONVERGING = {"c": 2.0, "constraints": {"K": 1, "ge": [{"f": "pmf@0", "r": 0.96}]}}
+
+
+def test_optimize_exits_2_without_output_when_the_solve_does_not_converge(tmp_path, capsys):
+    cfg = tmp_path / "slow.json"
+    cfg.write_text(json.dumps(NOT_CONVERGING))
+    out = tmp_path / "out.json"
+    assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "did not converge: KKT residual 0.6" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_optimize_reports_convergence_of_criterion_5_event():
+    out = run_optimize({"c": 2.0, "constraints": {"K": 1, "ge": [{"f": "pmf@0", "r": 0.4}]}})
+    assert out["converged"] is True
+    assert out["kkt_residual"] <= 1e-6
+
+
+def test_decay_warns_but_writes_when_the_prediction_does_not_converge(tmp_path):
+    cfg = tmp_path / "decay.json"
+    cfg.write_text(json.dumps({"c": 2.0, "n_list": [10], "samples": 100,
+                               "event": NOT_CONVERGING["constraints"]}))
+    out = tmp_path / "decay.csv"
+    with pytest.warns(UserWarning, match="did not converge"):
+        assert main(["decay", "--config", str(cfg), "--seed", "3", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1].startswith("10,K1;ge[pmf@0>=0.96],")
+
+
 def test_main_decay_csv_is_byte_deterministic(tmp_path):
     cfg = tmp_path / "decay.json"
     cfg.write_text(json.dumps({

@@ -212,6 +212,7 @@ def test_kkt_certificate_on_random_problems():
         p = law_vector(opt.minimizer, cap)
         assert cons.satisfied_by(p, tol=1e-8)
         assert opt.kkt_residual <= 1e-6
+        assert opt.converged
         # stationarity: log(p/q) + 1 = sum(lambda_i f_i) + sum(mu_j g_j) + nu
         grad = np.log(np.maximum(p, 1e-300) / q) + 1.0
         feq, _ = cons.eq_arrays()
@@ -247,3 +248,14 @@ def test_rate_infimum_support_cap_default():
     assert opt.reference_tail == pytest.approx(poisson_tail(2.0, 50), abs=1e-15)
     wide = rate_infimum_for_event(2.0, cons, support_cap=80)
     assert abs(wide.value - opt.value) <= 1e-9
+
+
+def test_a_stalled_solve_reports_that_it_did_not_converge():
+    """p(0) >= 0.96 at mean 2 is feasible, but the solve stops with p(0)
+    about 0.945: the result says so instead of passing for the projection."""
+    event = ConstraintSet(1, inequalities=[(point_vector(0, 1), 0.96)])
+    opt = rate_infimum_for_event(2.0, event)
+    assert not opt.converged
+    assert opt.minimizer(0) < 0.96
+    assert opt.kkt_residual > 1e-6
+    assert opt.to_json_dict()["converged"] is False

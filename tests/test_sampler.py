@@ -182,6 +182,63 @@ def test_vectorized_unranking_is_the_lexicographic_bijection(size, data):
     assert [r * size - r * (r + 1) // 2 + s - r - 1 for r, s in pairs] == ks
 
 
+@pytest.mark.parametrize("n", [10**4, 10**5, 10**6, 3 * 10**6])
+def test_vectorized_unranking_at_row_boundaries_of_large_n(n):
+    """Every row-start rank, its neighbours and the last rank decode to
+    pairs 0 <= r < s < n whose lexicographic rank is the input: the places
+    where a closed-form row index is one off if it rounds the wrong way."""
+    total = n * (n - 1) // 2
+    for lo in range(0, n - 1, 1 << 18):
+        r = np.arange(lo, min(lo + (1 << 18), n - 1), dtype=np.int64)
+        starts = r * n - r * (r + 1) // 2
+        ks = np.concatenate([starts - 1, starts, starts + 1, [total - 1]])
+        ks = ks[(ks >= 0) & (ks < total)]
+        u, v = _unrank_pairs_np(ks, n)
+        assert np.all((0 <= u) & (u < v) & (v < n))
+        assert np.array_equal(u * n - u * (u + 1) // 2 + v - u - 1, ks)
+
+
+def _first_distinct_rows(rng, capacity, m, rows, length):
+    """The kernel's law written out row by row: each row keeps the first m
+    distinct values of its stream of ``length`` draws, and rows that see
+    fewer are drawn again, in order, in the next pass."""
+    out = [None] * rows
+    todo = list(range(rows))
+    while todo:
+        streams = rng.integers(0, capacity, size=(len(todo), length)).tolist()
+        left = []
+        for i, stream in zip(todo, streams):
+            kept = list(dict.fromkeys(stream))[:m]
+            if len(kept) == m:
+                out[i] = sorted(kept)
+            else:
+                left.append(i)
+        todo = left
+    return out
+
+
+@pytest.mark.parametrize("capacity", [2**20 - 1, 2**21], ids=["int32-keys", "int64-keys"])
+def test_subset_kernel_replays_the_first_distinct_values_of_its_stream(capacity):
+    """Replaying the kernel's generator stream gives its rows exactly, on
+    both sides of the capacity where its packed keys, value << 11 | position
+    at this m, stop fitting in int32 (2**20; half the values of the second
+    capacity would overflow an int32 key).  At m = 2000 most rows repeat a
+    value, so draw order decides what is kept."""
+    m, rows = 2000, 20
+    # the stream length of _subset_rows: mean + 4 sd of the draws needed
+    seen = np.arange(m)
+    mean = np.sum(capacity / (capacity - seen))
+    sd = math.sqrt(np.sum(seen * capacity / (capacity - seen) ** 2.0))
+    length = math.ceil(mean + 4.0 * sd)
+    assert (length - 1).bit_length() == 11
+    rng = np.random.default_rng(2029)
+    replay = np.random.default_rng(2029)
+    out = _subset_rows(rng, capacity, m, rows)
+    assert out.dtype == np.int64
+    assert out.tolist() == _first_distinct_rows(replay, capacity, m, rows, length)
+    assert rng.bit_generator.state == replay.bit_generator.state
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=0, max_value=60), st.data(),
        st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=2**32))
