@@ -50,7 +50,6 @@ from .rate import (
     RateResult,
     ReferenceLaw,
     degree_rate,
-    reference_pmf,
     relative_entropy,
     truncated_poisson,
     typed_rate,
@@ -72,7 +71,7 @@ __all__ = [
     "link_marginal", "marginal_pair", "total_variation", "type_marginal",
     "TypedGraph", "degree_distribution", "empirical_link_measure",
     "empirical_locality_measure", "empirical_type_measure",
-    "RateResult", "ReferenceLaw", "degree_rate", "reference_pmf",
+    "RateResult", "ReferenceLaw", "degree_rate",
     "relative_entropy", "truncated_poisson", "typed_rate",
     "ConditionSpec", "InadmissibleSpecError", "admissible",
     "binary_cross_spec", "sample_conditional_graph", "sample_erdos_renyi",

@@ -32,7 +32,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -91,15 +91,7 @@ class ExperimentRecord:
     hits: int
 
     def to_json_dict(self) -> Dict[str, object]:
-        return {
-            "n": self.n,
-            "event": self.event,
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "predicted": self.predicted,
-            "samples": self.samples,
-            "hits": self.hits,
-        }
+        return asdict(self)
 
 
 DECAY_CSV_HEADER = "n,event,estimate,stderr,predicted,samples,hits"

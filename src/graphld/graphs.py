@@ -131,7 +131,7 @@ def locality_atoms_of(types: Sequence[str], edges: Iterable[Edge]
     bare (types, edges) description.
 
     Cheap building block shared by :func:`empirical_locality_measure` and the
-    enumeration/sampling class-counting loops, which only need hashable atoms.
+    enumeration census (``oracle._class_key``), which only needs hashable atoms.
     """
     n = len(types)
     neigh: List[Dict[str, int]] = [{} for _ in range(n)]
@@ -143,16 +143,11 @@ def locality_atoms_of(types: Sequence[str], edges: Iterable[Edge]
     return [(types[i], tuple(sorted(neigh[i].items()))) for i in range(n)]
 
 
-def locality_atoms(z: TypedGraph) -> List[Tuple[str, Tuple[Tuple[str, int], ...]]]:
-    """Per-node locality atoms of a graph; see :func:`locality_atoms_of`."""
-    return locality_atoms_of(z.types, z.edges)
-
-
 def empirical_locality_measure(z: TypedGraph) -> ProbMeasure:
     """out = (1/n) * sum over nodes v of the point mass at
     ``(type(v), neighbor-type counts of v)``, exact."""
     counts: Dict[Tuple[str, Tuple[Tuple[str, int], ...]], int] = {}
-    for atom in locality_atoms(z):
+    for atom in locality_atoms_of(z.types, z.edges):
         counts[atom] = counts.get(atom, 0) + 1
     return ProbMeasure(
         {(a, CountingMeasure(e)): Fraction(k, z.n) for (a, e), k in counts.items()}

@@ -31,7 +31,7 @@ from typing import Callable, Dict, Iterator, List, Sequence, Tuple, Union
 import numpy as np
 
 from .graphs import Edge, TypedGraph, empirical_locality_measure, locality_atoms_of
-from .measures import CountingMeasure, ProbMeasure, encode_measure
+from .measures import ProbMeasure, encode_measure
 from .rate import ReferenceLaw, relative_entropy
 from .sampler import BATCH_ENTRIES, ConditionalSampler, ConditionSpec
 
@@ -100,15 +100,25 @@ def _class_key(types: Sequence[str], edges) -> _ClassKey:
 
 
 def _row_ids(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Ids of the distinct rows of a 2-D integer array: ``(ids, first)`` with
-    ``rows[first[ids[i]]]`` equal to ``rows[i]``."""
-    order = np.lexsort(rows.T)
-    ranked = rows[order]
-    new = np.ones(len(rows), dtype=bool)
-    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
-    ids = np.empty(len(rows), dtype=np.int64)
-    ids[order] = np.cumsum(new) - 1
-    return ids, order[new]
+    """Ids of the distinct rows of a 2-D int64 array in ``np.lexsort`` order
+    (last column most significant): ``(ids, first)``, ``rows[first[ids[i]]]``
+    equal to ``rows[i]`` and ``first`` the lowest.  Each row packs into one
+    int64 mixed-radix key (digit ``value - min``, radix ``max - min + 1``),
+    numbered by one stable argsort; before the span would reach 2**62 the key
+    is re-ranked, so column ranges times the row count must stay below 2**62.
+    """
+    key = np.zeros(len(rows), dtype=np.int64)
+    span = 1
+    for column in rows.T:
+        low = int(column.min())
+        radix = int(column.max()) - low + 1
+        if span * radix >= 2**62:
+            distinct, key = np.unique(key, return_inverse=True)
+            span = len(distinct)
+        key += (column - low) * span
+        span *= radix
+    _, first, ids = np.unique(key, return_index=True, return_inverse=True)
+    return ids, first
 
 
 def _class_keys(types: Sequence[str], u: np.ndarray,
@@ -140,11 +150,15 @@ def _class_keys(types: Sequence[str], u: np.ndarray,
     return keys, class_ids
 
 
-def class_measure(n: int, key: _ClassKey) -> ProbMeasure:
-    """Reconstruct the exact locality measure of a type class from its key."""
-    return ProbMeasure(
-        {(a, CountingMeasure(e)): Fraction(count, n) for (a, e), count in key}
-    )
+def _class_text(n: int, key: _ClassKey) -> str:
+    """``encode_measure`` of a type class's locality measure, straight from
+    its key: atoms by (label, counting text), weights count/n in lowest terms."""
+    parts = []
+    for a, text, count in sorted((a, ",".join(f"{b}:{k}" for b, k in e), count)
+                                 for (a, e), count in key):
+        g = math.gcd(count, n)
+        parts.append(f"{a}|{text}=" + ("1" if count == n else f"{count // g}/{n // g}"))
+    return "; ".join(parts)
 
 
 @dataclass(frozen=True)
@@ -180,10 +194,7 @@ def type_class_counts(spec: ConditionSpec) -> EnumerationReport:
         key = _class_key(sampler.types, edges)
         counts[key] = counts.get(key, 0) + 1
         total += 1
-    encoded = {
-        encode_measure(class_measure(spec.n, key)): count
-        for key, count in counts.items()
-    }
+    encoded = {_class_text(spec.n, key): count for key, count in counts.items()}
     return EnumerationReport(spec, total, encoded)
 
 
@@ -267,6 +278,6 @@ def sampled_class_counts(spec: ConditionSpec, num_samples: int,
             counts[key] = counts.get(key, 0) + count
     # interned: callers that keep many results share one copy of each class
     return {
-        sys.intern(encode_measure(class_measure(spec.n, key))): count
+        sys.intern(_class_text(spec.n, key)): count
         for key, count in counts.items()
     }

@@ -189,12 +189,6 @@ def _count_vectors(dims: int, max_total: int) -> Iterator[Tuple[int, ...]]:
             yield (k,) + rest
 
 
-def reference_pmf(type_law: ProbMeasure, link_law: FiniteMeasure,
-                  a: str, e: CountingMeasure) -> float:
-    """One-shot q(a, e); build a :class:`ReferenceLaw` for repeated evaluation."""
-    return ReferenceLaw(type_law, link_law).pmf(a, e)
-
-
 # ---------------------------------------------------------------------------
 # Relative entropy and rate results
 # ---------------------------------------------------------------------------

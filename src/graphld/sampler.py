@@ -302,11 +302,20 @@ def _unrank_pairs_np(idx: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
     cannot tip.
     """
     total = n * (n - 1) // 2
-    w = np.ceil(0.5 + 0.5 * np.sqrt((8 * total + 1) - 8.0 * idx)).astype(np.int64)
-    u = n - w
+    # ceil(0.5 + 0.5 * sqrt((8 total + 1) - 8.0 idx)), the same steps in place
+    x = np.multiply(idx, -8.0)
+    x += 8 * total + 1
+    np.sqrt(x, out=x)
+    x *= 0.5
+    x += 0.5
+    w = np.ceil(x, out=x).astype(np.int64)
     # v = u + 1 + idx - (total - w(w - 1)/2), and w(w - 3) is even
-    v = idx + (n + 1 - total) + ((w * (w - 3)) >> 1)
-    return u, v
+    v = w - 3
+    v *= w
+    v >>= 1
+    v += idx
+    v += n + 1 - total
+    return np.subtract(n, w, out=w), v
 
 
 def _subset_rows(rng: np.random.Generator, capacity: int, m: int, rows: int) -> np.ndarray:

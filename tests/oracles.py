@@ -1,11 +1,14 @@
-"""Independent oracles used to cross-check the optimizer and the Monte Carlo
-decay estimator.
+"""Independent oracles used to cross-check the optimizer, the Monte Carlo
+decay estimator and the class census.
 
 These deliberately share no code path with ``src/``: the grid oracle
 explores the primal polytope directly through an orthonormal basis of its
 affine hull, the theta-scan oracle walks the one-parameter tilted family that
 KKT stationarity forces on reduced problems, and the isolated-node oracle
-counts graphs exactly in big-integer arithmetic.
+counts graphs exactly in big-integer arithmetic.  The class census has two
+slow references: ``lexsort_row_ids`` numbers distinct rows with
+``np.lexsort``, and ``class_measure`` rebuilds a class's exact locality
+measure, whose ``encode_measure`` text is the class's name.
 """
 
 import math
@@ -15,6 +18,7 @@ from typing import Tuple, Union
 import numpy as np
 from scipy.optimize import linprog
 
+from graphld.measures import CountingMeasure, ProbMeasure
 from graphld.optimizer import ConstraintSet
 from graphld.rate import poisson_pmf
 
@@ -157,3 +161,23 @@ def isolated_tail_probability(n: int, m: int,
     threshold = math.ceil(Fraction(r) * n)
     hits = sum(math.comb(n, j) * no_isolated(n - j) for j in range(threshold, n + 1))
     return Fraction(hits, math.comb(n * (n - 1) // 2, m))
+
+
+def lexsort_row_ids(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Ids of the distinct rows of a 2-D integer array in ``np.lexsort``
+    order: ``(ids, first)`` with ``rows[first[ids[i]]]`` equal to ``rows[i]``."""
+    order = np.lexsort(rows.T)
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ids, order[new]
+
+
+def class_measure(n: int, key) -> ProbMeasure:
+    """The exact locality measure of a type class on ``n`` nodes, from its
+    key: the sorted ``((label, neighbour counts), node count)`` pairs."""
+    return ProbMeasure(
+        {(a, CountingMeasure(e)): Fraction(count, n) for (a, e), count in key}
+    )

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from graphld.graphs import empirical_locality_measure
 from graphld.measures import (
@@ -19,6 +21,8 @@ from graphld.oracle import (
     EnumerationGuardError,
     _class_key,
     _class_keys,
+    _class_text,
+    _row_ids,
     entropy_neighborhood,
     enumerate_support,
     exact_event_probability,
@@ -30,6 +34,7 @@ from graphld.oracle import (
 from graphld.rate import ReferenceLaw, relative_entropy
 from graphld.sampler import ConditionalSampler, ConditionSpec, binary_cross_spec
 from helpers import single_type_spec4, three_type_spec5
+from oracles import class_measure, lexsort_row_ids
 
 
 def atom(a, counts):
@@ -234,3 +239,82 @@ def test_batched_class_keys_equal_the_per_graph_key(spec):
     assert len(set(keys)) == len(keys)
     assert [keys[i] for i in class_ids.tolist()] == \
         [_class_key(sampler.types, graph) for graph in graphs]
+
+
+# ---------------------------------------------------------------------------
+# Class census internals against their slow references
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_row_ids_equal_the_lexsort_reference(data):
+    """Packed keys number distinct rows exactly as ``np.lexsort`` does; two
+    2**40-wide columns overflow a plain mixed-radix key and re-rank it."""
+    width = data.draw(st.sampled_from([1, 3, 1000, 2**40]))
+    cols = data.draw(st.integers(1, 6))
+    # values spread over the whole width as well as hypothesis's small ones
+    elements = st.one_of(st.integers(-width, width),
+                         st.integers(-4, 4).map(lambda k: k * width // 4))
+    distinct = data.draw(arrays(np.int64, (data.draw(st.integers(1, 8)), cols),
+                                elements=elements))
+    picks = data.draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=40))
+    rows = distinct[picks]
+    ids, first = _row_ids(rows)
+    expected_ids, expected_first = lexsort_row_ids(rows)
+    assert ids.tolist() == expected_ids.tolist()
+    assert first.tolist() == expected_first.tolist()
+
+
+@pytest.mark.parametrize("rows", [[[7]], [[3, -2, 2**40]], [[3], [1], [3], [2**40], [1]]],
+                         ids=["one-cell", "one-row", "one-column"])
+def test_row_ids_of_one_row_and_one_column(rows):
+    rows = np.array(rows, dtype=np.int64)
+    ids, first = _row_ids(rows)
+    expected_ids, expected_first = lexsort_row_ids(rows)
+    assert ids.tolist() == expected_ids.tolist()
+    assert first.tolist() == expected_first.tolist()
+
+
+def prefix_label_spec():
+    """Types ``a`` (2 nodes) and ``ab`` (3): labels where joined ``label|text``
+    strings sort the other way round (60 graphs)."""
+    f = Fraction
+    eta = ProbMeasure({"a": f(2, 5), "ab": f(3, 5)})
+    pi = FiniteMeasure({("a", "ab"): f(3, 5), ("ab", "a"): f(3, 5),
+                        ("ab", "ab"): f(2, 5), ("a", "a"): f(2, 5)})
+    return ConditionSpec(5, eta, pi)
+
+
+@pytest.mark.parametrize("spec", [single_type_spec4(), three_type_spec5(), binary_cross_spec(8),
+                                  prefix_label_spec()],
+                         ids=["single4", "three5", "binary8", "a-ab"])
+def test_class_text_names_every_class_of_the_support(spec):
+    """``type_class_counts`` against the census of ``encode_measure`` of
+    each graph's rebuilt class measure, dict order included."""
+    sampler = ConditionalSampler(spec)
+    expected = {}
+    for graph in enumerate_support(spec):
+        key = _class_key(sampler.types, graph.edges)
+        text = encode_measure(class_measure(spec.n, key))
+        assert _class_text(spec.n, key) == text
+        expected[text] = expected.get(text, 0) + 1
+    assert list(type_class_counts(spec).class_counts.items()) == list(expected.items())
+    sampled = sampled_class_counts(spec, 2000, np.random.default_rng(5))
+    assert set(sampled) <= set(expected)
+
+
+LABELS = ("a", "ab", "A", "Ab", "a0", "a.", "b", "b-c")
+ATOMS = st.tuples(
+    st.sampled_from(LABELS),
+    st.dictionaries(st.sampled_from(LABELS), st.integers(1, 30), max_size=3)
+    .map(lambda counts: tuple(sorted(counts.items()))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(ATOMS, st.integers(1, 12), min_size=1, max_size=6))
+def test_class_text_equals_the_encoded_class_measure(census):
+    """Mixed-case, prefix-sharing labels and neighbour counts of 10 and more,
+    where text order and numeric order part."""
+    n = sum(census.values())
+    key = tuple(sorted(census.items()))
+    assert _class_text(n, key) == encode_measure(class_measure(n, key))

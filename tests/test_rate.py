@@ -21,7 +21,6 @@ from graphld.rate import (
     embed_degree_law,
     poisson_pmf,
     poisson_tail,
-    reference_pmf,
     relative_entropy,
     truncated_poisson,
     typed_rate,
@@ -74,7 +73,7 @@ def test_two_type_pmf_hand_value():
     # q(a, {b:1}) = (1/2) * e^0 * e^-1 * 1 = 0.18393972...
     eta = ProbMeasure({"a": 0.5, "b": 0.5})
     pi = FiniteMeasure({("a", "b"): 0.5, ("b", "a"): 0.5})
-    value = reference_pmf(eta, pi, "a", CountingMeasure({"b": 1}))
+    value = ReferenceLaw(eta, pi).pmf("a", CountingMeasure({"b": 1}))
     assert value == pytest.approx(0.5 * math.exp(-1.0), rel=1e-12)
 
 
