@@ -50,7 +50,6 @@ from .oracle import EnumerationGuardError, lldp_exponent_gap, type_class_counts
 from .optimizer import (
     ConstraintSet,
     InfeasibleConstraintsError,
-    Optimum,
     minimize_relative_entropy,
     rate_infimum_for_event,
 )

@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 Scalar = Union[int, float, Fraction]
 
@@ -288,24 +288,6 @@ class FiniteMeasure:
         return ProbMeasure({k: v / mass for k, v in self._w.items()})
 
     # -- serialization ----------------------------------------------------------
-    def to_lines(self) -> str:
-        """Line format: one ``key<TAB>weight`` pair per line, canonical key order,
-        weights with 17 significant digits."""
-        return "".join(f"{encode_key(k)}\t{_format_weight(w)}\n" for k, w in self.items())
-
-    @classmethod
-    def from_lines(cls, text: str, kind: str) -> "FiniteMeasure":
-        w: Dict[Key, Scalar] = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                key_text, weight_text = line.split("\t")
-                w[decode_key(key_text, kind)] = float(weight_text)
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-        return cls(w)
-
     def to_json_dict(self) -> Dict[str, float]:
         return {encode_key(k): float(w) for k, w in self.items()}
 

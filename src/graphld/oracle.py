@@ -8,7 +8,8 @@ enumeration sit:
 * ``type_class_counts`` -- group the support by exact empirical locality
   measure (the type classes);
 * ``exact_event_probability`` -- the exact rational probability of any
-  predicate on the locality measure;
+  predicate on the locality measure, evaluated once per type class of the
+  census pass that ``type_class_counts`` also runs (``_census``);
 * ``entropy_neighborhood`` -- the relative-entropy sublevel neighborhoods
   used for local event probabilities;
 * ``lldp_exponent_gap`` -- the finite-n gap between the exact per-node decay
@@ -67,16 +68,13 @@ def _guard(spec: ConditionSpec) -> ConditionalSampler:
 
 def _support_edges(sampler: ConditionalSampler) -> Iterator[List[Edge]]:
     """Edge lists of the graphs ``enumerate_support`` yields, in its order."""
-    blocks = sampler.blocks
-    pools = [
-        itertools.combinations(range(block.capacity), block.edge_count)
-        for block in blocks
-    ]
+    pools = []
+    for block in sampler.blocks:
+        # each block's pair table, decoded once; an empty block needs none
+        u, v = block.pairs(np.arange(block.capacity if block.edge_count else 0))
+        pools.append(itertools.combinations(zip(u.tolist(), v.tolist()), block.edge_count))
     for choice in itertools.product(*pools):
-        edges = []
-        for block, indices in zip(blocks, choice):
-            edges.extend(block.pair_at(i) for i in indices)
-        yield edges
+        yield list(itertools.chain.from_iterable(choice))
 
 
 def enumerate_support(spec: ConditionSpec) -> Iterator[TypedGraph]:
@@ -185,29 +183,39 @@ class EnumerationReport:
         }
 
 
-def type_class_counts(spec: ConditionSpec) -> EnumerationReport:
-    """Group the full support by exact empirical locality measure."""
-    sampler = _guard(spec)
+def _census(sampler: ConditionalSampler) -> Tuple[Dict[_ClassKey, int],
+                                                   Dict[_ClassKey, List[Edge]]]:
+    """The one pass over the support: the number of graphs of each type
+    class, and the edge list of each class's first graph, both in the order
+    classes first appear."""
     counts: Dict[_ClassKey, int] = {}
-    total = 0
+    firsts: Dict[_ClassKey, List[Edge]] = {}
     for edges in _support_edges(sampler):
         key = _class_key(sampler.types, edges)
         counts[key] = counts.get(key, 0) + 1
-        total += 1
+        firsts.setdefault(key, edges)
+    return counts, firsts
+
+
+def type_class_counts(spec: ConditionSpec) -> EnumerationReport:
+    """Group the full support by exact empirical locality measure."""
+    counts, _ = _census(_guard(spec))
     encoded = {_class_text(spec.n, key): count for key, count in counts.items()}
-    return EnumerationReport(spec, total, encoded)
+    return EnumerationReport(spec, sum(counts.values()), encoded)
 
 
 def exact_event_probability(spec: ConditionSpec, event: EventPredicate) -> Fraction:
     """Exact probability that the locality measure of a conditional draw
-    satisfies ``event``: (# graphs in the event) / support_size."""
-    hits = 0
-    total = 0
-    for graph in enumerate_support(spec):
-        total += 1
-        if event(empirical_locality_measure(graph)):
-            hits += 1
-    return Fraction(hits, total)
+    satisfies ``event``: (# graphs in the event) / support_size.
+
+    A predicate on the locality measure is constant on a type class, so
+    ``event`` is called once per class, on the measure of the class's first
+    graph, and the event's graphs are the sum of its classes' counts."""
+    sampler = _guard(spec)
+    counts, firsts = _census(sampler)
+    hits = sum(count for key, count in counts.items()
+               if event(empirical_locality_measure(TypedGraph(sampler.types, firsts[key]))))
+    return Fraction(hits, sum(counts.values()))
 
 
 def entropy_neighborhood(p: ProbMeasure, type_law: ProbMeasure, link_law,

@@ -30,11 +30,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from numbers import Rational
 from typing import Callable, Dict, Iterator, Tuple, Union
 
-from scipy.special import pdtrc
+from scipy.special import pdtr, pdtrc
 
 from .measures import (
     CountingMeasure,
@@ -68,11 +67,6 @@ def poisson_pmf(mean: float, k: int) -> float:
     if mean == 0:
         return 1.0 if k == 0 else 0.0
     return math.exp(k * math.log(mean) - mean - math.lgamma(k + 1))
-
-
-def poisson_cdf(mean: float, k: int) -> float:
-    """P(X <= k) for X ~ Poisson(mean); plain positive-term summation."""
-    return math.fsum(poisson_pmf(mean, j) for j in range(0, k + 1))
 
 
 def poisson_tail(mean: float, k: int) -> float:
@@ -161,7 +155,7 @@ class ReferenceLaw:
         row ``a`` is Poisson(row_count_mean(a)), so this is
         ``sum_a eta(a) * P(Poisson(row_sum_a) <= max_total)``."""
         return math.fsum(
-            float(self.type_law(a)) * poisson_cdf(self._row_sums[a], max_total)
+            float(self.type_law(a)) * pdtr(max_total, self._row_sums[a])
             for a in self.alphabet
         )
 

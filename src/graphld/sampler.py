@@ -15,17 +15,19 @@ Two models:
 * ``sample_erdos_renyi`` -- G(n, m), a uniform m-subset of all node pairs:
   the conditional sampler on a single-type spec.
 
-One draw picks each block's subset with Floyd's algorithm (Bentley & Floyd,
-CACM 1987) in O(m) time and memory, so node counts up to ~1e5 are practical.
-Batches of draws (``ConditionalSampler.sample_batch`` and
-``iter_er_degree_histograms``) use one vectorized kernel instead; single draws
-keep Floyd because the kernel's numpy set-up costs more than a Floyd draw of
-the small blocks they see.  The kernel sorts packed keys
-``value << bits | position``, int32 when they fit and int64 otherwise, and
-batched pair ranks decode in closed form, exactly for n <= 2**24
-(``_unrank_pairs_np``).  Neither touches the int64 index stream, so the key
-width and the decode do not change seeded ``decay``, ``sample`` or
-``sampled_class_counts`` output.
+Floyd's algorithm (Bentley & Floyd, CACM 1987) draws the pair indices of one
+draw, per block, in O(m) time and memory, so node counts up to ~1e5 are
+practical.  Batches of draws (``ConditionalSampler.sample_batch`` and
+``iter_er_degree_histograms``) draw them with one vectorized kernel instead;
+single draws keep Floyd because the kernel's numpy set-up costs more than a
+Floyd draw of the small blocks they see.  The kernel sorts packed keys
+``value << bits | position``, int32 when they fit and int64 otherwise.  Single
+draws, conditional batches and ``oracle``'s support enumeration turn pair
+indices into node pairs with one closed-form decode, ``_Block.pairs``; its
+diagonal-block half, ``_unrank_pairs_np`` (exact for up to 2**24 nodes), also
+serves the degree histograms, which count on 0-based node ids.  Neither the
+key width nor the decode touches the int64 index stream, so they do not
+change seeded ``decay``, ``sample`` or ``sampled_class_counts`` output.
 
 RNG contract: every sampler consumes an explicit ``numpy.random.Generator``
 (PCG64 via ``numpy.random.default_rng``); identical seed + spec produces the
@@ -41,7 +43,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -110,12 +112,15 @@ class _Block:
     capacity: int
     edge_count: int
 
-    def pair_at(self, index: int) -> Edge:
+    def pairs(self, idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """1-based endpoints ``(u, v)`` of the block's pair indices ``idx``
+        (int64, any shape): lexicographic pairs of the a-segment on a diagonal
+        block, (a node, b node) in row-major order on a cross block."""
         if self.a == self.b:
-            r, s = _unrank_pair(index, self.a_size)
-            return (self.a_start + r, self.a_start + s)
-        return (self.a_start + index // self.b_size,
-                self.b_start + index % self.b_size)
+            u, v = _unrank_pairs_np(idx, self.a_size)
+            return u + self.a_start, v + self.a_start
+        u, v = np.divmod(idx, self.b_size)
+        return u + self.a_start, v + self.b_start
 
 
 def _as_count(x: Scalar, what: str) -> int:
@@ -188,20 +193,6 @@ def admissible(spec: ConditionSpec) -> AdmissibilityReport:
 # Subset sampling primitives
 # ---------------------------------------------------------------------------
 
-def _unrank_pair(k: int, size: int) -> Tuple[int, int]:
-    """The k-th pair (r, s), 0 <= r < s < size, in lexicographic order."""
-    total = size * (size - 1) // 2
-    rem = total - k  # in 1..total
-    w = (1 + math.isqrt(8 * rem)) // 2
-    while (w - 1) * (w - 2) // 2 >= rem:
-        w -= 1
-    while w * (w - 1) // 2 < rem:
-        w += 1
-    r = size - w
-    s = r + 1 + (k - (total - w * (w - 1) // 2))
-    return r, s
-
-
 def _sample_subset(rng: np.random.Generator, capacity: int, m: int) -> List[int]:
     """Uniform m-subset of range(capacity) by Floyd's algorithm, O(m) memory."""
     if m == 0:
@@ -226,8 +217,9 @@ class ConditionalSampler:
         """One draw, as a bare edge list (cheap path for tight loops)."""
         edges: List[Edge] = []
         for block in self.blocks:
-            for idx in _sample_subset(rng, block.capacity, block.edge_count):
-                edges.append(block.pair_at(idx))
+            if block.edge_count:
+                u, v = block.pairs(np.array(_sample_subset(rng, block.capacity, block.edge_count)))
+                edges.extend(zip(u.tolist(), v.tolist()))
         return edges
 
     def sample_batch(self, rng: np.random.Generator,
@@ -238,20 +230,14 @@ class ConditionalSampler:
 
         Each block draws its ``count`` subsets with the exact kernel
         ``_subset_rows``, independently of the other blocks, so each row is
-        exactly uniform over the support.  Columns come block by block, and a
-        block's pair indices decode as in ``_Block.pair_at``.
+        exactly uniform over the support.  Columns come block by block, each
+        block's pair indices decoded by ``_Block.pairs``.
         """
         us, vs = [], []
         for block in self.blocks:
-            idx = _subset_rows(rng, block.capacity, block.edge_count, count)
-            if block.a == block.b:
-                u, v = _unrank_pairs_np(idx, block.a_size)
-                us.append(u + block.a_start)
-                vs.append(v + block.a_start)
-            else:
-                u, v = np.divmod(idx, block.b_size)
-                us.append(u + block.a_start)
-                vs.append(v + block.b_start)
+            u, v = block.pairs(_subset_rows(rng, block.capacity, block.edge_count, count))
+            us.append(u)
+            vs.append(v)
         return np.hstack(us), np.hstack(vs)
 
     def sample(self, rng: np.random.Generator) -> TypedGraph:

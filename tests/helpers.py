@@ -1,7 +1,7 @@
 """Shared random generators for the test suite (seeded, reproducible)."""
 
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -96,4 +96,14 @@ def three_type_spec5() -> ConditionSpec:
     pi = FiniteMeasure({
         ("a", "b"): f(2, 5), ("b", "a"): f(2, 5), ("a", "c"): f(1, 5), ("c", "a"): f(1, 5),
         ("b", "c"): f(1, 5), ("c", "b"): f(1, 5), ("a", "a"): f(2, 5)})
+    return ConditionSpec(5, eta, pi)
+
+
+def prefix_label_spec() -> ConditionSpec:
+    """Types ``a`` (2 nodes) and ``ab`` (3): labels where joined ``label|text``
+    strings sort the other way round (60 graphs)."""
+    f = Fraction
+    eta = ProbMeasure({"a": f(2, 5), "ab": f(3, 5)})
+    pi = FiniteMeasure({("a", "ab"): f(3, 5), ("ab", "a"): f(3, 5),
+                        ("ab", "ab"): f(2, 5), ("a", "a"): f(2, 5)})
     return ConditionSpec(5, eta, pi)

@@ -8,19 +8,26 @@ KKT stationarity forces on reduced problems, and the isolated-node oracle
 counts graphs exactly in big-integer arithmetic.  The class census has two
 slow references: ``lexsort_row_ids`` numbers distinct rows with
 ``np.lexsort``, and ``class_measure`` rebuilds a class's exact locality
-measure, whose ``encode_measure`` text is the class's name.
+measure, whose ``encode_measure`` text is the class's name.  The enumeration
+has two scalar references: ``unrank_pair`` decodes one pair rank by integer
+search (for ``_Block.pairs``), and ``per_graph_event_probability`` tests an
+event on every graph that ``enumerate_support`` yields (for the per-class
+``exact_event_probability``).
 """
 
 import math
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import Callable, Tuple, Union
 
 import numpy as np
 from scipy.optimize import linprog
 
+from graphld.graphs import empirical_locality_measure
 from graphld.measures import CountingMeasure, ProbMeasure
 from graphld.optimizer import ConstraintSet
+from graphld.oracle import enumerate_support
 from graphld.rate import poisson_pmf
+from graphld.sampler import ConditionSpec
 
 
 def entropy_objective(p: np.ndarray, q: np.ndarray) -> float:
@@ -181,3 +188,30 @@ def class_measure(n: int, key) -> ProbMeasure:
     return ProbMeasure(
         {(a, CountingMeasure(e)): Fraction(count, n) for (a, e), count in key}
     )
+
+
+def unrank_pair(k: int, size: int) -> Tuple[int, int]:
+    """The k-th pair (r, s), 0 <= r < s < size, in lexicographic order."""
+    total = size * (size - 1) // 2
+    rem = total - k  # in 1..total
+    w = (1 + math.isqrt(8 * rem)) // 2
+    while (w - 1) * (w - 2) // 2 >= rem:
+        w -= 1
+    while w * (w - 1) // 2 < rem:
+        w += 1
+    r = size - w
+    s = r + 1 + (k - (total - w * (w - 1) // 2))
+    return r, s
+
+
+def per_graph_event_probability(spec: ConditionSpec,
+                                event: Callable[[ProbMeasure], bool]) -> Fraction:
+    """The exact probability of ``event``, testing it on the locality measure
+    of every graph of the support, one graph after another."""
+    hits = 0
+    total = 0
+    for graph in enumerate_support(spec):
+        total += 1
+        if event(empirical_locality_measure(graph)):
+            hits += 1
+    return Fraction(hits, total)

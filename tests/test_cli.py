@@ -7,7 +7,6 @@ import subprocess
 import sys
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from graphld.cli import (
@@ -206,6 +205,31 @@ def test_main_sample_then_measure(tmp_path):
     payload = json.loads(out_file.read_text())
     assert payload["type"] == {"a": 0.5, "b": 0.5}
     assert payload["link"] == {"a,b": 0.5, "b,a": 0.5}
+
+
+TWO_TYPE_SPEC = {"n": 8, "eta": {"a": 0.5, "b": 0.5},
+                 "pi": {"a,a": 0.75, "a,b": 0.625, "b,a": 0.625, "b,b": 0.25}}
+
+
+@pytest.mark.parametrize("config, seed, edges", [
+    ({"er": {"n": 8, "m": 10}}, 3, "1 3,1 4,1 5,1 6,1 7,3 6,4 6,4 8,6 7,6 8"),
+    ({"er": {"n": 8, "m": 10}}, 2024, "1 3,1 6,2 3,3 4,4 7,4 8,5 6,5 7,5 8,7 8"),
+    ({"spec": TWO_TYPE_SPEC}, 3, "1 2,1 3,1 7,2 3,3 6,3 8,4 5,4 6,5 6"),
+    ({"spec": TWO_TYPE_SPEC}, 2024, "1 2,1 7,2 3,2 5,3 4,4 5,4 6,4 7,7 8"),
+], ids=["er-3", "er-2024", "spec-3", "spec-2024"])
+def test_main_sample_bytes_are_pinned(tmp_path, config, seed, edges):
+    """Seeded ``sample`` output, byte for byte: Floyd's index stream and the
+    pair decode of a diagonal (G(n, m), and blocks aa, bb) and a cross block
+    (ab) fix every edge."""
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps(config))
+    out = tmp_path / "graph.txt"
+    assert main(["sample", "--config", str(config_file), "--seed", str(seed),
+                 "--out", str(out)]) == 0
+    types = "a a a a a a a a" if "er" in config else "a a a a b b b b"
+    expected = f"typedgraph v1\nn=8\ntypes={types}\n" + \
+        "".join(f"e {edge}\n" for edge in edges.split(","))
+    assert out.read_bytes() == expected.encode()
 
 
 def test_main_sample_requires_seed(tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Measures, marginal maps, consistency checks, total variation."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -217,20 +216,6 @@ def test_total_variation_is_a_metric_random():
 # Serialization
 # ---------------------------------------------------------------------------
 
-def test_line_format_round_trip():
-    p = ProbMeasure({atom(A, {B: 1}): 0.5, atom(B, {A: 1}): 0.5})
-    text = p.to_lines()
-    assert text == "a|b:1\t0.5\nb|a:1\t0.5\n"  # canonical order, tab-separated
-    assert ProbMeasure.from_lines(text, "locality") == p
-
-
-def test_line_format_17_significant_digits():
-    w = 1 / 3
-    m = FiniteMeasure({A: w})
-    line = m.to_lines().strip()
-    assert float(line.split("\t")[1]) == w  # round-trips exactly
-
-
 def test_json_dict_round_trip():
     pi = FiniteMeasure({(A, B): 0.5, (B, A): 0.5})
     assert FiniteMeasure.from_json_dict(pi.to_json_dict(), "pair") == pi
@@ -239,8 +224,3 @@ def test_json_dict_round_trip():
 def test_encode_measure_exact_rationals():
     p = ProbMeasure({atom(A, {B: 1}): Fraction(1, 2), atom(B, {A: 1}): Fraction(1, 2)})
     assert encode_measure(p) == "a|b:1=1/2; b|a:1=1/2"
-
-
-def test_from_lines_reports_line_number():
-    with pytest.raises(ValueError, match="line 1"):
-        ProbMeasure.from_lines("no-tab-here\n", "type")

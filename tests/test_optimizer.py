@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from graphld.measures import ProbMeasure
 from graphld.optimizer import (
     ConstraintSet,
     InfeasibleConstraintsError,

@@ -33,8 +33,8 @@ from graphld.oracle import (
 )
 from graphld.rate import ReferenceLaw, relative_entropy
 from graphld.sampler import ConditionalSampler, ConditionSpec, binary_cross_spec
-from helpers import single_type_spec4, three_type_spec5
-from oracles import class_measure, lexsort_row_ids
+from helpers import prefix_label_spec, single_type_spec4, three_type_spec5
+from oracles import class_measure, lexsort_row_ids, per_graph_event_probability
 
 
 def atom(a, counts):
@@ -126,6 +126,28 @@ def test_counting_identity():
     target = matching_measure()
     prob = exact_event_probability(spec, lambda mu: mu == target)
     assert prob * report.support_size == report.class_counts[encode_measure(target)]
+
+
+@pytest.mark.parametrize(
+    "spec", [binary_cross_spec(4), binary_cross_spec(6), binary_cross_spec(8),
+             single_type_spec4(), three_type_spec5(), prefix_label_spec()],
+    ids=["binary4", "binary6", "binary8", "single4", "three5", "a-ab"])
+def test_event_probability_per_class_equals_the_per_graph_loop(spec):
+    """Three events -- the whole support, the last graph's class, and an
+    entropy neighborhood of that class -- against the event tested graph by
+    graph; the event is called once on each class's measure."""
+    last = empirical_locality_measure(list(enumerate_support(spec))[-1])
+    events = [lambda mu: True, lambda mu: mu == last,
+              entropy_neighborhood(last, spec.type_law, spec.link_law, eps=0.5)]
+    classes = type_class_counts(spec).class_counts
+    for event in events:
+        seen = []
+
+        def counted(mu):
+            seen.append(encode_measure(mu))
+            return event(mu)
+        assert exact_event_probability(spec, counted) == per_graph_event_probability(spec, event)
+        assert sorted(seen) == sorted(classes)
 
 
 # ---------------------------------------------------------------------------
@@ -273,16 +295,6 @@ def test_row_ids_of_one_row_and_one_column(rows):
     expected_ids, expected_first = lexsort_row_ids(rows)
     assert ids.tolist() == expected_ids.tolist()
     assert first.tolist() == expected_first.tolist()
-
-
-def prefix_label_spec():
-    """Types ``a`` (2 nodes) and ``ab`` (3): labels where joined ``label|text``
-    strings sort the other way round (60 graphs)."""
-    f = Fraction
-    eta = ProbMeasure({"a": f(2, 5), "ab": f(3, 5)})
-    pi = FiniteMeasure({("a", "ab"): f(3, 5), ("ab", "a"): f(3, 5),
-                        ("ab", "ab"): f(2, 5), ("a", "a"): f(2, 5)})
-    return ConditionSpec(5, eta, pi)
 
 
 @pytest.mark.parametrize("spec", [single_type_spec4(), three_type_spec5(), binary_cross_spec(8),

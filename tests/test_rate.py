@@ -15,7 +15,6 @@ from graphld.measures import (
     total_variation,
 )
 from graphld.rate import (
-    RateResult,
     ReferenceLaw,
     degree_rate,
     embed_degree_law,

@@ -22,7 +22,6 @@ from graphld.sampler import (
     ConditionalSampler,
     InadmissibleSpecError,
     _subset_rows,
-    _unrank_pair,
     _unrank_pairs_np,
     admissible,
     binary_cross_spec,
@@ -30,7 +29,8 @@ from graphld.sampler import (
     sample_conditional_graph,
     sample_erdos_renyi,
 )
-from helpers import random_condition_spec, single_type_spec4, three_type_spec5
+from helpers import prefix_label_spec, random_condition_spec, single_type_spec4, three_type_spec5
+from oracles import unrank_pair
 
 
 def test_binary_cross_spec_is_admissible():
@@ -166,7 +166,7 @@ def _unrank_pairs_listed(ks, size):
 def test_unrank_pair_matches_lexicographic_order():
     for size in (2, 3, 5, 9):
         pairs = list(itertools.combinations(range(size), 2))
-        assert [_unrank_pair(k, size) for k in range(len(pairs))] == pairs
+        assert [unrank_pair(k, size) for k in range(len(pairs))] == pairs
         assert _unrank_pairs_listed(range(len(pairs)), size) == pairs
 
 
@@ -176,10 +176,33 @@ def test_vectorized_unranking_is_the_lexicographic_bijection(size, data):
     total = size * (size - 1) // 2
     ks = data.draw(st.lists(st.integers(0, total - 1), min_size=1, max_size=50))
     pairs = _unrank_pairs_listed(ks, size)
-    assert pairs == [_unrank_pair(k, size) for k in ks]
+    assert pairs == [unrank_pair(k, size) for k in ks]
     assert all(0 <= r < s < size for r, s in pairs)
     # lexicographic rank of (r, s) inverts the unranking
     assert [r * size - r * (r + 1) // 2 + s - r - 1 for r, s in pairs] == ks
+
+
+@pytest.mark.parametrize(
+    "spec", [binary_cross_spec(4), binary_cross_spec(6), binary_cross_spec(8),
+             single_type_spec4(), three_type_spec5(), prefix_label_spec()],
+    ids=["binary4", "binary6", "binary8", "single4", "three5", "a-ab"])
+def test_block_pairs_decode_every_index_of_every_block(spec):
+    """``_Block.pairs`` against the scalar decode plus the segment starts:
+    ``unrank_pair`` on a diagonal block, ``divmod`` on a cross block; a column
+    of indices decodes entry by entry."""
+    for block in ConditionalSampler(spec).blocks:
+        if block.a == block.b:
+            expected = [(block.a_start + r, block.a_start + s)
+                        for r, s in (unrank_pair(k, block.a_size) for k in range(block.capacity))]
+        else:
+            expected = [(block.a_start + r, block.b_start + s)
+                        for r, s in (divmod(k, block.b_size) for k in range(block.capacity))]
+        u, v = block.pairs(np.arange(block.capacity))
+        assert list(zip(u.tolist(), v.tolist())) == expected
+        column = np.arange(block.capacity).reshape(-1, 1)
+        cu, cv = block.pairs(column)
+        assert cu.shape == cv.shape == column.shape
+        assert np.array_equal(cu[:, 0], u) and np.array_equal(cv[:, 0], v)
 
 
 @pytest.mark.parametrize("n", [10**4, 10**5, 10**6, 3 * 10**6])
