@@ -6,7 +6,8 @@ be enumerated outright at desk scale (guarded at 1e8 graphs).  On top of the
 enumeration sit:
 
 * ``type_class_counts`` -- group the support by exact empirical locality
-  measure (the type classes);
+  measure (the type classes); ``sampled_class_counts`` groups Monte Carlo
+  draws the same way, in batches keyed by ``_class_keys``;
 * ``exact_event_probability`` -- the exact rational probability of any
   predicate on the locality measure, evaluated once per type class of the
   census pass that ``type_class_counts`` also runs (``_census``);
@@ -101,45 +102,59 @@ def _row_ids(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Ids of the distinct rows of a 2-D int64 array in ``np.lexsort`` order
     (last column most significant): ``(ids, first)``, ``rows[first[ids[i]]]``
     equal to ``rows[i]`` and ``first`` the lowest.  Each row packs into one
-    int64 mixed-radix key (digit ``value - min``, radix ``max - min + 1``),
-    numbered by one stable argsort; before the span would reach 2**62 the key
-    is re-ranked, so column ranges times the row count must stay below 2**62.
-    """
+    int64 mixed-radix key (digit ``value - min``, radix ``max - min + 1``)
+    above ``bits`` low bits holding its index, numbered by one plain sort and
+    a binary search; it is re-ranked before its span << bits would reach
+    2**62, so column ranges times the row count times 2**bits stay below it."""
+    bits = (len(rows) - 1).bit_length()
     key = np.zeros(len(rows), dtype=np.int64)
     span = 1
     for column in rows.T:
         low = int(column.min())
         radix = int(column.max()) - low + 1
-        if span * radix >= 2**62:
+        if span * radix << bits >= 2**62:
             distinct, key = np.unique(key, return_inverse=True)
             span = len(distinct)
         key += (column - low) * span
         span *= radix
-    _, first, ids = np.unique(key, return_index=True, return_inverse=True)
-    return ids, first
+    packed = np.sort(key << bits | np.arange(len(rows)))
+    high = packed >> bits
+    new = np.concatenate(([True], high[1:] != high[:-1]))
+    return np.searchsorted(high[new], key), packed[new] & ((1 << bits) - 1)
 
 
-def _class_keys(types: Sequence[str], u: np.ndarray,
+def _class_keys(labels: Sequence[str], node_type: np.ndarray, u: np.ndarray,
                 v: np.ndarray) -> Tuple[List[_ClassKey], np.ndarray]:
     """``_class_key`` of every graph (u[i], v[i]) of a batch (endpoint arrays
     as ``ConditionalSampler.sample_batch`` returns them), without a Python
-    loop over graphs: the distinct keys, and each graph's index into them."""
-    labels, node_type = np.unique(np.asarray(types), return_inverse=True)
-    labels = labels.tolist()
-    rows, n, t = u.shape[0], len(types), len(labels)
+    loop over graphs: the distinct keys, and each graph's index into them.
+    ``labels, node_type`` is ``np.unique(types, return_inverse=True)``.  An
+    atom is one int64 code, digits in ``np.lexsort`` order: its type, then
+    its neighbour counts by type in radix n, numbered by a sort and a binary
+    search; past t * n**t = 2**63 ``_row_ids`` numbers the atoms as rows."""
+    rows, n, t = u.shape[0], len(node_type), len(labels)
     # bin (graph * n + node) * t + b counts the type-b neighbours of a node
     # (0-based node ids; u and v are 1-based)
     base = (np.arange(rows) * n)[:, None] - 1
     bins = np.concatenate([((u + base) * t + node_type[v - 1]).ravel(),
                            ((v + base) * t + node_type[u - 1]).ravel()])
     neighbours = np.bincount(bins, minlength=rows * n * t).reshape(rows * n, t)
-    atoms = np.column_stack([np.tile(node_type, rows), neighbours])
-    atom_ids, atom_first = _row_ids(atoms)
+    if t * n**t < 2**63:
+        radix = n ** np.arange(t, dtype=np.int64)
+        code = neighbours @ (t * radix) + np.tile(node_type, rows)
+        codes = np.sort(code)
+        codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
+        atom_ids = np.searchsorted(codes, code)
+        atoms = np.column_stack([codes % t, codes[:, None] // t // radix % n])
+    else:
+        atoms = np.column_stack([np.tile(node_type, rows), neighbours])
+        atom_ids, atom_first = _row_ids(atoms)
+        atoms = atoms[atom_first]
     classes = np.sort(atom_ids.reshape(rows, n), axis=1)
     class_ids, class_first = _row_ids(classes)
     atom_keys = [
         (labels[a], tuple((b, c) for b, c in zip(labels, counts) if c))
-        for a, *counts in atoms[atom_first].tolist()
+        for a, *counts in atoms.tolist()
     ]
     keys = [
         tuple(sorted((atom_keys[i], len(list(run))) for i, run in itertools.groupby(row)))
@@ -275,13 +290,14 @@ def sampled_class_counts(spec: ConditionSpec, num_samples: int,
     the work arrays stay small.
     """
     sampler = ConditionalSampler(spec)
-    types = sampler.types
+    labels, node_type = np.unique(np.asarray(sampler.types), return_inverse=True)
+    labels = labels.tolist()
     edges = sum(block.edge_count for block in sampler.blocks)
-    step = max(1, BATCH_ENTRIES // max(spec.n * (len(set(types)) + 1), edges))
+    step = max(1, BATCH_ENTRIES // max(spec.n * (len(labels) + 1), edges))
     counts: Dict[_ClassKey, int] = {}
     for start in range(0, num_samples, step):
         u, v = sampler.sample_batch(rng, min(step, num_samples - start))
-        keys, class_ids = _class_keys(types, u, v)
+        keys, class_ids = _class_keys(labels, node_type, u, v)
         for key, count in zip(keys, np.bincount(class_ids).tolist()):
             counts[key] = counts.get(key, 0) + count
     # interned: callers that keep many results share one copy of each class

@@ -16,18 +16,17 @@ Two models:
   the conditional sampler on a single-type spec.
 
 Floyd's algorithm (Bentley & Floyd, CACM 1987) draws the pair indices of one
-draw, per block, in O(m) time and memory, so node counts up to ~1e5 are
-practical.  Batches of draws (``ConditionalSampler.sample_batch`` and
-``iter_er_degree_histograms``) draw them with one vectorized kernel instead;
-single draws keep Floyd because the kernel's numpy set-up costs more than a
-Floyd draw of the small blocks they see.  The kernel sorts packed keys
-``value << bits | position``, int32 when they fit and int64 otherwise.  Single
-draws, conditional batches and ``oracle``'s support enumeration turn pair
-indices into node pairs with one closed-form decode, ``_Block.pairs``; its
-diagonal-block half, ``_unrank_pairs_np`` (exact for up to 2**24 nodes), also
-serves the degree histograms, which count on 0-based node ids.  Neither the
-key width nor the decode touches the int64 index stream, so they do not
-change seeded ``decay``, ``sample`` or ``sampled_class_counts`` output.
+draw, per block, in O(m) time and memory.  Batches of draws
+(``ConditionalSampler.sample_batch``, ``iter_er_degree_histograms``) use one
+vectorized kernel, ``_subset_rows``, whose numpy set-up costs more than a
+Floyd draw of a small block; blocks without edges draw nothing.  One
+closed-form decode, ``_Block.pairs``, turns pair indices into node pairs for
+single draws, batches and ``oracle``'s support enumeration; its diagonal half,
+``_unrank_pairs_np``, also serves the degree histograms.  It is exact up to
+``MAX_GROUP_SIZE`` = 2**24 nodes, so larger type groups are rejected.  Key
+widths, the decode and the empty-block skip leave the int64 index stream as
+it is, so seeded ``decay``, ``sample`` and ``sampled_class_counts`` output
+does not change with them.
 
 RNG contract: every sampler consumes an explicit ``numpy.random.Generator``
 (PCG64 via ``numpy.random.default_rng``); identical seed + spec produces the
@@ -52,6 +51,9 @@ from .measures import FiniteMeasure, ProbMeasure, Scalar, TypeAlphabet, dirac, l
 
 #: Tolerance when checking that n * weight is an integer for float weights.
 COUNT_TOL = 1e-9
+
+#: Largest type group (and G(n, m) node count): ``_unrank_pairs_np`` is exact up to here.
+MAX_GROUP_SIZE = 2**24
 
 
 class InadmissibleSpecError(ValueError):
@@ -152,6 +154,8 @@ def _analyze(spec: ConditionSpec) -> Tuple[Tuple[str, ...], Tuple[_Block, ...]]:
     if sum(sizes.values()) != spec.n:
         raise InadmissibleSpecError(
             f"type counts {sizes} sum to {sum(sizes.values())}, not n = {spec.n}")
+    if max(sizes.values()) > MAX_GROUP_SIZE:
+        raise InadmissibleSpecError(f"type counts {sizes} exceed the decode limit {MAX_GROUP_SIZE}")
 
     starts = {}
     next_id = 1
@@ -231,14 +235,14 @@ class ConditionalSampler:
         Each block draws its ``count`` subsets with the exact kernel
         ``_subset_rows``, independently of the other blocks, so each row is
         exactly uniform over the support.  Columns come block by block, each
-        block's pair indices decoded by ``_Block.pairs``.
+        block's pair indices decoded by ``_Block.pairs``; a block without
+        edges adds no column and draws nothing from ``rng``.
         """
-        us, vs = [], []
-        for block in self.blocks:
-            u, v = block.pairs(_subset_rows(rng, block.capacity, block.edge_count, count))
-            us.append(u)
-            vs.append(v)
-        return np.hstack(us), np.hstack(vs)
+        pairs = [block.pairs(_subset_rows(rng, block.capacity, block.edge_count, count))
+                 for block in self.blocks if block.edge_count]
+        empty = np.empty((count, 0), dtype=np.int64)
+        return (np.hstack([empty, *(u for u, _ in pairs)]),
+                np.hstack([empty, *(v for _, v in pairs)]))
 
     def sample(self, rng: np.random.Generator) -> TypedGraph:
         return TypedGraph(self.types, self.sample_edges(rng))
@@ -311,7 +315,8 @@ def _subset_rows(rng: np.random.Generator, capacity: int, m: int, rows: int) -> 
     Each row draws an i.i.d. uniform stream of L indices and keeps the first
     m distinct values in draw order, which is sequential sampling without
     replacement.  A row whose stream holds fewer than m distinct values is
-    redrawn whole.  This rejection keeps the law exact:
+    redrawn whole (when none is, the first pass is returned as it is).  This
+    rejection keeps the law exact:
     permuting the labels of range(capacity) maps an i.i.d. uniform stream to
     another one with the same law, does not change whether the stream holds
     m distinct values, and permutes the kept set; so the law of the kept set
@@ -341,14 +346,15 @@ def _subset_rows(rng: np.random.Generator, capacity: int, m: int, rows: int) -> 
         position = keys & ((1 << bits) - 1)
         first = np.ones(keys.shape, dtype=bool)
         np.not_equal(values[:, 1:], values[:, :-1], out=first[:, 1:])
-        # draw positions of first occurrences, `length` elsewhere and in a
-        # last column, so that column m of the partition always exists: it is
-        # where the (m+1)-th distinct value first appears
-        first_position = np.full((todo.size, length + 1), length, dtype=key_type)
-        first_position[:, :length] = np.where(first, position, length)
-        cut = np.partition(first_position, m, axis=1)[:, m:m + 1]
+        # column m of the draw positions of first occurrences (`length`
+        # elsewhere) is where the (m+1)-th distinct value first appears; when
+        # length == m there is none, and every first occurrence is kept
+        cut = (np.partition(np.where(first, position, length), m, axis=1)[:, m:m + 1]
+               if length > m else length)
         keep = first & (position < cut)
         full = np.count_nonzero(keep, axis=1) == m
+        if todo.size == rows and full.all():  # the common case: no redraw, no scatter
+            return values[keep].reshape(rows, m).astype(np.int64, copy=False)
         keep &= full[:, None]
         out[todo[full]] = values[keep].reshape(np.count_nonzero(full), m)
         todo = todo[~full]
@@ -381,6 +387,8 @@ def iter_er_degree_histograms(n: int, m: int, count: int,
     capacity = n * (n - 1) // 2
     if not 0 <= m <= capacity:
         raise ValueError(f"m = {m} out of range 0..{capacity}")
+    if n > MAX_GROUP_SIZE:
+        raise ValueError(f"n = {n} exceeds the decode limit {MAX_GROUP_SIZE}")
     step = max(1, BATCH_ENTRIES // max(1, n, m))
     for start in range(0, count, step):
         b = min(step, count - start)

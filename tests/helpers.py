@@ -7,6 +7,7 @@ import numpy as np
 
 from graphld.graphs import TypedGraph
 from graphld.measures import CountingMeasure, FiniteMeasure, ProbMeasure
+from graphld.oracle import _class_keys
 from graphld.sampler import ConditionSpec
 
 LABELS = ("a", "b", "c", "d")
@@ -107,3 +108,10 @@ def prefix_label_spec() -> ConditionSpec:
     pi = FiniteMeasure({("a", "ab"): f(3, 5), ("ab", "a"): f(3, 5),
                         ("ab", "ab"): f(2, 5), ("a", "a"): f(2, 5)})
     return ConditionSpec(5, eta, pi)
+
+
+def class_keys(types: Sequence[str], u: np.ndarray, v: np.ndarray):
+    """``oracle._class_keys`` of one batch, with the node types numbered the
+    way ``sampled_class_counts`` numbers them."""
+    labels, node_type = np.unique(np.asarray(types), return_inverse=True)
+    return _class_keys(labels.tolist(), node_type, u, v)

@@ -20,7 +20,6 @@ from graphld.measures import (
 from graphld.oracle import (
     EnumerationGuardError,
     _class_key,
-    _class_keys,
     _class_text,
     _row_ids,
     entropy_neighborhood,
@@ -33,7 +32,7 @@ from graphld.oracle import (
 )
 from graphld.rate import ReferenceLaw, relative_entropy
 from graphld.sampler import ConditionalSampler, ConditionSpec, binary_cross_spec
-from helpers import prefix_label_spec, single_type_spec4, three_type_spec5
+from helpers import class_keys, prefix_label_spec, single_type_spec4, three_type_spec5
 from oracles import class_measure, lexsort_row_ids, per_graph_event_probability
 
 
@@ -248,6 +247,51 @@ def test_sampled_class_frequencies_match_exact_probabilities():
         assert abs(counts.get(key, 0) / draws - p) <= 4 * se
 
 
+PINNED_CENSUS = {
+    "three5": [
+        ("a|a:1,b:2=1/5; a|a:1,c:1=1/5; b|a:1=1/5; b|a:1,c:1=1/5; c|a:1,b:1=1/5", 176),
+        ("a|a:1,b:1=1/5; a|a:1,b:1,c:1=1/5; b|a:2=1/5; b|c:1=1/5; c|a:1,b:1=1/5", 177),
+        ("a|a:1,b:1=1/5; a|a:1,b:1,c:1=1/5; b|a:1=1/5; b|a:1,c:1=1/5; c|a:1,b:1=1/5", 322),
+        ("a|a:1,b:1=1/5; a|a:1,b:1,c:1=1/5; b|=1/5; b|a:2,c:1=1/5; c|a:1,b:1=1/5", 149),
+        ("a|a:1=1/5; a|a:1,b:2,c:1=1/5; b|a:1=1/5; b|a:1,c:1=1/5; c|a:1,b:1=1/5", 176),
+    ],
+    "binary8": [
+        ("a|b:1=1/2; b|a:1=1/2", 12),
+        ("a|b:1=1/2; b|=1/8; b|a:1=1/4; b|a:2=1/8", 82),
+        ("a|b:1=1/2; b|=1/4; b|a:2=1/4", 25),
+        ("a|b:1=1/2; b|=1/4; b|a:1=1/8; b|a:3=1/8", 27),
+        ("a|b:1=1/2; b|=3/8; b|a:4=1/8", 2),
+        ("a|=1/8; a|b:1=1/4; a|b:2=1/8; b|a:1=1/2", 69),
+        ("a|=1/8; a|b:1=1/4; a|b:2=1/8; b|=1/8; b|a:1=1/4; b|a:2=1/8", 385),
+        ("a|=1/8; a|b:1=1/4; a|b:2=1/8; b|=1/4; b|a:2=1/4", 88),
+        ("a|=1/8; a|b:1=1/4; a|b:2=1/8; b|=1/4; b|a:1=1/8; b|a:3=1/8", 78),
+        ("a|=1/4; a|b:2=1/4; b|a:1=1/2", 19),
+        ("a|=1/4; a|b:2=1/4; b|=1/8; b|a:1=1/4; b|a:2=1/8", 87),
+        ("a|=1/4; a|b:2=1/4; b|=1/4; b|a:2=1/4", 18),
+        ("a|=1/4; a|b:1=1/8; a|b:3=1/8; b|a:1=1/2", 29),
+        ("a|=1/4; a|b:1=1/8; a|b:3=1/8; b|=1/8; b|a:1=1/4; b|a:2=1/8", 75),
+        ("a|=3/8; a|b:4=1/8; b|a:1=1/2", 4),
+    ],
+    "single4": [
+        ("a|a:1=1/2; a|a:2=1/2", 1535),
+        ("a|=1/4; a|a:2=3/4", 484),
+        ("a|a:1=3/4; a|a:3=1/4", 481),
+    ],
+}
+
+
+@pytest.mark.parametrize("name, spec, draws", [("three5", three_type_spec5(), 1000),
+                                               ("binary8", binary_cross_spec(8), 1000),
+                                               ("single4", single_type_spec4(), 2500)],
+                         ids=["three5", "binary8", "single4"])
+def test_sampled_class_counts_are_pinned(name, spec, draws):
+    """Seeded class counts, items and order, over more than one batch (819,
+    682 and 2,048 draws a batch): the draws, their batch boundaries and the
+    order in which classes first appear are all part of the output."""
+    counts = sampled_class_counts(spec, draws, np.random.default_rng(8))
+    assert list(counts.items()) == PINNED_CENSUS[name]
+
+
 @pytest.mark.parametrize("spec", [binary_cross_spec(4), binary_cross_spec(6), binary_cross_spec(8),
                                   single_type_spec4(), three_type_spec5()],
                          ids=["binary4", "binary6", "binary8", "single4", "three5"])
@@ -257,10 +301,26 @@ def test_batched_class_keys_equal_the_per_graph_key(spec):
     sampler = ConditionalSampler(spec)
     graphs = [sorted(graph.edges) for graph in enumerate_support(spec)]
     edges = np.array(graphs, dtype=np.int64).reshape(len(graphs), -1, 2)
-    keys, class_ids = _class_keys(sampler.types, edges[:, :, 0], edges[:, :, 1])
+    keys, class_ids = class_keys(sampler.types, edges[:, :, 0], edges[:, :, 1])
     assert len(set(keys)) == len(keys)
     assert [keys[i] for i in class_ids.tolist()] == \
         [_class_key(sampler.types, graph) for graph in graphs]
+
+
+def test_batched_class_keys_of_wide_atoms_equal_the_per_graph_key():
+    """16 types of 2 nodes in a ring of 2-edge blocks: t * n**t = 2**84 leaves
+    no room for one int64 code per atom, so the atoms are numbered as rows."""
+    labels = [f"t{i:02d}" for i in range(16)]
+    pi = {}
+    for a, b in zip(labels, labels[1:] + labels[:1]):
+        pi[(a, b)] = pi[(b, a)] = Fraction(2, 32)
+    spec = ConditionSpec(32, ProbMeasure({a: Fraction(1, 16) for a in labels}), FiniteMeasure(pi))
+    sampler = ConditionalSampler(spec)
+    u, v = sampler.sample_batch(np.random.default_rng(16), 50)
+    keys, class_ids = class_keys(sampler.types, u, v)
+    assert len(keys) > 1
+    assert [keys[i] for i in class_ids.tolist()] == \
+        [_class_key(sampler.types, zip(r, s)) for r, s in zip(u.tolist(), v.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +331,8 @@ def test_batched_class_keys_equal_the_per_graph_key(spec):
 @given(st.data())
 def test_row_ids_equal_the_lexsort_reference(data):
     """Packed keys number distinct rows exactly as ``np.lexsort`` does; two
-    2**40-wide columns overflow a plain mixed-radix key and re-rank it."""
+    2**40-wide columns overflow a plain mixed-radix key and re-rank it, and
+    1,000 rows and more add 10 to 12 row-index bits to the key's width."""
     width = data.draw(st.sampled_from([1, 3, 1000, 2**40]))
     cols = data.draw(st.integers(1, 6))
     # values spread over the whole width as well as hypothesis's small ones
@@ -280,7 +341,23 @@ def test_row_ids_equal_the_lexsort_reference(data):
     distinct = data.draw(arrays(np.int64, (data.draw(st.integers(1, 8)), cols),
                                 elements=elements))
     picks = data.draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=40))
-    rows = distinct[picks]
+    size = data.draw(st.sampled_from([len(picks), 1000, 1025, 4000]))
+    rows = distinct[np.resize(picks, size)]
+    np.random.default_rng(data.draw(st.integers(0, 2**32))).shuffle(rows)
+    ids, first = _row_ids(rows)
+    expected_ids, expected_first = lexsort_row_ids(rows)
+    assert ids.tolist() == expected_ids.tolist()
+    assert first.tolist() == expected_first.tolist()
+
+
+@pytest.mark.parametrize("radix", [1023, 1024, 2**12])
+def test_row_ids_re_rank_where_the_row_bits_would_overflow_the_key(radix):
+    """1,500 rows take 11 row-index bits.  A 2**41 + 1 radix column and a
+    ``radix`` column span (2**41 + 1) * radix, below 2**62; shifted by 11
+    bits that reaches 2**62 from radix 1024 on, which re-ranks the key, and
+    would overflow int64 at 2**12 without the re-rank."""
+    rng = np.random.default_rng(radix)
+    rows = np.column_stack([rng.choice([-2**40, 0, 2**40], 1500), rng.choice([0, radix - 1], 1500)])
     ids, first = _row_ids(rows)
     expected_ids, expected_first = lexsort_row_ids(rows)
     assert ids.tolist() == expected_ids.tolist()

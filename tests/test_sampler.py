@@ -15,7 +15,7 @@ from graphld import sampler
 from graphld.graphs import TypedGraph, empirical_link_measure, empirical_locality_measure, \
     empirical_type_measure
 from graphld.measures import FiniteMeasure, ProbMeasure, total_variation
-from graphld.oracle import _class_key, _class_keys, enumerate_support
+from graphld.oracle import _class_key, enumerate_support
 from graphld.rate import ReferenceLaw
 from graphld.sampler import (
     ConditionSpec,
@@ -29,7 +29,8 @@ from graphld.sampler import (
     sample_conditional_graph,
     sample_erdos_renyi,
 )
-from helpers import prefix_label_spec, random_condition_spec, single_type_spec4, three_type_spec5
+from helpers import (class_keys, prefix_label_spec, random_condition_spec, single_type_spec4,
+                     three_type_spec5)
 from oracles import unrank_pair
 
 
@@ -58,6 +59,21 @@ def test_block_over_capacity_is_inadmissible():
     assert "capacity" in report.reason
     with pytest.raises(InadmissibleSpecError, match="capacity"):
         sample_conditional_graph(spec, np.random.default_rng(0))
+
+
+def test_type_groups_beyond_the_exact_pair_decode_are_inadmissible():
+    """``_unrank_pairs_np`` is exact up to 2**24 nodes a group: one node
+    more is rejected before the node types are laid out."""
+    big = 2**24 + 1
+    report = admissible(ConditionSpec(big + 2, ProbMeasure({"a": Fraction(big, big + 2),
+                                                            "b": Fraction(2, big + 2)}),
+                                      FiniteMeasure({})))
+    assert not report
+    assert str(2**24) in report.reason
+    with pytest.raises(InadmissibleSpecError, match=str(2**24)):
+        sample_erdos_renyi(big, 1, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=str(2**24)):
+        next(iter_er_degree_histograms(big, 1, 1, np.random.default_rng(0)))
 
 
 def test_sampled_graphs_reproduce_the_constraint_pair_exactly():
@@ -152,10 +168,36 @@ def test_batched_rows_realize_the_link_law_exactly(seed, rows):
         assert all(len(set(zip(r, s))) == block.edge_count
                    for r, s in zip(bu.tolist(), bv.tolist()))
         start = stop
-    keys, class_ids = _class_keys(sampler.types, u, v)
+    keys, class_ids = class_keys(sampler.types, u, v)
     for r, s, i in zip(u.tolist(), v.tolist(), class_ids.tolist()):
         assert empirical_link_measure(TypedGraph(sampler.types, zip(r, s))) == spec.link_law
         assert keys[i] == _class_key(sampler.types, zip(r, s))
+
+
+@pytest.mark.parametrize("spec", [binary_cross_spec(4), three_type_spec5(), prefix_label_spec(),
+                                  ConditionSpec(4, ProbMeasure({"a": 0.5, "b": 0.5}),
+                                                FiniteMeasure({})),
+                                  ConditionSpec(1, ProbMeasure({"a": 1}), FiniteMeasure({}))],
+                         ids=["binary4", "three5", "a-ab", "edgeless4", "one-node"])
+def test_batches_skip_empty_blocks_without_drawing(spec):
+    """Blocks without edges add no columns and draw nothing: a batch is the
+    non-empty blocks' kernel draws side by side, from the same stream, and
+    an edgeless spec gives (count, 0) arrays and leaves the generator as it
+    was."""
+    sampler = ConditionalSampler(spec)
+    rng, replay = np.random.default_rng(9), np.random.default_rng(9)
+    u, v = sampler.sample_batch(rng, 7)
+    expected = [block.pairs(_subset_rows(replay, block.capacity, block.edge_count, 7))
+                for block in sampler.blocks if block.edge_count]
+    edges = sum(block.edge_count for block in sampler.blocks)
+    assert u.shape == v.shape == (7, edges)
+    assert u.dtype == v.dtype == np.int64
+    none = np.empty((7, 0), dtype=np.int64)
+    assert np.array_equal(u, np.hstack([none, *(bu for bu, _ in expected)]))
+    assert np.array_equal(v, np.hstack([none, *(bv for _, bv in expected)]))
+    assert rng.bit_generator.state == replay.bit_generator.state
+    if not edges:
+        assert rng.bit_generator.state == np.random.default_rng(9).bit_generator.state
 
 
 def _unrank_pairs_listed(ks, size):
