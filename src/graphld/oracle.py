@@ -105,7 +105,7 @@ def _row_ids(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     int64 mixed-radix key (digit ``value - min``, radix ``max - min + 1``)
     above ``bits`` low bits holding its index, numbered by one plain sort and
     a binary search; it is re-ranked before its span << bits would reach
-    2**62, so column ranges times the row count times 2**bits stay below it."""
+    2**62, and a column whose radix is still too wide raises ValueError."""
     bits = (len(rows) - 1).bit_length()
     key = np.zeros(len(rows), dtype=np.int64)
     span = 1
@@ -115,6 +115,8 @@ def _row_ids(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         if span * radix << bits >= 2**62:
             distinct, key = np.unique(key, return_inverse=True)
             span = len(distinct)
+        if span * radix << bits >= 2**62:
+            raise ValueError(f"{len(rows)} rows with a column radix of {radix} overflow int64 keys")
         key += (column - low) * span
         span *= radix
     packed = np.sort(key << bits | np.arange(len(rows)))
@@ -128,10 +130,7 @@ def _class_keys(labels: Sequence[str], node_type: np.ndarray, u: np.ndarray,
     """``_class_key`` of every graph (u[i], v[i]) of a batch (endpoint arrays
     as ``ConditionalSampler.sample_batch`` returns them), without a Python
     loop over graphs: the distinct keys, and each graph's index into them.
-    ``labels, node_type`` is ``np.unique(types, return_inverse=True)``.  An
-    atom is one int64 code, digits in ``np.lexsort`` order: its type, then
-    its neighbour counts by type in radix n, numbered by a sort and a binary
-    search; past t * n**t = 2**63 ``_row_ids`` numbers the atoms as rows."""
+    ``labels, node_type`` is ``np.unique(types, return_inverse=True)``."""
     rows, n, t = u.shape[0], len(node_type), len(labels)
     # bin (graph * n + node) * t + b counts the type-b neighbours of a node
     # (0-based node ids; u and v are 1-based)
@@ -139,22 +138,13 @@ def _class_keys(labels: Sequence[str], node_type: np.ndarray, u: np.ndarray,
     bins = np.concatenate([((u + base) * t + node_type[v - 1]).ravel(),
                            ((v + base) * t + node_type[u - 1]).ravel()])
     neighbours = np.bincount(bins, minlength=rows * n * t).reshape(rows * n, t)
-    if t * n**t < 2**63:
-        radix = n ** np.arange(t, dtype=np.int64)
-        code = neighbours @ (t * radix) + np.tile(node_type, rows)
-        codes = np.sort(code)
-        codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
-        atom_ids = np.searchsorted(codes, code)
-        atoms = np.column_stack([codes % t, codes[:, None] // t // radix % n])
-    else:
-        atoms = np.column_stack([np.tile(node_type, rows), neighbours])
-        atom_ids, atom_first = _row_ids(atoms)
-        atoms = atoms[atom_first]
+    atoms = np.column_stack([np.tile(node_type, rows), neighbours])
+    atom_ids, atom_first = _row_ids(atoms)
     classes = np.sort(atom_ids.reshape(rows, n), axis=1)
     class_ids, class_first = _row_ids(classes)
     atom_keys = [
         (labels[a], tuple((b, c) for b, c in zip(labels, counts) if c))
-        for a, *counts in atoms.tolist()
+        for a, *counts in atoms[atom_first].tolist()
     ]
     keys = [
         tuple(sorted((atom_keys[i], len(list(run))) for i, run in itertools.groupby(row)))

@@ -23,7 +23,8 @@ Floyd draw of a small block; blocks without edges draw nothing.  One
 closed-form decode, ``_Block.pairs``, turns pair indices into node pairs for
 single draws, batches and ``oracle``'s support enumeration; its diagonal half,
 ``_unrank_pairs_np``, also serves the degree histograms.  It is exact up to
-``MAX_GROUP_SIZE`` = 2**24 nodes, so larger type groups are rejected.  Key
+``MAX_GROUP_SIZE`` = 2**24 nodes, so larger groups with links inside are
+rejected (cross blocks decode exactly at any size).  Key
 widths, the decode and the empty-block skip leave the int64 index stream as
 it is, so seeded ``decay``, ``sample`` and ``sampled_class_counts`` output
 does not change with them.
@@ -52,7 +53,7 @@ from .measures import FiniteMeasure, ProbMeasure, Scalar, TypeAlphabet, dirac, l
 #: Tolerance when checking that n * weight is an integer for float weights.
 COUNT_TOL = 1e-9
 
-#: Largest type group (and G(n, m) node count): ``_unrank_pairs_np`` is exact up to here.
+#: Largest type group with within-type links: ``_unrank_pairs_np`` is exact up to here.
 MAX_GROUP_SIZE = 2**24
 
 
@@ -154,7 +155,7 @@ def _analyze(spec: ConditionSpec) -> Tuple[Tuple[str, ...], Tuple[_Block, ...]]:
     if sum(sizes.values()) != spec.n:
         raise InadmissibleSpecError(
             f"type counts {sizes} sum to {sum(sizes.values())}, not n = {spec.n}")
-    if max(sizes.values()) > MAX_GROUP_SIZE:
+    if any(sizes[a] > MAX_GROUP_SIZE and spec.link_law((a, a)) for a in alphabet):
         raise InadmissibleSpecError(f"type counts {sizes} exceed the decode limit {MAX_GROUP_SIZE}")
 
     starts = {}
@@ -387,7 +388,7 @@ def iter_er_degree_histograms(n: int, m: int, count: int,
     capacity = n * (n - 1) // 2
     if not 0 <= m <= capacity:
         raise ValueError(f"m = {m} out of range 0..{capacity}")
-    if n > MAX_GROUP_SIZE:
+    if n > MAX_GROUP_SIZE and m:
         raise ValueError(f"n = {n} exceeds the decode limit {MAX_GROUP_SIZE}")
     step = max(1, BATCH_ENTRIES // max(1, n, m))
     for start in range(0, count, step):

@@ -308,8 +308,8 @@ def test_batched_class_keys_equal_the_per_graph_key(spec):
 
 
 def test_batched_class_keys_of_wide_atoms_equal_the_per_graph_key():
-    """16 types of 2 nodes in a ring of 2-edge blocks: t * n**t = 2**84 leaves
-    no room for one int64 code per atom, so the atoms are numbered as rows."""
+    """16 types of 2 nodes in a ring of 2-edge blocks: 17 atom columns, as
+    many as t * n**t = 2**84 atom values would need."""
     labels = [f"t{i:02d}" for i in range(16)]
     pi = {}
     for a, b in zip(labels, labels[1:] + labels[:1]):
@@ -362,6 +362,15 @@ def test_row_ids_re_rank_where_the_row_bits_would_overflow_the_key(radix):
     expected_ids, expected_first = lexsort_row_ids(rows)
     assert ids.tolist() == expected_ids.tolist()
     assert first.tolist() == expected_first.tolist()
+
+
+def test_row_ids_refuse_a_column_too_wide_for_the_row_bits():
+    """2**21 + 1 rows take 22 row-index bits; a 2**41 + 1 radix column
+    shifted by them reaches 2**62 even after a re-rank, and would overflow."""
+    rows = np.zeros((2**21 + 1, 1), dtype=np.int64)
+    rows[::2] = 2**41
+    with pytest.raises(ValueError, match="overflow"):
+        _row_ids(rows)
 
 
 @pytest.mark.parametrize("rows", [[[7]], [[3, -2, 2**40]], [[3], [1], [3], [2**40], [1]]],

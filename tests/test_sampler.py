@@ -61,19 +61,30 @@ def test_block_over_capacity_is_inadmissible():
         sample_conditional_graph(spec, np.random.default_rng(0))
 
 
-def test_type_groups_beyond_the_exact_pair_decode_are_inadmissible():
+def test_type_groups_beyond_the_exact_pair_decode_are_inadmissible(monkeypatch):
     """``_unrank_pairs_np`` is exact up to 2**24 nodes a group: one node
-    more is rejected before the node types are laid out."""
+    more with links inside the group is rejected before the node types are
+    laid out; links only across groups, or none, need no such decode."""
     big = 2**24 + 1
-    report = admissible(ConditionSpec(big + 2, ProbMeasure({"a": Fraction(big, big + 2),
-                                                            "b": Fraction(2, big + 2)}),
-                                      FiniteMeasure({})))
+    eta = ProbMeasure({"a": Fraction(big, big + 2), "b": Fraction(2, big + 2)})
+    inside = FiniteMeasure({("a", "a"): Fraction(2, big + 2)})
+    report = admissible(ConditionSpec(big + 2, eta, inside))
     assert not report
     assert str(2**24) in report.reason
     with pytest.raises(InadmissibleSpecError, match=str(2**24)):
         sample_erdos_renyi(big, 1, np.random.default_rng(0))
     with pytest.raises(ValueError, match=str(2**24)):
         next(iter_er_degree_histograms(big, 1, 1, np.random.default_rng(0)))
+    # the same rule at a small limit, where admitted specs are cheap to lay out
+    monkeypatch.setattr(sampler, "MAX_GROUP_SIZE", 3)
+    eta = ProbMeasure({"a": 0.5, "b": 0.5})
+    assert "decode limit" in admissible(ConditionSpec(8, eta, FiniteMeasure({("a", "a"): 0.25}))).reason
+    assert admissible(binary_cross_spec(8))
+    assert admissible(ConditionSpec(8, eta, FiniteMeasure({})))
+    with pytest.raises(ValueError, match="decode limit"):
+        next(iter_er_degree_histograms(4, 1, 1, np.random.default_rng(0)))
+    edgeless = next(iter_er_degree_histograms(4, 0, 1, np.random.default_rng(0)))
+    assert edgeless.tolist() == [[4, 0, 0, 0]]
 
 
 def test_sampled_graphs_reproduce_the_constraint_pair_exactly():
