@@ -6,16 +6,22 @@ constraint is implicit and always active).  This is the machinery behind
 predicted decay rates for degree-law events: the infimum of the mean-c
 Poisson rate function over an event set.
 
-Algorithm: the minimizer for fixed dual multipliers is the multiplicative
-update p = q_ref * exp(sum of multiplier-weighted constraint vectors),
-normalized -- the natural mirror-descent step for a relative-entropy
-objective on the simplex.  The multipliers are driven by dual ascent with
-an active set over the inequalities, taking damped Newton steps on the
-(tiny) dual problem; iteration stops at KKT residual 1e-6 -- with
-constraint satisfaction tightened to 1e-8 -- or 1e5 iterations, and a solve
-that stops short of the tolerances reports ``converged = False``.  Problems
-here are tiny (K of order 100, a handful of constraints), so robustness
-beats sophistication.
+Algorithm: for fixed dual multipliers the minimizer is q_ref tilted by the
+multiplier-weighted constraint vectors, normalized on the simplex.  So, with
+the equalities written A p = b and the inequalities G p >= h, the solve runs
+on the dual
+
+    max  lambda . b + mu . h - log sum_k q_k exp((A^T lambda + G^T mu)_k)
+    subject to mu >= 0,
+
+which is smooth and concave with bounds as its only constraints (Csiszar,
+Ann. Probab. 1975).  Projected Newton solves it (Bertsekas, SIAM J. Control
+Optim. 1982): Newton steps on the free multipliers, projected back onto
+mu >= 0.  Iteration stops at KKT residual 1e-6 -- with constraint
+satisfaction tightened to 1e-8 -- or after 1e5 dual trial points, and a
+solve that stops short of the tolerances reports ``converged = False``.
+Problems here are tiny (K of order 100, a handful of constraints), so
+robustness beats sophistication.
 
 Feasibility is established up front by a phase-1 linear program (HiGHS via
 scipy); infeasible constraint sets raise with the solver's certificate
@@ -218,6 +224,8 @@ class Optimum:
     at most the feasibility tolerance and complementarity defect at most
     the KKT tolerance.  When it is False the minimizer and value are the
     last iterate, not the projection.
+    ``iterations`` counts the dual trial points the solve evaluated, line-
+    search trials included.
     ``reference_tail`` reports the mass of the untruncated reference beyond
     the support cap, when the reference came from one.
     """
@@ -299,88 +307,65 @@ def minimize_relative_entropy(q_ref, cons: ConstraintSet, *,
     targets = np.concatenate([req, rge])  # (J,)
     log_q = np.log(q)
 
-    def tilt(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def tilt(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, float]:
         """Multiplicative update: q_ref reweighted by the dual combination of
-        constraint vectors, normalized on the simplex."""
-        logits = log_q + (a.T @ x if x.size else 0.0)
+        constraint vectors, normalized on the simplex; also returns the dual
+        value x . targets - log Z(x)."""
+        logits = log_q + a.T @ x
         peak = np.max(logits)
         lse = peak + math.log(np.sum(np.exp(logits - peak)))
-        return np.exp(logits - lse), logits - lse
+        return np.exp(logits - lse), logits - lse, float(x @ targets) - lse
 
-    def residuals(p: np.ndarray, x: np.ndarray) -> Tuple[float, float]:
-        """(primal constraint violation, complementary-slackness defect)."""
-        primal = 0.0
-        comp = 0.0
-        if n_eq:
-            primal = max(primal, float(np.max(np.abs(feq @ p - req))))
-        if n_ge:
-            slack = fge @ p - rge
-            primal = max(primal, float(np.max(-slack, initial=0.0)))
-            comp = float(np.max(np.abs(x[n_eq:] * slack), initial=0.0))
-        return primal, comp
+    def free_gradient(x: np.ndarray, p: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The dual gradient (the constraint residuals) and the mask of free
+        multipliers: every equality, and each inequality except one held at
+        0 by a residual that pushes it below 0."""
+        g = targets - a @ p
+        return g, np.concatenate([np.ones(n_eq, dtype=bool), (x[n_eq:] > 0) | (g[n_eq:] > 0)])
 
-    # Dual ascent with an active set: inequalities in the working set are
-    # treated as equalities; the free duals are driven by damped Newton steps
-    # (the dual Hessian is the tiny J x J feature covariance under p), with
-    # the dual gradient norm as the line-search merit.  The gradient *is* the
-    # vector of constraint residuals, so it is computed without cancellation
-    # and the 1e-8 feasibility target is reachable; a value-based Armijo
-    # search stalls near 1e-7 on double precision.
+    # Projected Newton on the dual (Bertsekas 1982): Newton steps on the free
+    # multipliers -- the dual Hessian is the tiny J x J covariance of the
+    # constraint vectors under p -- projected back onto mu >= 0.  A step is
+    # accepted by Armijo on the dual value until the free gradient is within
+    # the KKT tolerance, then by any decrease of the free-gradient norm.  The
+    # gradient *is* the vector of constraint residuals, so it is computed
+    # without cancellation and the 1e-8 feasibility target is reachable; a
+    # value-based search stalls near 1e-7 on double precision.
     inner_tol = 0.5 * min(feasibility_tol, kkt_tol)
     x = np.zeros(n_eq + n_ge)
-    active = np.zeros(n_ge, dtype=bool)
+    p, log_p, dual = tilt(x)
+    g, free = free_gradient(x, p)
     iterations = 0
-    p, log_p = tilt(x)
-
     while iterations < max_iterations:
-        free = np.concatenate([np.ones(n_eq, dtype=bool), active])
+        size = float(np.linalg.norm(g[free]))
+        if size <= inner_tol:
+            break
         a_free = a[free]
-        for _ in range(100):
-            g_free = (targets - a @ p)[free]
-            if g_free.size == 0 or np.max(np.abs(g_free)) <= inner_tol:
+        mean = a_free @ p
+        hess = (a_free * p) @ a_free.T - np.outer(mean, mean)
+        hess[np.diag_indices_from(hess)] += 1e-13
+        direction = np.zeros_like(x)
+        try:
+            direction[free] = np.linalg.solve(hess, g[free])
+        except np.linalg.LinAlgError:
+            direction[free] = np.linalg.lstsq(hess, g[free], rcond=None)[0]
+        for scale in 0.5 ** np.arange(min(40, max_iterations - iterations)):
+            trial = x + scale * direction
+            trial[n_eq:] = np.maximum(trial[n_eq:], 0.0)
+            p_try, log_p_try, dual_try = tilt(trial)
+            g_try, free_try = free_gradient(trial, p_try)
+            iterations += 1
+            if (np.linalg.norm(g_try[free_try]) < size if size <= kkt_tol
+                    else dual_try >= dual + 1e-4 * float(g @ (trial - x))):
                 break
-            cov = np.diag(p) - np.outer(p, p)
-            hess = a_free @ cov @ a_free.T
-            hess[np.diag_indices_from(hess)] += 1e-13
-            try:
-                direction = np.linalg.solve(hess, g_free)
-            except np.linalg.LinAlgError:
-                direction = np.linalg.lstsq(hess, g_free, rcond=None)[0]
-            base = float(np.linalg.norm(g_free))
-            scale = 1.0
-            while scale > 1e-12:
-                trial = x.copy()
-                trial[free] += scale * direction
-                p_try, log_p_try = tilt(trial)
-                g_try = (targets - a @ p_try)[free]
-                iterations += 1
-                if float(np.linalg.norm(g_try)) < base or iterations >= max_iterations:
-                    x, p, log_p = trial, p_try, log_p_try
-                    break
-                scale *= 0.5
-            else:
-                break  # no direction makes progress; leave to active-set logic
-            if iterations >= max_iterations:
-                break
+        else:
+            break  # no trial point makes progress
+        x, p, log_p, dual, g, free = trial, p_try, log_p_try, dual_try, g_try, free_try
 
-        if n_ge:
-            mu = x[n_eq:]
-            negative = active & (mu < 0)
-            if negative.any():  # wrongly active constraint: release the worst
-                j = int(np.argmin(np.where(negative, mu, np.inf)))
-                active[j] = False
-                x[n_eq + j] = 0.0
-                p, log_p = tilt(x)
-                continue
-            slack = fge @ p - rge
-            violated = (~active) & (slack < -inner_tol)
-            if violated.any():
-                j = int(np.argmin(np.where(violated, slack, np.inf)))
-                active[j] = True
-                continue
-        break
-
-    primal_res, comp_res = residuals(p, x)
+    # primal violation and complementary-slackness defect, read off the residuals
+    primal_res = max(float(np.max(np.abs(g[:n_eq]), initial=0.0)),
+                     float(np.max(g[n_eq:], initial=0.0)))
+    comp_res = float(np.max(np.abs(x[n_eq:] * g[n_eq:]), initial=0.0))
     residual = max(primal_res, comp_res)
     converged = primal_res <= feasibility_tol and comp_res <= kkt_tol
     value = float(p @ (log_p - log_q))

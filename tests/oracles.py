@@ -4,7 +4,8 @@ decay estimator and the class census.
 These deliberately share no code path with ``src/``: the grid oracle
 explores the primal polytope directly through an orthonormal basis of its
 affine hull, the theta-scan oracle walks the one-parameter tilted family that
-KKT stationarity forces on reduced problems, and the isolated-node oracle
+KKT stationarity forces on reduced problems (``pinned_zero_rate`` solves for
+its theta by root search), and the isolated-node oracle
 counts graphs exactly in big-integer arithmetic.  The class census has two
 slow references: ``lexsort_row_ids`` numbers distinct rows with
 ``np.lexsort``, and ``class_measure`` rebuilds a class's exact locality
@@ -20,7 +21,7 @@ from fractions import Fraction
 from typing import Callable, Tuple, Union
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import brentq, linprog
 
 from graphld.graphs import empirical_locality_measure
 from graphld.measures import CountingMeasure, ProbMeasure
@@ -129,6 +130,17 @@ def pinned_zero_tilt(c: float, cap: int, p_zero: float,
     w *= (1.0 - p_zero) / w.sum()
     p = np.concatenate([[p_zero], w])
     return p, float(np.arange(cap + 1) @ p)
+
+
+def pinned_zero_rate(c: float, cap: int, r: float) -> float:
+    """inf H(p || Poisson(c)) over {mean = c, p(0) >= r} on {0..cap} when the
+    bound binds: the pinned-p(0) tilt whose mean is c, its theta found by a
+    one-dimensional root search (the mean is strictly increasing in theta).
+    """
+    theta = brentq(lambda t: pinned_zero_tilt(c, cap, r, t)[1] - c, -10.0, 10.0,
+                   xtol=1e-14)
+    q = np.array([poisson_pmf(c, k) for k in range(cap + 1)])
+    return entropy_objective(pinned_zero_tilt(c, cap, r, theta)[0], q)
 
 
 def theta_scan_value(c: float, cap: int, p_zero: float, mean_target: float,

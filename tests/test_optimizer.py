@@ -15,7 +15,7 @@ from graphld.optimizer import (
     tilted_family,
 )
 from graphld.rate import poisson_pmf, poisson_tail, truncated_poisson
-from oracles import grid_search_value, theta_scan_value
+from oracles import grid_search_value, pinned_zero_rate, theta_scan_value
 
 #: inf H(p || Poisson(2)) over {mean = 2, p(0) >= 0.4}; the constraint binds
 #: because Poisson(2)(0) = e^-2 ~ 0.135.  Derived twice before the build:
@@ -188,11 +188,12 @@ def test_tightening_a_threshold_never_decreases_value():
         assert values[0] <= values[1] + 1e-9 and values[1] <= values[2] + 1e-9
 
 
-def test_kkt_certificate_on_random_problems():
+@pytest.mark.parametrize("seed", range(57, 137))
+def test_kkt_certificate_on_random_problems(seed):
     """Constraints hold to 1e-8 at the reported optimum, the KKT residual is
     within 1e-6, and the gradient of the objective is the reported
     combination of constraint vectors plus the simplex normal."""
-    rng = np.random.default_rng(57)
+    rng = np.random.default_rng(seed)
     for _ in range(20):
         cap = int(rng.integers(3, 9))
         q = rng.uniform(0.05, 1.0, cap + 1)
@@ -212,6 +213,7 @@ def test_kkt_certificate_on_random_problems():
         assert cons.satisfied_by(p, tol=1e-8)
         assert opt.kkt_residual <= 1e-6
         assert opt.converged
+        assert opt.iterations <= 100  # Newton's local convergence, not a crawl
         # stationarity: log(p/q) + 1 = sum(lambda_i f_i) + sum(mu_j g_j) + nu
         grad = np.log(np.maximum(p, 1e-300) / q) + 1.0
         feq, _ = cons.eq_arrays()
@@ -249,12 +251,32 @@ def test_rate_infimum_support_cap_default():
     assert abs(wide.value - opt.value) <= 1e-9
 
 
+@pytest.mark.parametrize("r", [0.4, 0.6, 0.8, 0.9, 0.95, 0.959])
+def test_pinned_zero_sweep_matches_the_root_search_oracle(r):
+    """{p(0) >= r} at mean 2 binds for every r here, so the projection is the
+    pinned-p(0) tilt of Poisson(2) whose mean is 2."""
+    opt = rate_infimum_for_event(2.0, ConstraintSet(1, inequalities=[(point_vector(0, 1), r)]))
+    assert opt.converged
+    assert opt.value == pytest.approx(pinned_zero_rate(2.0, 50, r), abs=1e-7)
+
+
+def test_a_one_point_event_reaches_its_closed_form_value():
+    """{p(0) >= 0.96} at mean 2 on {0..50} holds for one law only, p(0) = 0.96
+    and p(50) = 0.04; no finite tilt reaches it, the dual runs off to infinity."""
+    opt = rate_infimum_for_event(2.0, ConstraintSet(1, inequalities=[(point_vector(0, 1), 0.96)]))
+    closed_form = 0.96 * math.log(0.96 * math.e ** 2) + 0.04 * math.log(0.04 / poisson_pmf(2.0, 50))
+    assert opt.converged
+    assert opt.value == pytest.approx(closed_form, abs=1e-7)
+
+
 def test_a_stalled_solve_reports_that_it_did_not_converge():
-    """p(0) >= 0.96 at mean 2 is feasible, but the solve stops with p(0)
-    about 0.945: the result says so instead of passing for the projection."""
-    event = ConstraintSet(1, inequalities=[(point_vector(0, 1), 0.96)])
-    opt = rate_infimum_for_event(2.0, event)
+    """One trial point does not solve criterion 5's event: the result says
+    so instead of passing for the projection."""
+    cap = 50
+    cons = ConstraintSet(cap, equalities=[(mean_vector(cap), 2.0)],
+                         inequalities=[(point_vector(0, cap), 0.4)])
+    opt = minimize_relative_entropy(poisson_vector(2.0, cap), cons, max_iterations=1)
     assert not opt.converged
-    assert opt.minimizer(0) < 0.96
+    assert opt.iterations == 1
     assert opt.kkt_residual > 1e-6
     assert opt.to_json_dict()["converged"] is False
