@@ -169,7 +169,7 @@ def run_decay_study(c: float, n_list: Sequence[int], samples: int,
         hits = _count_event_hits(n, m, samples, event, seed)
         if hits:
             p_hat = hits / samples
-            estimate = -math.log(p_hat) / n
+            estimate = 0.0 - math.log(p_hat) / n  # 0.0, not -0.0, for a sure event
             stderr = math.sqrt((1.0 - p_hat) / hits) / n
         else:
             estimate = None

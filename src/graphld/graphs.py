@@ -87,7 +87,7 @@ class TypedGraph:
         types = lines[2][len("types="):].split()
         if len(types) != n:
             raise ValueError(f"expected {n} type labels, got {len(types)}")
-        edges = []
+        edges = set()
         for lineno, line in enumerate(lines[3:], start=4):
             parts = line.split()
             if len(parts) != 3 or parts[0] != "e":
@@ -95,7 +95,9 @@ class TypedGraph:
             u, v = int(parts[1]), int(parts[2])
             if not u < v:
                 raise ValueError(f"line {lineno}: edge must satisfy u < v")
-            edges.append((u, v))
+            if (u, v) in edges:
+                raise ValueError(f"line {lineno}: repeated edge {u} {v}")
+            edges.add((u, v))
         return cls(types, edges)
 
 

@@ -375,10 +375,21 @@ class ConsistencyReport:
         return self.ok
 
 
-def _link_residuals(pi: FiniteMeasure, p: ProbMeasure) -> Dict[Key, Scalar]:
+def _link_report(pi: FiniteMeasure, p: ProbMeasure, tol: Scalar,
+                 absolute: bool) -> ConsistencyReport:
+    """Compare the largest residual ``link_marginal(p)(k) - pi(k)`` over the
+    keys of either measure (its absolute value when ``absolute``) with
+    ``tol``; ties go to the largest key."""
+    if tol < 0:
+        raise ValueError("tol must be >= 0")
     marg = link_marginal(p)
-    keys = set(marg.keys()) | set(pi.keys())
-    return {key: marg(key) - pi(key) for key in keys}
+    residuals = {key: marg(key) - pi(key) for key in set(marg.keys()) | set(pi.keys())}
+    if absolute:
+        residuals = {key: abs(r) for key, r in residuals.items()}
+    if not residuals:
+        return ConsistencyReport(True, None, None)
+    worst = max(residuals, key=lambda k: (residuals[k], _sort_key(k)))
+    return ConsistencyReport(residuals[worst] <= tol, residuals[worst], worst)
 
 
 def is_sub_consistent(pi: FiniteMeasure, p: ProbMeasure, tol: Scalar = 0) -> ConsistencyReport:
@@ -386,25 +397,13 @@ def is_sub_consistent(pi: FiniteMeasure, p: ProbMeasure, tol: Scalar = 0) -> Con
 
         link_marginal(p)(a, b) <= pi(a, b) + tol   for every (a, b).
     """
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    residuals = _link_residuals(pi, p)
-    if not residuals:
-        return ConsistencyReport(True, None, None)
-    worst = max(residuals, key=lambda k: (residuals[k], _sort_key(k)))
-    return ConsistencyReport(residuals[worst] <= tol, residuals[worst], worst)
+    return _link_report(pi, p, tol, absolute=False)
 
 
 def is_consistent(pi: FiniteMeasure, p: ProbMeasure, tol: Scalar = 0) -> ConsistencyReport:
     """Like :func:`is_sub_consistent` but demanding pointwise equality:
     ``|link_marginal(p)(a, b) - pi(a, b)| <= tol`` for every (a, b)."""
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    residuals = {k: abs(v) for k, v in _link_residuals(pi, p).items()}
-    if not residuals:
-        return ConsistencyReport(True, None, None)
-    worst = max(residuals, key=lambda k: (residuals[k], _sort_key(k)))
-    return ConsistencyReport(residuals[worst] <= tol, residuals[worst], worst)
+    return _link_report(pi, p, tol, absolute=True)
 
 
 def total_variation(mu: FiniteMeasure, nu: FiniteMeasure) -> Scalar:

@@ -15,13 +15,13 @@ Two models:
 * ``sample_erdos_renyi`` -- G(n, m), a uniform m-subset of all node pairs:
   the conditional sampler on a single-type spec.
 
-Floyd's algorithm (Bentley & Floyd, CACM 1987) draws the pair indices of one
-draw, per block, in O(m) time and memory.  Batches of draws
-(``ConditionalSampler.sample_batch``, ``iter_er_degree_histograms``) use one
-vectorized kernel, ``_subset_rows``, whose numpy set-up costs more than a
-Floyd draw of a small block; blocks without edges draw nothing.  One
-closed-form decode, ``_Block.pairs``, turns pair indices into node pairs for
-single draws, batches and ``oracle``'s support enumeration; its diagonal half,
+Every draw comes from one vectorized subset kernel, ``_subset_rows``, which
+draws many independent subsets of a block at once.  A single draw
+(``ConditionalSampler.sample_edges``) is a batch of one
+(``ConditionalSampler.sample_batch``), and ``iter_er_degree_histograms``
+draws its G(n, m) edge sets with the same kernel; blocks without edges draw
+nothing.  One closed-form decode, ``_Block.pairs``, turns pair indices into
+node pairs for draws and ``oracle``'s support enumeration; its diagonal half,
 ``_unrank_pairs_np``, also serves the degree histograms.  It is exact up to
 ``MAX_GROUP_SIZE`` = 2**24 nodes, so larger groups with links inside are
 rejected (cross blocks decode exactly at any size).  Key
@@ -31,9 +31,9 @@ does not change with them.
 
 RNG contract: every sampler consumes an explicit ``numpy.random.Generator``
 (PCG64 via ``numpy.random.default_rng``); identical seed + spec produces the
-identical graph for a fixed numpy version.  Sampling is pure given the
-generator state; parallel Monte Carlo must give each worker an independently
-seeded generator.
+identical graph for a fixed numpy and graphld version.  Sampling is pure
+given the generator state; parallel Monte Carlo must give each worker an
+independently seeded generator.
 """
 
 from __future__ import annotations
@@ -194,23 +194,6 @@ def admissible(spec: ConditionSpec) -> AdmissibilityReport:
     return AdmissibilityReport(True, None)
 
 
-# ---------------------------------------------------------------------------
-# Subset sampling primitives
-# ---------------------------------------------------------------------------
-
-def _sample_subset(rng: np.random.Generator, capacity: int, m: int) -> List[int]:
-    """Uniform m-subset of range(capacity) by Floyd's algorithm, O(m) memory."""
-    if m == 0:
-        return []
-    chosen = set()
-    # t_j uniform on [0, j] for j = capacity-m .. capacity-1, drawn in one call
-    ts = rng.integers(0, np.arange(capacity - m + 1, capacity + 1))
-    for j, t in zip(range(capacity - m, capacity), ts):
-        t = int(t)
-        chosen.add(t if t not in chosen else j)
-    return sorted(chosen)
-
-
 class ConditionalSampler:
     """Prepared sampler for one ConditionSpec; reuse it across many draws."""
 
@@ -219,19 +202,15 @@ class ConditionalSampler:
         self.types, self.blocks = _analyze(spec)  # raises if inadmissible
 
     def sample_edges(self, rng: np.random.Generator) -> List[Edge]:
-        """One draw, as a bare edge list (cheap path for tight loops)."""
-        edges: List[Edge] = []
-        for block in self.blocks:
-            if block.edge_count:
-                u, v = block.pairs(np.array(_sample_subset(rng, block.capacity, block.edge_count)))
-                edges.extend(zip(u.tolist(), v.tolist()))
-        return edges
+        """One draw, as an edge list: row 0 of ``sample_batch(rng, 1)``."""
+        u, v = self.sample_batch(rng, 1)
+        return list(zip(u[0].tolist(), v[0].tolist()))
 
     def sample_batch(self, rng: np.random.Generator,
                      count: int) -> Tuple[np.ndarray, np.ndarray]:
         """``count`` independent draws as endpoint arrays ``(u, v)`` of shape
         (count, E), E the spec's edge count: row i holds the edges
-        (u[i, j], v[i, j]), with the node ids of ``sample_edges``.
+        (u[i, j], v[i, j]) on the nodes 1..n typed by ``self.types``.
 
         Each block draws its ``count`` subsets with the exact kernel
         ``_subset_rows``, independently of the other blocks, so each row is
@@ -381,9 +360,10 @@ def iter_er_degree_histograms(n: int, m: int, count: int,
     ``BATCH_ENTRIES``) draws its edge sets with the one kernel
     ``_subset_rows``, whatever n and m are: each row keeps the first m
     distinct pair indices of an i.i.d. uniform stream, and its docstring shows
-    why every edge set is exactly uniform.  One-graph draws keep Floyd's
-    algorithm (see the module docstring).  The generator state fully
-    determines the output.
+    why every edge set is exactly uniform.  It decodes pair indices with
+    ``_unrank_pairs_np`` directly rather than through a spec's ``_Block``,
+    which costs less per batch.  The generator state fully determines the
+    output.
     """
     capacity = n * (n - 1) // 2
     if not 0 <= m <= capacity:

@@ -123,3 +123,11 @@ def test_text_format_errors():
         TypedGraph.from_text("typedgraph v1\nn=2\ntypes=a\n")
     with pytest.raises(ValueError, match="u < v"):
         TypedGraph.from_text("typedgraph v1\nn=2\ntypes=a a\ne 2 1\n")
+
+
+def test_text_format_rejects_a_repeated_edge_line():
+    """Four edge lines, one of them repeated, would load as three edges."""
+    text = "typedgraph v1\nn=4\ntypes=a a a a\ne 1 2\ne 2 3\ne 1 2\ne 3 4\n"
+    with pytest.raises(ValueError, match=r"line 6: repeated edge 1 2"):
+        TypedGraph.from_text(text)
+    assert TypedGraph.from_text(text.replace("e 1 2\ne 3 4", "e 1 4\ne 3 4")).num_edges() == 4

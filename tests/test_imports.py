@@ -1,7 +1,8 @@
-"""Every module of ``graphld`` uses each name it imports.
+"""Every module of ``graphld`` and of the test suite uses each name it
+imports.
 
-A stdlib ``ast`` scan, so the check needs no linter.  ``__init__.py`` is
-skipped: its imports are the package's re-exports.
+A stdlib ``ast`` scan, so the check needs no linter.  The package's
+``__init__.py`` is skipped: its imports are the package's re-exports.
 """
 
 import ast
@@ -10,8 +11,11 @@ from typing import List
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "graphld"
-MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "graphld"
+#: Package modules by file name, then test modules as ``tests/<file name>``.
+MODULES = {path.name: path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+MODULES.update({f"tests/{path.name}": path for path in sorted(TESTS.glob("*.py"))})
 
 
 def _annotations(tree: ast.AST):
@@ -45,7 +49,7 @@ def unused_imports(source: str) -> List[str]:
 
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_name_it_imports(module):
-    assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+    assert unused_imports(MODULES[module].read_text(encoding="utf-8")) == []
 
 
 def test_the_scan_sees_unused_and_quoted_names():

@@ -211,6 +211,26 @@ def test_batches_skip_empty_blocks_without_drawing(spec):
         assert rng.bit_generator.state == np.random.default_rng(9).bit_generator.state
 
 
+@pytest.mark.parametrize("spec", [binary_cross_spec(4), three_type_spec5(), prefix_label_spec(),
+                                  ConditionSpec(4, ProbMeasure({"a": 0.5, "b": 0.5}),
+                                                FiniteMeasure({})),
+                                  ConditionSpec(1, ProbMeasure({"a": 1}), FiniteMeasure({})),
+                                  ConditionSpec(8, ProbMeasure({"a": 1}),
+                                                FiniteMeasure({("a", "a"): Fraction(20, 8)}))],
+                         ids=["binary4", "three5", "a-ab", "edgeless4", "one-node", "er8-10"])
+@pytest.mark.parametrize("seed", [0, 3, 2024])
+def test_one_draw_is_a_batch_of_one(spec, seed):
+    """``sample_edges`` is row 0 of a one-row ``sample_batch`` and leaves the
+    generator where the batch leaves it."""
+    sampler = ConditionalSampler(spec)
+    rng, batch_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    edges = sampler.sample_edges(rng)
+    u, v = sampler.sample_batch(batch_rng, 1)
+    assert edges == list(zip(u[0].tolist(), v[0].tolist()))
+    assert all(type(node) is int for edge in edges for node in edge)
+    assert rng.bit_generator.state == batch_rng.bit_generator.state
+
+
 def _unrank_pairs_listed(ks, size):
     u, v = _unrank_pairs_np(np.array(ks, dtype=np.int64), size)
     return list(zip(u.tolist(), v.tolist()))
