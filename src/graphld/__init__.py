@@ -63,7 +63,7 @@ from .sampler import (
     sample_erdos_renyi,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.2.1"
 
 __all__ = [
     "CountingMeasure", "FiniteMeasure", "ProbMeasure", "TypeAlphabet",

@@ -118,26 +118,16 @@ def _count_event_hits(n: int, m: int, samples: int, event: ConstraintSet,
                       seed: int) -> int:
     """Hits of a degree-law event over ``samples`` G(n, m) draws, sharded.
 
-    Each draw's whole degree law is tested against the event extended to
-    every possible degree, which is how the rate predictor reads the event:
-    vectors are zero beyond the cap K, except the mean, which stays the mean.
+    Each draw's integer degree counts go through the event's one exact rule,
+    ``ConstraintSet.holds_on_counts``, with no float tolerance.  It reads the
+    event as the rate predictor does (zero beyond K, except the mean) and
+    thresholds as decimals: {p(0) >= 0.4} at n = 50 needs 20 isolated nodes.
     """
-    event = event.extended(max(event.support_cap, n - 1))
-    feq, req = event.eq_arrays()
-    fge, rge = event.ge_arrays()
-    # degrees above n - 1 have no mass, so their coefficients do not matter
-    feq, fge = feq[:, :n], fge[:, :n]
     hits = 0
     for shard_index, count in enumerate(_shards(samples)):
         rng = np.random.default_rng([seed, n, shard_index])
         for hist in iter_er_degree_histograms(n, m, count, rng):
-            p = hist / float(n)
-            ok = np.ones(p.shape[0], dtype=bool)
-            if feq.shape[0]:
-                ok &= np.all(np.abs(p @ feq.T - req) <= 1e-9, axis=1)
-            if fge.shape[0]:
-                ok &= np.all(p @ fge.T >= rge - 1e-12, axis=1)
-            hits += int(np.count_nonzero(ok))
+            hits += int(np.count_nonzero(event.holds_on_counts(hist, n, m)))
     return hits
 
 

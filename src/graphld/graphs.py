@@ -76,19 +76,21 @@ class TypedGraph:
 
     @classmethod
     def from_text(cls, text: str) -> "TypedGraph":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if len(lines) < 3 or lines[0].strip() != "typedgraph v1":
+        # (line number in the file, line): blank lines are skipped, not renumbered
+        lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+        if len(lines) < 3 or lines[0][1].strip() != "typedgraph v1":
             raise ValueError("not a 'typedgraph v1' file")
-        if not lines[1].startswith("n="):
-            raise ValueError("line 2 must be 'n=<int>'")
-        n = int(lines[1][2:])
-        if not lines[2].startswith("types="):
-            raise ValueError("line 3 must be 'types=<labels>'")
-        types = lines[2][len("types="):].split()
+        (n_lineno, n_line), (types_lineno, types_line) = lines[1:3]
+        if not n_line.startswith("n="):
+            raise ValueError(f"line {n_lineno} must be 'n=<int>'")
+        n = int(n_line[2:])
+        if not types_line.startswith("types="):
+            raise ValueError(f"line {types_lineno} must be 'types=<labels>'")
+        types = types_line[len("types="):].split()
         if len(types) != n:
             raise ValueError(f"expected {n} type labels, got {len(types)}")
         edges = set()
-        for lineno, line in enumerate(lines[3:], start=4):
+        for lineno, line in lines[3:]:
             parts = line.split()
             if len(parts) != 3 or parts[0] != "e":
                 raise ValueError(f"line {lineno}: expected 'e <u> <v>', got {line!r}")

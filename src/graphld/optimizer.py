@@ -28,15 +28,23 @@ scipy); infeasible constraint sets raise with the solver's certificate
 message rather than returning +infinity.  If a constraint forces mass onto
 points where q_ref is minuscule the value may be large but finite.
 
-Constraint vectors extend by zero beyond K: an event written on {0..K}
-ignores any degree-law mass above K.
+Constraint vectors are ``Functional``s that keep the name they were
+written with: ``mean``, ``pmf@k``, or explicit coefficients.  They extend by
+zero beyond K, except the mean, which stays f(k) = k at every degree; so an
+event written on {0..K} ignores any other degree-law mass above K.  The
+solve reads them as float vectors.  Whether a sampled graph's degree law
+lies in the event is decided exactly, on its integer degree counts, by
+``ConstraintSet.holds_on_counts``: coefficients and thresholds are read as
+their shortest decimals, so an equality holds only on lattice points.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -58,26 +66,46 @@ class InfeasibleConstraintsError(ValueError):
     """No probability vector satisfies the constraint set."""
 
 
-def mean_vector(support_cap: int) -> Tuple[float, ...]:
+class Functional(tuple):
+    """Coefficients f(0..K) of a linear functional <f, p> of a degree law,
+    with the name it was written with: ``"mean"``, ``"pmf@k"``, or None for
+    explicit coefficients.  It compares equal to the plain tuple of its
+    coefficients, and to another functional only when their names agree too.
+    """
+
+    name: Optional[str]
+
+    def __new__(cls, coefficients: VectorLike, name: Optional[str] = None):
+        self = super().__new__(cls, (float(x) for x in coefficients))
+        self.name = name
+        return self
+
+    def __eq__(self, other):
+        return tuple.__eq__(self, other) and getattr(other, "name", self.name) == self.name
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    def label(self) -> str:
+        """The name, or ``f{k:c&...}`` over the nonzero coefficients
+        ('&'-joined so the label stays comma-free, a raw CSV field)."""
+        if self.name is not None:
+            return self.name
+        return "f{" + "&".join(f"{k}:{c!r}" for k, c in enumerate(self) if c) + "}"
+
+
+def mean_vector(support_cap: int) -> Functional:
     """Coefficients of the mean functional: f(k) = k."""
-    return tuple(float(k) for k in range(support_cap + 1))
+    return Functional(range(support_cap + 1), "mean")
 
 
-def point_vector(k: int, support_cap: int) -> Tuple[float, ...]:
+def point_vector(k: int, support_cap: int) -> Functional:
     """Coefficients of the point evaluation p(k)."""
     if not 0 <= k <= support_cap:
         raise ValueError(f"point {k} outside 0..{support_cap}")
-    return tuple(1.0 if j == k else 0.0 for j in range(support_cap + 1))
-
-
-def _vector_name(f: Tuple[float, ...]) -> str:
-    if f == mean_vector(len(f) - 1):
-        return "mean"
-    nonzero = [k for k, c in enumerate(f) if c]
-    if len(nonzero) == 1 and f[nonzero[0]] == 1.0:
-        return f"pmf@{nonzero[0]}"
-    # '&'-joined so the name stays comma-free (raw CSV field)
-    return "f{" + "&".join(f"{k}:{f[k]!r}" for k in nonzero) + "}"
+    return Functional((1.0 if j == k else 0.0 for j in range(support_cap + 1)), f"pmf@{k}")
 
 
 @dataclass(frozen=True)
@@ -85,12 +113,14 @@ class ConstraintSet:
     """Linear constraints on a degree law supported on {0..support_cap}.
 
     ``equalities`` are pairs (f, r) meaning <f, p> = r, ``inequalities`` mean
-    <f, p> >= r; each f has length support_cap + 1.
+    <f, p> >= r; each f has length support_cap + 1 and is kept as a
+    :class:`Functional`, named when it came from ``mean_vector`` or
+    ``point_vector`` and explicit otherwise.
     """
 
     support_cap: int
-    equalities: Tuple[Tuple[Tuple[float, ...], float], ...] = ()
-    inequalities: Tuple[Tuple[Tuple[float, ...], float], ...] = ()
+    equalities: Tuple[Tuple[Functional, float], ...] = ()
+    inequalities: Tuple[Tuple[Functional, float], ...] = ()
 
     def __init__(self, support_cap: int,
                  equalities: Sequence[Tuple[VectorLike, float]] = (),
@@ -101,7 +131,7 @@ class ConstraintSet:
         def freeze(cons):
             out = []
             for f, r in cons:
-                f = tuple(float(x) for x in f)
+                f = f if isinstance(f, Functional) else Functional(f)
                 if len(f) != support_cap + 1:
                     raise ValueError(
                         f"constraint vector has length {len(f)}, expected {support_cap + 1}")
@@ -134,10 +164,10 @@ class ConstraintSet:
             return self
         pad = support_cap - self.support_cap
 
-        def grow(f: Tuple[float, ...]) -> Tuple[float, ...]:
-            if f == mean_vector(self.support_cap):
+        def grow(f: Functional) -> Functional:
+            if f.name == "mean":
                 return mean_vector(support_cap)
-            return f + (0.0,) * pad
+            return Functional(f + (0.0,) * pad, f.name)
 
         return ConstraintSet(
             support_cap,
@@ -157,14 +187,60 @@ class ConstraintSet:
             return False
         return True
 
+    @functools.cached_property
+    def _integer_form(self) -> Tuple[Tuple[Optional[Tuple[int, ...]], Fraction, bool], ...]:
+        """Each constraint as (F, R, is equality), f and r read as their
+        shortest decimals (``Fraction(repr(x))``, 0.4 as 2/5) and scaled by
+        the lcm D of f's denominators: F = D f integral, R = D r exact.  F is
+        None for the mean."""
+        form = []
+        for equal, cons in ((True, self.equalities), (False, self.inequalities)):
+            for f, r in cons:
+                if f.name == "mean":
+                    form.append((None, Fraction(repr(r)), equal))
+                    continue
+                coefs = [Fraction(repr(x)) for x in f]
+                scale = math.lcm(*(c.denominator for c in coefs))
+                form.append((tuple(int(c * scale) for c in coefs),
+                             Fraction(repr(r)) * scale, equal))
+        return tuple(form)
+
+    def holds_on_counts(self, counts: np.ndarray, n: int, m: int) -> np.ndarray:
+        """The one exact rule for "is this degree law in the event", for
+        graphs with n nodes and m edges: row i of the integer array
+        ``counts`` holds the number of nodes of degree 0, 1, ... (summing to
+        n).  With f and r read as decimals, sum_k f(k) count_k over k <= K
+        is compared (= or >=) with r n in integers; the mean is the constant
+        2m.  Raises ValueError when a sum could overflow int64."""
+        ok = np.ones(counts.shape[0], dtype=bool)
+        width = min(counts.shape[1], self.support_cap + 1)
+        for coefs, target, equal in self._integer_form:
+            target = target * n
+            if coefs is None:
+                ok &= (2 * m == target) if equal else (2 * m >= target)
+                continue
+            # counts sum to n, so every partial sum lies within +-bound
+            bound = n * max(map(abs, coefs))
+            if bound >= np.iinfo(np.int64).max:
+                raise ValueError(f"an event sum of n = {n} degree counts can reach "
+                                 f"{bound}, beyond int64")
+            if equal and target.denominator != 1:
+                ok[:] = False
+                continue
+            # sum >= target iff sum >= ceil(target); clipped to where it still decides
+            threshold = min(max(math.ceil(target), -bound - 1), bound + 1)
+            sums = counts[:, :width] @ np.array(coefs[:width], dtype=np.int64)
+            ok &= (sums == threshold) if equal else (sums >= threshold)
+        return ok
+
     def describe(self) -> str:
         """Stable compact identifier, e.g. ``K30;eq[mean=2.0];ge[pmf@0>=0.4]``."""
         parts = [f"K{self.support_cap}"]
         if self.equalities:
-            body = "&".join(f"{_vector_name(f)}={r!r}" for f, r in self.equalities)
+            body = "&".join(f"{f.label()}={r!r}" for f, r in self.equalities)
             parts.append(f"eq[{body}]")
         if self.inequalities:
-            body = "&".join(f"{_vector_name(f)}>={r!r}" for f, r in self.inequalities)
+            body = "&".join(f"{f.label()}>={r!r}" for f, r in self.inequalities)
             parts.append(f"ge[{body}]")
         return ";".join(parts)
 
@@ -178,7 +254,7 @@ class ConstraintSet:
         except KeyError:
             raise ValueError("constraint object missing field 'K'") from None
 
-        def parse_vector(spec) -> Tuple[float, ...]:
+        def parse_vector(spec) -> Functional:
             if spec == "mean":
                 return mean_vector(cap)
             if isinstance(spec, str) and spec.startswith("pmf@"):
@@ -190,7 +266,7 @@ class ConstraintSet:
                     if not 0 <= idx <= cap:
                         raise ValueError(f"coefficient index {idx} outside 0..{cap}")
                     f[idx] = float(coef)
-                return tuple(f)
+                return Functional(f)
             raise ValueError(f"unsupported constraint vector spec {spec!r}")
 
         def parse_block(name):
@@ -200,11 +276,8 @@ class ConstraintSet:
         return cls(cap, parse_block("eq"), parse_block("ge"))
 
     def to_json_dict(self) -> Dict[str, object]:
-        def dump_vector(f: Tuple[float, ...]):
-            name = _vector_name(f)
-            if name == "mean" or name.startswith("pmf@"):
-                return name
-            return {str(k): c for k, c in enumerate(f) if c}
+        def dump_vector(f: Functional):
+            return f.name or {str(k): c for k, c in enumerate(f) if c}
 
         return {
             "K": self.support_cap,

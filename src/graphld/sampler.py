@@ -288,6 +288,21 @@ def _unrank_pairs_np(idx: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.subtract(n, w, out=w), v
 
 
+@functools.lru_cache(maxsize=256)
+def _stream_layout(capacity: int, m: int) -> Tuple[int, int, type]:
+    """``_subset_rows``'s stream length L, position bits and key type for
+    m-subsets of range(capacity) (not the positions: L can reach millions)."""
+    # L = mean + 4 sd of the number of draws needed to see m distinct values:
+    # a sum of geometric waits, success probabilities (capacity - j) / capacity
+    seen = np.arange(m)
+    mean = np.sum(capacity / (capacity - seen))
+    sd = math.sqrt(np.sum(seen * capacity / (capacity - seen) ** 2.0))
+    length = math.ceil(mean + 4.0 * sd)
+    bits = (length - 1).bit_length()
+    key_type = np.int32 if capacity << bits < 2**31 else np.int64
+    return length, bits, key_type
+
+
 def _subset_rows(rng: np.random.Generator, capacity: int, m: int, rows: int) -> np.ndarray:
     """``rows`` independent uniform m-subsets of range(capacity), shape
     (rows, m), each row sorted ascending.
@@ -304,14 +319,7 @@ def _subset_rows(rng: np.random.Generator, capacity: int, m: int, rows: int) -> 
     m-subsets.  (Keeping the m smallest distinct values instead would favour
     small labels.)
     """
-    # L = mean + 4 sd of the number of draws needed to see m distinct values:
-    # a sum of geometric waits, success probabilities (capacity - j) / capacity
-    seen = np.arange(m)
-    mean = np.sum(capacity / (capacity - seen))
-    sd = math.sqrt(np.sum(seen * capacity / (capacity - seen) ** 2.0))
-    length = math.ceil(mean + 4.0 * sd)
-    bits = (length - 1).bit_length()
-    key_type = np.int32 if capacity << bits < 2**31 else np.int64
+    length, bits, key_type = _stream_layout(capacity, m)
     positions = np.arange(length, dtype=key_type)
     out = np.empty((rows, m), dtype=np.int64)
     todo = np.arange(rows)

@@ -4,12 +4,16 @@ import functools
 import itertools
 import json
 import math
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import graphld
 import graphld.optimizer
 from graphld.cli import (
     ExperimentRecord,
@@ -26,7 +30,7 @@ from graphld.cli import (
 from graphld.graphs import TypedGraph
 from graphld.optimizer import ConstraintSet, mean_vector, point_vector, rate_infimum_for_event
 from graphld.oracle import lldp_exponent_gap
-from graphld.sampler import binary_cross_spec
+from graphld.sampler import binary_cross_spec, iter_er_degree_histograms
 from oracles import isolated_tail_probability
 
 
@@ -128,6 +132,25 @@ def test_decay_validates_inputs():
         run_decay_study(2.0, [20, 10], 100, ConstraintSet(1), seed=1)
     with pytest.raises(ValueError, match="samples"):
         run_decay_study(2.0, [10], 0, ConstraintSet(1), seed=1)
+
+
+def test_decay_hits_of_an_equality_event_match_a_direct_integer_count():
+    """{p(0) = r} at n = 6, c = 1 (m = 3) holds on a draw exactly when it has
+    r n isolated nodes: 3 for r = 0.5, and none ever for 0.3333333333333333,
+    whose r n is not an integer (a float tolerance of 1e-9 took 2 isolated
+    nodes as a hit)."""
+    n, m, samples, seed = 6, 3, 5000, 41
+    near_third = 0
+    for r in (0.5, 0.3333333333333333):
+        event = ConstraintSet(1, equalities=[(point_vector(0, 1), r)])
+        [rec] = run_decay_study(1.0, [n], samples, event, seed)
+        # samples < SHARD_SIZE, so the study drew one shard, from this stream
+        rng = np.random.default_rng([seed, n, 0])
+        isolated = [int(row[0]) for hist in iter_er_degree_histograms(n, m, samples, rng)
+                    for row in hist]
+        assert rec.hits == sum(k == Fraction(repr(r)) * n for k in isolated)
+        near_third = isolated.count(2)
+    assert rec.hits == 0 < near_third
 
 
 def test_fit_decay_slope_recovers_linear_rate():
@@ -291,6 +314,17 @@ def test_optimize_exits_2_without_output_when_the_solve_does_not_converge(
     assert not out.exists()
 
 
+def test_optimize_reads_pmf_at_one_on_cap_one_as_a_point_evaluation():
+    """At K = 1, pmf@1 has the mean's vector (0, 1), but it is still p(1):
+    the event solves as it does at K = 2, instead of as the infeasible
+    {mean = 0.2} next to the appended mean = 2."""
+    constraints = {"K": 1, "eq": [{"f": "pmf@1", "r": 0.2}]}
+    assert ConstraintSet.from_json_dict(constraints).describe() == "K1;eq[pmf@1=0.2]"
+    out = run_optimize({"c": 2.0, "constraints": constraints})
+    assert out == run_optimize({"c": 2.0, "constraints": {**constraints, "K": 2}})
+    assert out["value"] == pytest.approx(0.016111532840765642, rel=1e-12)
+
+
 def test_optimize_reports_convergence_of_criterion_5_event():
     out = run_optimize({"c": 2.0, "constraints": {"K": 1, "ge": [{"f": "pmf@0", "r": 0.4}]}})
     assert out["converged"] is True
@@ -345,6 +379,12 @@ def test_main_format_json_for_decay(tmp_path):
 
 def test_main_rejects_csv_for_json_only_commands(capsys):
     assert main(["measure", "--config", "x.json", "--format", "csv"]) == 1
+
+
+def test_package_version_matches_the_project_metadata():
+    # a regex, not tomllib, which Python 3.10 lacks
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.findall(r'^version = "([^"]*)"$', text, flags=re.M) == [graphld.__version__]
 
 
 def test_console_script_is_installed():

@@ -1,5 +1,6 @@
 """Typed graphs and their empirical distributions (all exact rationals)."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -131,3 +132,14 @@ def test_text_format_rejects_a_repeated_edge_line():
     with pytest.raises(ValueError, match=r"line 6: repeated edge 1 2"):
         TypedGraph.from_text(text)
     assert TypedGraph.from_text(text.replace("e 1 2\ne 3 4", "e 1 4\ne 3 4")).num_edges() == 4
+
+
+@pytest.mark.parametrize("body, error", [
+    ("e 1 2\ne 1 2\n", "line 7: repeated edge 1 2"),
+    ("e 1 2\n\ne 3 2\n", "line 8: edge must satisfy u < v"),
+    ("e 1 2\nedge 2 3\n", "line 7: expected 'e <u> <v>'"),
+])
+def test_text_format_errors_count_blank_lines(body, error):
+    """An error names its line as the file numbers it, blank lines included."""
+    with pytest.raises(ValueError, match=re.escape(error)):
+        TypedGraph.from_text("typedgraph v1\n\nn=3\ntypes=a a a\n\n" + body)

@@ -1,6 +1,7 @@
 """Entropy projection: constraint handling, oracle agreement, KKT certificates."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -68,6 +69,75 @@ def test_extended_preserves_the_mean_functional():
     grown = cons.extended(6)
     assert grown.equalities[0][0] == mean_vector(6)
     assert grown.inequalities[0][0] == point_vector(0, 6)
+
+
+def test_json_round_trip_keeps_every_functional_name():
+    """At K = 1 the mean, pmf@1 and the explicit {"1": 1.0} are all the
+    vector (0, 1); each keeps the name it was written with, also on a larger
+    support, where only the mean grows."""
+    obj = {"K": 1, "eq": [{"f": "pmf@1", "r": 0.2}],
+           "ge": [{"f": "mean", "r": 1.0}, {"f": {"1": 1.0}, "r": 0.1}]}
+    cons = ConstraintSet.from_json_dict(obj)
+    assert cons.to_json_dict() == obj
+    assert ConstraintSet.from_json_dict(cons.to_json_dict()) == cons
+    assert cons.describe() == "K1;eq[pmf@1=0.2];ge[mean>=1.0&f{1:1.0}>=0.1]"
+    [(pmf, _)], [(mean, _), (explicit, _)] = cons.equalities, cons.inequalities
+    assert all(f == (0.0, 1.0) for f in (pmf, mean, explicit))
+    assert pmf != mean and mean != explicit and explicit != pmf
+    grown = cons.extended(3)
+    assert grown.to_json_dict() == {**obj, "K": 3}
+    assert [f for f, _ in grown.equalities + grown.inequalities] == \
+        [(0.0, 1.0, 0.0, 0.0), (0.0, 1.0, 2.0, 3.0), (0.0, 1.0, 0.0, 0.0)]
+
+
+def counts_with_isolated(n, isolated):
+    """Degree counts of n-node graphs, one row per entry of ``isolated``:
+    that many nodes of degree 0, the rest of degree 1."""
+    isolated = np.array(isolated, dtype=np.int64)
+    counts = np.zeros((len(isolated), n), dtype=np.int64)
+    counts[:, 0], counts[:, 1] = isolated, n - isolated
+    return counts
+
+
+def test_holds_on_counts_reads_thresholds_as_decimals():
+    """The float 0.4 lies just above 2/5, so taking it exactly would ask for
+    21 isolated nodes of 50; read as the decimal 0.4 it asks for 20."""
+    assert math.ceil(Fraction(0.4) * 50) == 21
+    at_least = ConstraintSet(1, inequalities=[(point_vector(0, 1), 0.4)])
+    counts = counts_with_isolated(50, [19, 20, 21])
+    assert at_least.holds_on_counts(counts, 50, 25).tolist() == [False, True, True]
+    # with decimal weights too: 0.1 p(0) + 0.3 p(1) >= 0.22 is c0 + 3 c1 >= 110
+    weighted = ConstraintSet.from_json_dict(
+        {"K": 1, "ge": [{"f": {"0": 0.1, "1": 0.3}, "r": 0.22}]})
+    assert weighted.holds_on_counts(counts, 50, 25).tolist() == [True, True, False]
+
+
+def test_holds_on_counts_equalities_hold_only_on_lattice_points():
+    third = ConstraintSet(1, equalities=[(point_vector(1, 1), 0.3333333333333333)])
+    assert not third.holds_on_counts(counts_with_isolated(3, [0, 1, 2, 3]), 3, 1).any()
+    half = ConstraintSet(1, equalities=[(point_vector(1, 1), 0.5)])
+    assert half.holds_on_counts(counts_with_isolated(4, [0, 1, 2, 3]), 4, 1).tolist() == \
+        [False, False, True, False]
+
+
+def test_holds_on_counts_reads_the_mean_as_2m_and_only_columns_up_to_k():
+    counts = np.array([[2, 0, 0, 0, 2], [0, 0, 4, 0, 0]], dtype=np.int64)  # n = 4, m = 4
+    mean = ConstraintSet(1, equalities=[(mean_vector(1), 2.0)])
+    assert mean.holds_on_counts(counts, 4, 4).tolist() == [True, True]
+    assert not ConstraintSet(1, inequalities=[(mean_vector(1), 2.25)]).holds_on_counts(
+        counts, 4, 4).any()
+    # p(4) is beyond K = 3, so the explicit f(k) = k reads only degrees 0..3
+    below = ConstraintSet.from_json_dict(
+        {"K": 3, "eq": [{"f": {"1": 1.0, "2": 2.0, "3": 3.0}, "r": 0.0}]})
+    assert below.holds_on_counts(counts, 4, 4).tolist() == [True, False]
+
+
+def test_holds_on_counts_refuses_a_sum_that_could_overflow_int64():
+    cons = ConstraintSet.from_json_dict({"K": 1, "ge": [{"f": {"0": 1e18}, "r": 0.5}]})
+    assert cons.holds_on_counts(counts_with_isolated(9, [0, 1]), 9, 4).tolist() == \
+        [False, True]
+    with pytest.raises(ValueError, match="beyond int64"):
+        cons.holds_on_counts(counts_with_isolated(10, [0, 1]), 10, 5)
 
 
 # ---------------------------------------------------------------------------
