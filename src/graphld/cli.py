@@ -45,7 +45,7 @@ from .graphs import (
     empirical_locality_measure,
     empirical_type_measure,
 )
-from .measures import CountingMeasure, FiniteMeasure, ProbMeasure
+from .measures import CountingMeasure, FiniteMeasure, ProbMeasure, config_int
 from .oracle import EnumerationGuardError, lldp_exponent_gap, type_class_counts
 from .optimizer import (
     ConstraintSet,
@@ -57,6 +57,8 @@ from .rate import degree_rate, typed_rate
 from .sampler import (
     ConditionSpec,
     InadmissibleSpecError,
+    _as_count,
+    _erdos_renyi_sampler,
     binary_cross_spec,
     iter_er_degree_histograms,
     sample_conditional_graph,
@@ -137,25 +139,30 @@ def run_decay_study(c: float, n_list: Sequence[int], samples: int,
     """Estimate -(1/n) log P{degree law in event} for G(n, nc/2) across
     ``n_list`` and pair each estimate with the optimizer's predicted rate.
 
-    Sizes where n*c/2 is not an integer are skipped with a warning.
+    Sizes where n*c/2 is not an integer (``sampler._as_count``) are skipped
+    with a warning; an impossible G(n, m) raises before the first draw.
     Deterministic given ``seed`` (see the module docstring).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if list(n_list) != sorted(set(n_list)):
         raise ValueError("n_list must be strictly increasing")
+    sizes = []
+    for n in n_list:
+        try:
+            m = _as_count(n * c / 2, "n*c/2")
+        except InadmissibleSpecError:
+            warnings.warn(f"skipping n={n}: n*c/2 = {n * c / 2!r} is not an integer")
+            continue
+        _erdos_renyi_sampler(n, m)  # the one check of G(n, m)
+        sizes.append((n, m))
     optimum = rate_infimum_for_event(c, event, support_cap)
     event_id = event.describe()
     if not optimum.converged:
         warnings.warn(f"the predicted rate of {event_id} did not converge "
                       f"(KKT residual {optimum.kkt_residual!r})")
     records = []
-    for n in n_list:
-        m_exact = n * c / 2
-        m = round(m_exact)
-        if abs(m_exact - m) > 1e-9:
-            warnings.warn(f"skipping n={n}: n*c/2 = {m_exact!r} is not an integer")
-            continue
+    for n, m in sizes:
         hits = _count_event_hits(n, m, samples, event, seed)
         if hits:
             p_hat = hits / samples
@@ -238,7 +245,7 @@ def run_optimize(config: Dict[str, object]) -> Dict[str, object]:
     if "c" in config:
         cap = config.get("K")
         optimum = rate_infimum_for_event(float(config["c"]), cons,
-                                         None if cap is None else int(cap))
+                                         None if cap is None else config_int(cap, "K"))
     else:
         q_obj = {int(k): float(v) for k, v in config["q"].items()}
         q = [q_obj.get(k, 0.0) for k in range(cons.support_cap + 1)]
@@ -281,7 +288,7 @@ def _require_seed(seed: Optional[int]) -> int:
 
 def _specs_from_config(config: Dict[str, object]) -> Tuple[List[ConditionSpec], ProbMeasure]:
     if config.get("family") == "binary-cross":
-        specs = [binary_cross_spec(int(n)) for n in config["n_list"]]
+        specs = [binary_cross_spec(config_int(n, "n_list")) for n in config["n_list"]]
         return specs, matching_measure()
     specs = [ConditionSpec.from_json_dict(obj) for obj in config["specs"]]
     target = ProbMeasure.from_json_dict(config["target"], "locality")
@@ -293,7 +300,7 @@ def _cmd_sample(config, seed, fmt) -> str:
     rng = np.random.default_rng(seed)
     if "er" in config:
         er = config["er"]
-        graph = sample_erdos_renyi(int(er["n"]), int(er["m"]), rng)
+        graph = sample_erdos_renyi(config_int(er["n"], "er.n"), config_int(er["m"], "er.m"), rng)
     else:
         spec = ConditionSpec.from_json_dict(config["spec"])
         graph = sample_conditional_graph(spec, rng)
@@ -312,13 +319,7 @@ def _cmd_rate(config, seed, fmt) -> str:
 
 def _cmd_enumerate(config, seed, fmt) -> str:
     spec = ConditionSpec.from_json_dict(config["spec"])
-    report = type_class_counts(spec)
-    payload = report.to_json_dict()
-    target = config.get("target_class")
-    if target is not None:
-        prob = report.class_probability(str(target))
-        payload["event_probability"] = f"{prob.numerator}/{prob.denominator}"
-    return _json_text(payload)
+    return _json_text(type_class_counts(spec).to_json_dict())
 
 
 def _cmd_optimize(config, seed, fmt) -> str:
@@ -329,11 +330,11 @@ def _cmd_decay(config, seed, fmt) -> str:
     seed = _require_seed(seed)
     records = run_decay_study(
         c=float(config["c"]),
-        n_list=[int(n) for n in config["n_list"]],
-        samples=int(config["samples"]),
+        n_list=[config_int(n, "n_list") for n in config["n_list"]],
+        samples=config_int(config["samples"], "samples"),
         event=ConstraintSet.from_json_dict(config["event"]),
         seed=seed,
-        support_cap=int(config["K"]) if "K" in config else None,
+        support_cap=config_int(config["K"], "K") if "K" in config else None,
     )
     if fmt == "json":
         return _json_text([r.to_json_dict() for r in records])

@@ -281,12 +281,6 @@ class FiniteMeasure:
         """True if every weight is an exact rational (int or Fraction)."""
         return all(isinstance(v, Rational) for v in self._w.values())
 
-    def normalized(self) -> "ProbMeasure":
-        mass = self.total_mass()
-        if mass <= 0:
-            raise ValueError("cannot normalize a zero measure")
-        return ProbMeasure({k: v / mass for k, v in self._w.items()})
-
     # -- serialization ----------------------------------------------------------
     def to_json_dict(self) -> Dict[str, float]:
         return {encode_key(k): float(w) for k, w in self.items()}
@@ -433,3 +427,12 @@ def encode_measure(m: FiniteMeasure) -> str:
             text = _format_weight(w)
         parts.append(f"{encode_key(key)}={text}")
     return "; ".join(parts)
+
+
+def config_int(value: object, field: str) -> int:
+    """An integer field of a JSON config: an int, or an integral float (4.0
+    reads as 4); anything else raises ValueError naming the field."""
+    if isinstance(value, bool) or not (isinstance(value, int) or
+                                       isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{field} = {value!r} is not an integer")
+    return int(value)

@@ -50,7 +50,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import linprog
 
-from .measures import ProbMeasure
+from .measures import ProbMeasure, config_int
 from .rate import poisson_pmf, poisson_tail
 
 KKT_TOL = 1e-6
@@ -250,7 +250,7 @@ class ConstraintSet:
         """Parse {"K": int, "eq": [{"f": ..., "r": num}], "ge": [...]};
         ``f`` is "mean", "pmf@k", or an object {"k": coefficient}."""
         try:
-            cap = int(obj["K"])  # type: ignore[arg-type]
+            cap = config_int(obj["K"], "K")
         except KeyError:
             raise ValueError("constraint object missing field 'K'") from None
 
@@ -356,8 +356,6 @@ def check_feasible(cons: ConstraintSet) -> None:
 
 
 def minimize_relative_entropy(q_ref, cons: ConstraintSet, *,
-                              kkt_tol: float = KKT_TOL,
-                              feasibility_tol: float = FEASIBILITY_TOL,
                               max_iterations: int = MAX_ITERATIONS) -> Optimum:
     """Minimize H(p || q_ref) over the constraint polytope.
 
@@ -404,7 +402,7 @@ def minimize_relative_entropy(q_ref, cons: ConstraintSet, *,
     # gradient *is* the vector of constraint residuals, so it is computed
     # without cancellation and the 1e-8 feasibility target is reachable; a
     # value-based search stalls near 1e-7 on double precision.
-    inner_tol = 0.5 * min(feasibility_tol, kkt_tol)
+    inner_tol = 0.5 * min(FEASIBILITY_TOL, KKT_TOL)
     x = np.zeros(n_eq + n_ge)
     p, log_p, dual = tilt(x)
     g, free = free_gradient(x, p)
@@ -428,7 +426,7 @@ def minimize_relative_entropy(q_ref, cons: ConstraintSet, *,
             p_try, log_p_try, dual_try = tilt(trial)
             g_try, free_try = free_gradient(trial, p_try)
             iterations += 1
-            if (np.linalg.norm(g_try[free_try]) < size if size <= kkt_tol
+            if (np.linalg.norm(g_try[free_try]) < size if size <= KKT_TOL
                     else dual_try >= dual + 1e-4 * float(g @ (trial - x))):
                 break
         else:
@@ -440,7 +438,7 @@ def minimize_relative_entropy(q_ref, cons: ConstraintSet, *,
                      float(np.max(g[n_eq:], initial=0.0)))
     comp_res = float(np.max(np.abs(x[n_eq:] * g[n_eq:]), initial=0.0))
     residual = max(primal_res, comp_res)
-    converged = primal_res <= feasibility_tol and comp_res <= kkt_tol
+    converged = primal_res <= FEASIBILITY_TOL and comp_res <= KKT_TOL
     value = float(p @ (log_p - log_q))
     minimizer = ProbMeasure({k: float(w) for k, w in enumerate(p) if w > 0})
     return Optimum(minimizer, max(value, 0.0) if value > -1e-12 else value,

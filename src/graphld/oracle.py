@@ -33,9 +33,9 @@ from typing import Callable, Dict, Iterator, List, Sequence, Tuple, Union
 import numpy as np
 
 from .graphs import Edge, TypedGraph, empirical_locality_measure, locality_atoms_of
-from .measures import ProbMeasure, encode_measure
+from .measures import ProbMeasure, encode_key, encode_measure
 from .rate import ReferenceLaw, relative_entropy
-from .sampler import BATCH_ENTRIES, ConditionalSampler, ConditionSpec
+from .sampler import BATCH_ENTRIES, ConditionalSampler, ConditionSpec, _as_count
 
 #: Enumeration refuses supports larger than this.
 ENUMERATION_GUARD = 10**8
@@ -250,7 +250,8 @@ def lldp_exponent_gap(
     where the class probability is exact (enumeration) and q_n is the
     product-Poisson reference built from the spec's own constraint pair.
     ``targets`` is one locality measure per spec, or a single measure shared
-    by all specs (a family whose target class is constant).
+    by all specs (a family whose target class is constant).  Each weight w
+    is read as the count n w by the spec-count rule (``sampler._as_count``).
     """
     if isinstance(targets, ProbMeasure):
         targets = [targets] * len(specs)
@@ -258,9 +259,10 @@ def lldp_exponent_gap(
         raise ValueError("need one target measure per spec")
     gaps: List[Tuple[int, float]] = []
     for spec, target in zip(specs, targets):
+        target = ProbMeasure({atom: Fraction(_as_count(spec.n * w, f"n*p({encode_key(atom)})"),
+                                             spec.n) for atom, w in target.items()})
         report = type_class_counts(spec)
-        key = encode_measure(target)
-        count = report.class_counts.get(key, 0)
+        count = report.class_counts.get(encode_measure(target), 0)
         if count == 0:
             raise ValueError(f"target class is empty at n = {spec.n}")
         exponent = -(math.log(count) - math.log(report.support_size)) / spec.n

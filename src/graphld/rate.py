@@ -96,9 +96,9 @@ def truncated_poisson(mean: float, support_cap: int) -> ProbMeasure:
 class ReferenceLaw:
     """Pointwise evaluator for the product-Poisson law q(a, e) above.
 
-    ``type_law`` must be positive on its whole support (which defines the
-    alphabet) and ``link_law`` must be symmetric with keys inside the
-    alphabet's pair space.  A pair rate pi(a, b) = 0 simply forbids
+    The support of ``type_law`` (its weights are positive) is the alphabet,
+    and ``link_law`` must be symmetric with keys inside the alphabet's pair
+    space.  A pair rate pi(a, b) = 0 simply forbids
     (a, b)-links: q(a, e) = 0 whenever e(b) > 0 there.
     """
 
@@ -108,9 +108,6 @@ class ReferenceLaw:
         if type_law.kind() != "type":
             raise ValueError("type_law must be a measure over type labels")
         alphabet = TypeAlphabet(type_law.keys())
-        for a in alphabet:
-            if type_law(a) <= 0:
-                raise ValueError(f"type_law({a!r}) must be > 0")
         problem = link_law_problem(link_law, alphabet)
         if problem:
             raise ValueError(problem)

@@ -19,12 +19,12 @@ Every draw comes from one vectorized subset kernel, ``_subset_rows``, which
 draws many independent subsets of a block at once.  A single draw
 (``ConditionalSampler.sample_edges``) is a batch of one
 (``ConditionalSampler.sample_batch``), and ``iter_er_degree_histograms``
-draws its G(n, m) edge sets with the same kernel; blocks without edges draw
-nothing.  One closed-form decode, ``_Block.pairs``, turns pair indices into
-node pairs for draws and ``oracle``'s support enumeration; its diagonal half,
-``_unrank_pairs_np``, also serves the degree histograms.  It is exact up to
-``MAX_GROUP_SIZE`` = 2**24 nodes, so larger groups with links inside are
-rejected (cross blocks decode exactly at any size).  Key
+draws its G(n, m) edge sets from the block of the single-type spec that
+``_erdos_renyi_sampler`` checks; blocks without edges draw nothing.  One
+closed-form decode, ``_Block.pairs``, turns pair indices into node pairs for
+every draw, degree histograms included, and ``oracle``'s enumeration.  It is
+exact up to ``MAX_GROUP_SIZE`` = 2**24 nodes, so larger groups with links
+inside are rejected (cross blocks decode exactly at any size).  Key
 widths, the decode and the empty-block skip leave the int64 index stream as
 it is, so seeded ``decay``, ``sample`` and ``sampled_class_counts`` output
 does not change with them.
@@ -48,7 +48,8 @@ from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .graphs import Edge, TypedGraph
-from .measures import FiniteMeasure, ProbMeasure, Scalar, TypeAlphabet, dirac, link_law_problem
+from .measures import (FiniteMeasure, ProbMeasure, Scalar, TypeAlphabet, config_int, dirac,
+                       link_law_problem)
 
 #: Tolerance when checking that n * weight is an integer for float weights.
 COUNT_TOL = 1e-9
@@ -85,7 +86,7 @@ class ConditionSpec:
     @classmethod
     def from_json_dict(cls, obj: Mapping[str, object]) -> "ConditionSpec":
         try:
-            n = int(obj["n"])  # type: ignore[arg-type]
+            n = config_int(obj["n"], "n")
             eta = ProbMeasure.from_json_dict(obj["eta"], "type")  # type: ignore[arg-type]
             pi = FiniteMeasure.from_json_dict(obj["pi"], "pair")  # type: ignore[arg-type]
         except KeyError as exc:
@@ -118,10 +119,10 @@ class _Block:
     def pairs(self, idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """1-based endpoints ``(u, v)`` of the block's pair indices ``idx``
         (int64, any shape): lexicographic pairs of the a-segment on a diagonal
-        block, (a node, b node) in row-major order on a cross block."""
+        block, (a node, b node) in row-major order on a cross block.  Both
+        arrays are fresh, so the caller may shift them in place."""
         if self.a == self.b:
-            u, v = _unrank_pairs_np(idx, self.a_size)
-            return u + self.a_start, v + self.a_start
+            return _unrank_pairs_np(idx, self.a_size, self.a_start)
         u, v = np.divmod(idx, self.b_size)
         return u + self.a_start, v + self.b_start
 
@@ -239,15 +240,16 @@ def sample_conditional_graph(spec: ConditionSpec, rng: np.random.Generator) -> T
 
 @functools.lru_cache(maxsize=64)
 def _erdos_renyi_sampler(n: int, m: int) -> ConditionalSampler:
+    """G(n, m) as a single-type spec: the one check of G(n, m)."""
+    if n < 1 or m < 0:
+        raise InadmissibleSpecError(f"G(n, m) needs n >= 1 and m >= 0, not G({n}, {m})")
     spec = ConditionSpec(n, dirac("a"), FiniteMeasure({("a", "a"): Fraction(2 * m, n)}))
     return ConditionalSampler(spec)
 
 
 def sample_erdos_renyi(n: int, m: int, rng: np.random.Generator) -> TypedGraph:
     """A uniformly random graph with n nodes and exactly m edges, single type
-    ``a``.  Raises ValueError when m is outside 0..C(n, 2)."""
-    if n < 1:
-        raise ValueError(f"n = {n} must be >= 1")
+    ``a``.  Raises InadmissibleSpecError unless 0 <= m <= C(n, 2), n >= 1."""
     return _erdos_renyi_sampler(n, m).sample(rng)
 
 
@@ -255,13 +257,14 @@ def sample_erdos_renyi(n: int, m: int, rng: np.random.Generator) -> TypedGraph:
 # Batched degree sampling for Monte Carlo studies
 # ---------------------------------------------------------------------------
 
-def _unrank_pairs_np(idx: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized pair unranking over C(n, 2), 0-based nodes: the pairs
-    (u, v), 0 <= u < v < n, of lexicographic ranks ``idx``.
+def _unrank_pairs_np(idx: np.ndarray, n: int, start: int = 0) -> Tuple[np.ndarray, np.ndarray]:
+    """Vectorized pair unranking over the C(n, 2) pairs of n nodes numbered
+    from ``start``: fresh arrays of the pairs (u, v), start <= u < v < start
+    + n, of lexicographic ranks ``idx``.
 
-    Pair (u, v) has w = n - u candidates (u, u+1..n-1) in its row, and the
-    rows from u on hold w(w - 1)/2 pairs, so w is the smallest integer with
-    w(w - 1)/2 >= rem = C(n, 2) - idx, in closed form
+    Numbered from 0, pair (u, v) has w = n - u candidates (u, u+1..n-1) in
+    its row, and the rows from u on hold w(w - 1)/2 pairs, so w is the
+    smallest integer with w(w - 1)/2 >= rem = C(n, 2) - idx, in closed form
     w = ceil((1 + sqrt(x)) / 2) with x = 8 rem + 1.  In float64 this is exact
     while 8 C(n, 2) < 2**50, i.e. for n <= 2**24: x is then an exact odd
     integer below 2**50.  When x is a square its root is an odd integer and
@@ -284,8 +287,8 @@ def _unrank_pairs_np(idx: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
     v *= w
     v >>= 1
     v += idx
-    v += n + 1 - total
-    return np.subtract(n, w, out=w), v
+    v += n + 1 + start - total
+    return np.subtract(n + start, w, out=w), v
 
 
 @functools.lru_cache(maxsize=256)
@@ -365,26 +368,22 @@ def iter_er_degree_histograms(n: int, m: int, count: int,
 
     Yields arrays of shape (batch, n): row i holds the number of nodes of each
     degree 0..n-1 in the i-th sampled graph.  Each batch (see
-    ``BATCH_ENTRIES``) draws its edge sets with the one kernel
-    ``_subset_rows``, whatever n and m are: each row keeps the first m
-    distinct pair indices of an i.i.d. uniform stream, and its docstring shows
-    why every edge set is exactly uniform.  It decodes pair indices with
-    ``_unrank_pairs_np`` directly rather than through a spec's ``_Block``,
-    which costs less per batch.  The generator state fully determines the
-    output.
+    ``BATCH_ENTRIES``) draws its edge sets from the one block of
+    ``_erdos_renyi_sampler(n, m)`` with the kernel ``_subset_rows`` and
+    decodes them with ``_Block.pairs``, as every draw does; the kernel's
+    docstring shows why every edge set is exactly uniform.  The generator
+    state fully determines the output.
     """
-    capacity = n * (n - 1) // 2
-    if not 0 <= m <= capacity:
-        raise ValueError(f"m = {m} out of range 0..{capacity}")
-    if n > MAX_GROUP_SIZE and m:
-        raise ValueError(f"n = {n} exceeds the decode limit {MAX_GROUP_SIZE}")
+    block = _erdos_renyi_sampler(n, m).blocks[0]
     step = max(1, BATCH_ENTRIES // max(1, n, m))
     for start in range(0, count, step):
         b = min(step, count - start)
-        u, v = _unrank_pairs_np(_subset_rows(rng, capacity, m, b), n)
+        u, v = block.pairs(_subset_rows(rng, block.capacity, m, b))
         offsets = (np.arange(b, dtype=np.int64) * n)[:, None]
-        degrees = np.bincount((u + offsets).ravel(), minlength=b * n)
-        degrees += np.bincount((v + offsets).ravel(), minlength=b * n)
+        u += offsets - 1  # node ids are 1-based
+        v += offsets - 1
+        degrees = np.bincount(u.ravel(), minlength=b * n)
+        degrees += np.bincount(v.ravel(), minlength=b * n)
         # bin i * n + d counts the nodes of degree d in graph i
         degrees += np.repeat(offsets.ravel(), n)
         yield np.bincount(degrees, minlength=b * n).reshape(b, n)

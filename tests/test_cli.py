@@ -28,9 +28,13 @@ from graphld.cli import (
     run_rate,
 )
 from graphld.graphs import TypedGraph
-from graphld.optimizer import ConstraintSet, mean_vector, point_vector, rate_infimum_for_event
-from graphld.oracle import lldp_exponent_gap
+from graphld.measures import FiniteMeasure, ProbMeasure
+from graphld.optimizer import (ConstraintSet, mean_vector, minimize_relative_entropy,
+                               point_vector, rate_infimum_for_event)
+from graphld.oracle import lldp_exponent_gap, type_class_counts
+from graphld.rate import degree_rate, typed_rate
 from graphld.sampler import binary_cross_spec, iter_er_degree_histograms
+from helpers import three_type_spec5
 from oracles import isolated_tail_probability
 
 
@@ -392,3 +396,153 @@ def test_console_script_is_installed():
                             capture_output=True, text=True)
     assert result.returncode == 0
     assert "decay" in result.stdout
+
+
+# ---------------------------------------------------------------------------
+# Every subcommand through main, and the README's config forms
+# ---------------------------------------------------------------------------
+
+def run_main(tmp_path, command, config, *extra):
+    """``main`` on ``config`` written to a file: (exit code, output text)."""
+    config_file = tmp_path / f"{command}.json"
+    config_file.write_text(json.dumps(config))
+    out = tmp_path / f"{command}.out"
+    code = main([command, "--config", str(config_file), "--out", str(out), *extra])
+    return code, out.read_text() if code == 0 else None
+
+
+def json_round_trip(obj):
+    return json.loads(json.dumps(obj))
+
+
+def test_main_rate_degree_form(tmp_path):
+    code, text = run_main(tmp_path, "rate", {"c": 2.0, "p": {"0": 0.25, "2": 0.75}})
+    assert code == 0
+    p = ProbMeasure({0: 0.25, 2: 0.75})
+    assert json.loads(text) == json_round_trip(degree_rate(2.0, p).to_json_dict())
+
+
+def test_main_rate_typed_form(tmp_path):
+    config = {"eta": {"a": 0.5, "b": 0.5}, "pi": {"a,b": 1.0, "b,a": 1.0},
+              "p": {"a|b:2": 0.5, "b|a:2": 0.5}}
+    code, text = run_main(tmp_path, "rate", config)
+    assert code == 0
+    eta = ProbMeasure.from_json_dict(config["eta"], "type")
+    pi = FiniteMeasure.from_json_dict(config["pi"], "pair")
+    p = ProbMeasure.from_json_dict(config["p"], "locality")
+    expected = typed_rate(eta, pi, p).to_json_dict()
+    assert expected["feasible"] is True
+    assert json.loads(text) == json_round_trip(expected)
+
+
+def test_main_enumerate_writes_the_census(tmp_path):
+    spec = three_type_spec5()
+    code, text = run_main(tmp_path, "enumerate", {"spec": spec.to_json_dict()})
+    assert code == 0
+    assert json.loads(text) == json_round_trip(type_class_counts(spec).to_json_dict())
+    assert "target_class" not in text and "event_probability" not in text
+
+
+def test_main_optimize_reference_form(tmp_path):
+    q = {"0": 0.4, "1": 0.3, "2": 0.2, "3": 0.1}
+    constraints = {"K": 3, "eq": [{"f": "mean", "r": 1.5}], "ge": [{"f": "pmf@0", "r": 0.3}]}
+    code, text = run_main(tmp_path, "optimize", {"q": q, "constraints": constraints})
+    assert code == 0
+    expected = minimize_relative_entropy([0.4, 0.3, 0.2, 0.1],
+                                         ConstraintSet.from_json_dict(constraints))
+    assert expected.converged
+    assert json.loads(text) == json_round_trip(expected.to_json_dict())
+
+
+def test_main_lldp_json_format(tmp_path):
+    code, text = run_main(tmp_path, "lldp", {"family": "binary-cross", "n_list": [4, 6]},
+                          "--format", "json")
+    assert code == 0
+    rows = lldp_exponent_gap([binary_cross_spec(4), binary_cross_spec(6)], matching_measure())
+    assert json.loads(text) == [{"n": n, "gap": gap} for n, gap in rows]
+
+
+@pytest.mark.parametrize("n_list", [[4, 6], [4, 6, 8]])
+def test_main_lldp_explicit_form_reads_target_weights_as_counts(tmp_path, n_list):
+    """The README's explicit form: the float target weights 0.5 name the
+    matching class, whose text is ``1/2``, at every n."""
+    specs = [{"n": n, "eta": {"a": 0.5, "b": 0.5}, "pi": {"a,b": 0.5, "b,a": 0.5}}
+             for n in n_list]
+    explicit = {"specs": specs, "target": {"a|b:1": 0.5, "b|a:1": 0.5}}
+    code, text = run_main(tmp_path, "lldp", explicit)
+    assert code == 0
+    assert (code, text) == run_main(tmp_path, "lldp", {"family": "binary-cross",
+                                                       "n_list": n_list})
+    if n_list == [4, 6]:
+        assert text == "n,gap\n4,0.7253469278329726\n6,0.5601571117307902\n"
+
+
+def test_main_lldp_target_weight_that_is_no_count_exits_2(tmp_path, capsys):
+    spec = {"n": 4, "eta": {"a": 0.5, "b": 0.5}, "pi": {"a,b": 0.5, "b,a": 0.5}}
+    config = {"specs": [spec], "target": {"a|b:1": 0.6, "b|a:1": 0.4}}
+    assert run_main(tmp_path, "lldp", config)[0] == 2
+    assert "n*p(a|b:1) = 2.4 is not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("c, n, message", [
+    (10.0, 5, "block (a,a) needs 25 pairs but capacity is 10"),
+    (-0.4, 5, "G(n, m) needs n >= 1 and m >= 0, not G(5, -1)"),
+    (2.0, 0, "G(n, m) needs n >= 1 and m >= 0, not G(0, 0)"),
+], ids=["G(5,25)", "G(5,-1)", "G(0,0)"])
+def test_impossible_erdos_renyi_exits_2_from_decay_and_sample(tmp_path, capsys, c, n, message):
+    """``decay`` refuses an impossible G(n, nc/2) as ``sample`` refuses it, by
+    the one G(n, m) check, before any draw."""
+    m = round(n * c / 2)
+    assert run_main(tmp_path, "sample", {"er": {"n": n, "m": m}}, "--seed", "1")[0] == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    decay = {"c": c, "n_list": [n], "samples": 100, "event": {"K": 1}}
+    assert run_main(tmp_path, "decay", decay, "--seed", "1")[0] == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+SPEC4 = {"n": 4, "eta": {"a": 0.5, "b": 0.5}, "pi": {"a,b": 0.5, "b,a": 0.5}}
+DECAY_EVENT = {"K": 1, "ge": [{"f": "pmf@0", "r": 0.3}]}
+DECAY_CONFIG = {"c": 2.0, "n_list": [10], "samples": 200, "K": 50, "event": DECAY_EVENT}
+OPTIMIZE_CONFIG = {"c": 2.0, "K": 50, "constraints": DECAY_EVENT}
+
+
+@pytest.mark.parametrize("command, config, path, name, extra", [
+    ("sample", {"spec": SPEC4}, ("spec", "n"), "n", ("--seed", "5")),
+    ("enumerate", {"spec": SPEC4}, ("spec", "n"), "n", ()),
+    ("sample", {"er": {"n": 6, "m": 4}}, ("er", "n"), "er.n", ("--seed", "5")),
+    ("sample", {"er": {"n": 6, "m": 4}}, ("er", "m"), "er.m", ("--seed", "5")),
+    ("decay", DECAY_CONFIG, ("n_list", 0), "n_list", ("--seed", "5")),
+    ("decay", DECAY_CONFIG, ("samples",), "samples", ("--seed", "5")),
+    ("decay", DECAY_CONFIG, ("K",), "K", ("--seed", "5")),
+    ("decay", DECAY_CONFIG, ("event", "K"), "K", ("--seed", "5")),
+    ("lldp", {"family": "binary-cross", "n_list": [4]}, ("n_list", 0), "n_list", ()),
+    ("lldp", {"specs": [SPEC4], "target": {"a|b:1": 0.5, "b|a:1": 0.5}},
+     ("specs", 0, "n"), "n", ()),
+    ("optimize", OPTIMIZE_CONFIG, ("K",), "K", ()),
+    ("optimize", OPTIMIZE_CONFIG, ("constraints", "K"), "K", ()),
+], ids=["sample.spec.n", "enumerate.spec.n", "sample.er.n", "sample.er.m", "decay.n_list",
+        "decay.samples", "decay.K", "decay.event.K", "lldp.n_list", "lldp.specs.n",
+        "optimize.K", "optimize.constraints.K"])
+def test_integer_config_fields_read_integral_floats_and_refuse_the_rest(
+        tmp_path, capsys, command, config, path, name, extra):
+    """An int and the float of the same value give the same bytes; a
+    fraction, a string or a boolean exits 1, naming the field, where
+    ``int(...)`` used to truncate or convert it."""
+    def with_value(value):
+        copy = json.loads(json.dumps(config))
+        node = copy
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return copy
+
+    node = config
+    for key in path:
+        node = node[key]
+    code, text = run_main(tmp_path, command, config, *extra)
+    assert code == 0
+    assert run_main(tmp_path, command, with_value(float(node)), *extra) == (0, text)
+    capsys.readouterr()
+    for bad in (node + 0.5, str(node), True):
+        assert run_main(tmp_path, command, with_value(bad), *extra) == (1, None)
+        assert f"{name} = {bad!r} is not an integer" in capsys.readouterr().err

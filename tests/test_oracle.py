@@ -31,7 +31,8 @@ from graphld.oracle import (
     type_class_counts,
 )
 from graphld.rate import ReferenceLaw, relative_entropy
-from graphld.sampler import ConditionalSampler, ConditionSpec, binary_cross_spec
+from graphld.sampler import ConditionalSampler, ConditionSpec, InadmissibleSpecError, \
+    binary_cross_spec
 from helpers import class_keys, prefix_label_spec, single_type_spec4, three_type_spec5
 from oracles import class_measure, lexsort_row_ids, per_graph_event_probability
 
@@ -223,6 +224,17 @@ def test_exponent_gap_zero_for_edgeless_family():
         targets.append(dirac(atom("a", {})))
     for (n, gap) in lldp_exponent_gap(specs, targets):
         assert gap == 0.0
+
+
+def test_exponent_gap_reads_float_target_weights_as_counts():
+    """A float weight w names the class of the count n w at each n: 0.5 reads
+    as 1/2, as in the exact matching measure."""
+    specs = [binary_cross_spec(n) for n in (4, 6)]
+    floats = ProbMeasure({atom("a", {"b": 1}): 0.5, atom("b", {"a": 1}): 0.5})
+    assert lldp_exponent_gap(specs, floats) == lldp_exponent_gap(specs, matching_measure())
+    uneven = ProbMeasure({atom("a", {"b": 1}): 0.6, atom("b", {"a": 1}): 0.4})
+    with pytest.raises(InadmissibleSpecError, match="not an integer"):
+        lldp_exponent_gap(specs[:1], uneven)
 
 
 def test_exponent_gap_empty_class_raises():

@@ -3,6 +3,7 @@ determinism."""
 
 import itertools
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -443,3 +444,27 @@ def test_locality_measure_converges_to_reference_law():
         z = sampler.sample(np.random.default_rng(seed))
         distances.append(float(total_variation(empirical_locality_measure(z), truncated)))
     assert np.mean(distances) <= 0.05
+
+
+@pytest.mark.parametrize("n, m, message", [
+    (5, 25, "capacity is 10"), (5, -1, "not G(5, -1)"), (0, 0, "not G(0, 0)")])
+def test_impossible_erdos_renyi_is_refused_by_its_one_check(n, m, message):
+    """G(n, m) single draws and degree histograms share one check, the spec
+    analysis of ``_erdos_renyi_sampler``."""
+    with pytest.raises(InadmissibleSpecError, match=re.escape(message)):
+        sample_erdos_renyi(n, m, np.random.default_rng(0))
+    with pytest.raises(InadmissibleSpecError, match=re.escape(message)):
+        next(iter_er_degree_histograms(n, m, 1, np.random.default_rng(0)))
+
+
+def test_block_pairs_returns_fresh_arrays():
+    """``_Block.pairs`` returns fresh arrays: the indices it was given stay as
+    they were, and callers (the degree histograms) may shift its output in
+    place."""
+    for block in ConditionalSampler(three_type_spec5()).blocks:
+        idx = np.arange(block.capacity, dtype=np.int64)
+        u, v = block.pairs(idx)
+        assert np.array_equal(idx, np.arange(block.capacity))
+        assert not (np.shares_memory(u, idx) or np.shares_memory(v, idx)
+                    or np.shares_memory(u, v))
+        assert np.all(u >= block.a_start) and np.all(v >= block.b_start)
