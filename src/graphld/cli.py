@@ -261,11 +261,19 @@ def run_optimize(config: Dict[str, object]) -> Dict[str, object]:
 # Command-line wiring
 # ---------------------------------------------------------------------------
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite JSON number")
+    return value
+
+
 def _load_config(path: Optional[str]) -> Dict[str, object]:
     if path is None:
         raise ValueError("this command requires --config FILE")
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        # standard JSON only: NaN, Infinity and numbers that overflow are refused
+        return json.load(fh, parse_constant=_finite_float, parse_float=_finite_float)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -277,7 +285,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _json_text(obj: object) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _require_seed(seed: Optional[int]) -> int:

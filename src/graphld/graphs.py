@@ -58,9 +58,6 @@ class TypedGraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def sorted_edges(self) -> List[Edge]:
-        return sorted(self.edges)
-
     # -- text format ----------------------------------------------------------
     def to_text(self) -> str:
         """Bit-exact line format::
@@ -71,7 +68,7 @@ class TypedGraph:
             e <u> <v>          (u < v, lexicographically sorted)
         """
         lines = ["typedgraph v1", f"n={self.n}", "types=" + " ".join(self.types)]
-        lines.extend(f"e {u} {v}" for u, v in self.sorted_edges())
+        lines.extend(f"e {u} {v}" for u, v in sorted(self.edges))
         return "\n".join(lines) + "\n"
 
     @classmethod

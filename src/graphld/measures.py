@@ -17,17 +17,22 @@ measure to its type law, ``link_marginal`` to its pair law
 and ``marginal_pair`` returns both at once.  ``is_sub_consistent`` /
 ``is_consistent`` compare a pair law against the link marginal of a locality
 measure, and ``total_variation`` is the test metric used throughout.
+``encode_measure`` writes a measure as one line, each weight an exact
+fraction, and ``encode_atom_counts`` the same text of a type class from its
+atom counts: the one spelling of a class.
 
 All values are immutable after construction and every function here is pure,
 so everything in this module is safe to share across threads.
 
-Weights may be exact rationals (``int`` / ``Fraction``) or floats.  Empirical
-measures extracted from graphs are exact; exactness is preserved by every
-operation in this module and only dropped at serialization boundaries.
+Weights may be exact rationals (``int`` / ``Fraction``, not ``bool``) or
+floats.  Empirical measures extracted from graphs are exact; exactness is
+preserved by every operation in this module and only dropped at
+serialization boundaries.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,6 +53,7 @@ def _check_label(label: str) -> str:
     return label
 
 
+@dataclass(frozen=True)
 class TypeAlphabet:
     """An ordered finite set of type labels.
 
@@ -55,7 +61,7 @@ class TypeAlphabet:
     used by every serialization and iteration in the package.
     """
 
-    __slots__ = ("_symbols", "_index")
+    symbols: Tuple[str, ...]
 
     def __init__(self, symbols: Iterable[str]):
         syms = tuple(sorted(_check_label(s) for s in symbols))
@@ -63,33 +69,16 @@ class TypeAlphabet:
             raise ValueError("alphabet must contain at least one label")
         if len(set(syms)) != len(syms):
             raise ValueError("alphabet labels must be unique")
-        self._symbols = syms
-        self._index = {s: i for i, s in enumerate(syms)}
-
-    @property
-    def symbols(self) -> Tuple[str, ...]:
-        return self._symbols
+        object.__setattr__(self, "symbols", syms)
 
     def index(self, label: str) -> int:
-        return self._index[label]
-
-    def __len__(self) -> int:
-        return len(self._symbols)
+        return self.symbols.index(label)
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._symbols)
+        return iter(self.symbols)
 
     def __contains__(self, label: object) -> bool:
-        return label in self._index
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, TypeAlphabet) and self._symbols == other._symbols
-
-    def __hash__(self) -> int:
-        return hash(self._symbols)
-
-    def __repr__(self) -> str:
-        return f"TypeAlphabet({list(self._symbols)!r})"
+        return label in self.symbols
 
 
 @dataclass(frozen=True)
@@ -128,7 +117,7 @@ class CountingMeasure:
 
     def encode(self) -> str:
         """Canonical text form, e.g. ``"a:2,b:1"`` (empty multiset -> ``""``)."""
-        return ",".join(f"{b}:{k}" for b, k in self.counts)
+        return _counting_text(self.counts)
 
     @classmethod
     def decode(cls, text: str) -> "CountingMeasure":
@@ -204,10 +193,6 @@ def _sort_key(key: Key):
     return (key,)
 
 
-def _format_weight(w: Scalar) -> str:
-    return format(float(w), ".17g")
-
-
 class FiniteMeasure:
     """A non-negative weight function on a finite key set (mass unconstrained).
 
@@ -227,8 +212,10 @@ class FiniteMeasure:
                 kind = k
             elif k != kind:
                 raise TypeError(f"mixed key kinds in one measure: {kind} and {k}")
-            if isinstance(value, float) and value != value:
-                raise ValueError(f"NaN weight at key {key!r}")
+            if isinstance(value, bool):
+                raise TypeError(f"bool weight {value!r} at key {key!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"non-finite weight {value!r} at key {key!r}")
             if value < 0:
                 raise ValueError(f"negative weight {value!r} at key {key!r}")
             if value != 0:
@@ -412,21 +399,31 @@ def total_variation(mu: FiniteMeasure, nu: FiniteMeasure) -> Scalar:
     return total / 2
 
 
-def encode_measure(m: FiniteMeasure) -> str:
-    """One-line canonical encoding, exact when the weights are exact.
+def _counting_text(counts: Iterable[Tuple[str, int]]) -> str:
+    """The text of a multiset's sorted ``(label, count)`` pairs: ``a:2,b:1``."""
+    return ",".join(f"{b}:{k}" for b, k in counts)
 
-    Used as the grouping key for type classes: two exact measures encode
-    identically iff they are equal.
-    """
-    parts = []
-    for key, w in m.items():
-        if isinstance(w, Rational):
-            frac = Fraction(w)
-            text = str(frac.numerator) if frac.denominator == 1 else f"{frac.numerator}/{frac.denominator}"
-        else:
-            text = _format_weight(w)
-        parts.append(f"{encode_key(key)}={text}")
-    return "; ".join(parts)
+
+def _fraction_text(numerator: int, denominator: int) -> str:
+    """A weight as its lowest-terms fraction: ``1/2``, or ``3`` when whole."""
+    g = math.gcd(numerator, denominator)
+    return str(numerator // g) if g == denominator else f"{numerator // g}/{denominator // g}"
+
+
+def encode_measure(m: FiniteMeasure) -> str:
+    """One-line canonical encoding, each weight as its exact fraction (a float
+    as the binary fraction it holds: 0.5 as ``1/2``), so two measures encode
+    identically iff they are equal, whatever their weight types."""
+    return "; ".join(f"{encode_key(key)}={_fraction_text(*Fraction(w).as_integer_ratio())}"
+                     for key, w in m.items())
+
+
+def encode_atom_counts(n: int, atom_counts: Iterable[Tuple[Tuple[str, Tuple], int]]) -> str:
+    """``encode_measure`` of the locality measure on n nodes that puts count/n
+    on each atom ``(label, sorted (label, count) pairs)``, written straight
+    from the counts without building the measure: the text of a type class."""
+    return "; ".join(f"{a}|{text}={_fraction_text(count, n)}" for a, text, count in
+                     sorted((a, _counting_text(e), count) for (a, e), count in atom_counts))
 
 
 def config_int(value: object, field: str) -> int:

@@ -1,10 +1,10 @@
 """Entropy projection onto linearly constrained degree laws.
 
-Minimizes H(p || q_ref) over probability vectors p on {0..K} subject to
-linear equalities <f, p> = r and inequalities <f, p> >= r (the simplex
-constraint is implicit and always active).  This is the machinery behind
-predicted decay rates for degree-law events: the infimum of the mean-c
-Poisson rate function over an event set.
+Minimizes H(p || q_ref) over probability vectors p on {0..K} (q_ref given by
+its K + 1 positive values) subject to linear equalities <f, p> = r and
+inequalities <f, p> >= r (the simplex constraint is implicit and always
+active).  This is the machinery behind predicted decay rates for degree-law
+events: the infimum of the mean-c Poisson rate function over an event set.
 
 Algorithm: for fixed dual multipliers the minimizer is q_ref tilted by the
 multiplier-weighted constraint vectors, normalized on the simplex.  So, with
@@ -33,9 +33,9 @@ written with: ``mean``, ``pmf@k``, or explicit coefficients.  They extend by
 zero beyond K, except the mean, which stays f(k) = k at every degree; so an
 event written on {0..K} ignores any other degree-law mass above K.  The
 solve reads them as float vectors.  Whether a sampled graph's degree law
-lies in the event is decided exactly, on its integer degree counts, by
-``ConstraintSet.holds_on_counts``: coefficients and thresholds are read as
-their shortest decimals, so an equality holds only on lattice points.
+lies in the event is decided by one exact rule, on its integer degree
+counts: ``ConstraintSet.holds_on_counts`` reads coefficients and thresholds
+as their shortest decimals, so an equality holds only on lattice points.
 """
 
 from __future__ import annotations
@@ -143,17 +143,15 @@ class ConstraintSet:
         object.__setattr__(self, "inequalities", freeze(inequalities))
 
     # -- numpy views ------------------------------------------------------------
+    def _arrays(self, cons) -> Tuple[np.ndarray, np.ndarray]:
+        return (np.array([f for f, _ in cons]).reshape(len(cons), self.support_cap + 1),
+                np.array([r for _, r in cons], dtype=float))
+
     def eq_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        if not self.equalities:
-            return (np.zeros((0, self.support_cap + 1)), np.zeros(0))
-        return (np.array([f for f, _ in self.equalities]),
-                np.array([r for _, r in self.equalities]))
+        return self._arrays(self.equalities)
 
     def ge_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        if not self.inequalities:
-            return (np.zeros((0, self.support_cap + 1)), np.zeros(0))
-        return (np.array([f for f, _ in self.inequalities]),
-                np.array([r for _, r in self.inequalities]))
+        return self._arrays(self.inequalities)
 
     def extended(self, support_cap: int) -> "ConstraintSet":
         """Same constraints on a larger support; vectors are zero-padded
@@ -174,18 +172,6 @@ class ConstraintSet:
             [(grow(f), r) for f, r in self.equalities],
             [(grow(f), r) for f, r in self.inequalities],
         )
-
-    def satisfied_by(self, p: VectorLike, tol: float = 1e-8) -> bool:
-        """Check a probability vector on {0..support_cap} against every
-        constraint (simplex not re-checked)."""
-        p = np.asarray(p, dtype=float)
-        feq, req = self.eq_arrays()
-        fge, rge = self.ge_arrays()
-        if feq.shape[0] and np.max(np.abs(feq @ p - req)) > tol:
-            return False
-        if fge.shape[0] and np.min(fge @ p - rge) < -tol:
-            return False
-        return True
 
     @functools.cached_property
     def _integer_form(self) -> Tuple[Tuple[Optional[Tuple[int, ...]], Fraction, bool], ...]:
@@ -236,12 +222,11 @@ class ConstraintSet:
     def describe(self) -> str:
         """Stable compact identifier, e.g. ``K30;eq[mean=2.0];ge[pmf@0>=0.4]``."""
         parts = [f"K{self.support_cap}"]
-        if self.equalities:
-            body = "&".join(f"{f.label()}={r!r}" for f, r in self.equalities)
-            parts.append(f"eq[{body}]")
-        if self.inequalities:
-            body = "&".join(f"{f.label()}>={r!r}" for f, r in self.inequalities)
-            parts.append(f"ge[{body}]")
+        for tag, relation, cons in (("eq", "=", self.equalities),
+                                    ("ge", ">=", self.inequalities)):
+            if cons:
+                body = "&".join(f"{f.label()}{relation}{r!r}" for f, r in cons)
+                parts.append(f"{tag}[{body}]")
         return ";".join(parts)
 
     # -- JSON -------------------------------------------------------------------
@@ -325,14 +310,10 @@ class Optimum:
         }
 
 
-def _as_reference(q_ref, support_cap: int) -> np.ndarray:
-    if callable(q_ref):
-        q = np.array([float(q_ref(k)) for k in range(support_cap + 1)])
-    else:
-        q = np.asarray(q_ref, dtype=float)
-        if q.shape != (support_cap + 1,):
-            raise ValueError(
-                f"reference has shape {q.shape}, expected ({support_cap + 1},)")
+def _as_reference(q_ref: VectorLike, support_cap: int) -> np.ndarray:
+    q = np.asarray(q_ref, dtype=float)
+    if q.shape != (support_cap + 1,):
+        raise ValueError(f"reference has shape {q.shape}, expected ({support_cap + 1},)")
     if np.any(q <= 0):
         raise ValueError("reference law must be strictly positive on 0..K")
     return q
@@ -355,12 +336,12 @@ def check_feasible(cons: ConstraintSet) -> None:
             f"(phase-1 LP: {res.message})")
 
 
-def minimize_relative_entropy(q_ref, cons: ConstraintSet, *,
+def minimize_relative_entropy(q_ref: VectorLike, cons: ConstraintSet, *,
                               max_iterations: int = MAX_ITERATIONS) -> Optimum:
     """Minimize H(p || q_ref) over the constraint polytope.
 
-    ``q_ref`` is a pointwise reference on {0..K} (callable, array, or degree
-    measure), strictly positive there; it need not be normalized -- for a
+    ``q_ref`` holds the K + 1 reference values q(0..K) (a sequence or an
+    array), strictly positive; it need not be normalized -- for a
     sub-probability reference the value includes the -log(mass) offset, which
     is how truncated reference laws report their honest rate.
 
@@ -445,10 +426,11 @@ def minimize_relative_entropy(q_ref, cons: ConstraintSet, *,
                    tuple(x[:n_eq]), tuple(x[n_eq:]), residual, iterations, converged)
 
 
-def tilted_family(q_ref, theta: float, support_cap: int) -> ProbMeasure:
+def tilted_family(q_ref: VectorLike, theta: float, support_cap: int) -> ProbMeasure:
     """Exponentially tilted reference: p(k) = q_ref(k) e^(theta k) / Z on
-    {0..support_cap}.  The mean is continuous and strictly increasing in
-    theta, which makes this the solution family for single-mean projections.
+    {0..support_cap}, ``q_ref`` holding the support_cap + 1 values q(0..K).
+    The mean is continuous and strictly increasing in theta, which makes
+    this the solution family for single-mean projections.
     """
     q = _as_reference(q_ref, support_cap)
     k = np.arange(support_cap + 1)

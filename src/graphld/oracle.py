@@ -7,14 +7,16 @@ enumeration sit:
 
 * ``type_class_counts`` -- group the support by exact empirical locality
   measure (the type classes); ``sampled_class_counts`` groups Monte Carlo
-  draws the same way, in batches keyed by ``_class_keys``;
+  draws the same way, in batches keyed by ``_class_keys``; both name a class
+  by ``measures.encode_atom_counts`` of its key;
 * ``exact_event_probability`` -- the exact rational probability of any
   predicate on the locality measure, evaluated once per type class of the
   census pass that ``type_class_counts`` also runs (``_census``);
 * ``entropy_neighborhood`` -- the relative-entropy sublevel neighborhoods
   used for local event probabilities;
 * ``lldp_exponent_gap`` -- the finite-n gap between the exact per-node decay
-  exponent of a type class and its relative-entropy rate.
+  exponent of one target type class and its relative-entropy rate, along a
+  spec family.
 
 All probabilities are exact rationals (big-integer counts); logarithms are
 taken only at the reporting boundary, since the finite-n corrections are
@@ -28,12 +30,12 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from .graphs import Edge, TypedGraph, empirical_locality_measure, locality_atoms_of
-from .measures import ProbMeasure, encode_key, encode_measure
+from .measures import ProbMeasure, encode_atom_counts, encode_key, encode_measure
 from .rate import ReferenceLaw, relative_entropy
 from .sampler import BATCH_ENTRIES, ConditionalSampler, ConditionSpec, _as_count
 
@@ -153,17 +155,6 @@ def _class_keys(labels: Sequence[str], node_type: np.ndarray, u: np.ndarray,
     return keys, class_ids
 
 
-def _class_text(n: int, key: _ClassKey) -> str:
-    """``encode_measure`` of a type class's locality measure, straight from
-    its key: atoms by (label, counting text), weights count/n in lowest terms."""
-    parts = []
-    for a, text, count in sorted((a, ",".join(f"{b}:{k}" for b, k in e), count)
-                                 for (a, e), count in key):
-        g = math.gcd(count, n)
-        parts.append(f"{a}|{text}=" + ("1" if count == n else f"{count // g}/{n // g}"))
-    return "; ".join(parts)
-
-
 @dataclass(frozen=True)
 class EnumerationReport:
     """Exact census of a spec's support, grouped by locality measure.
@@ -205,7 +196,7 @@ def _census(sampler: ConditionalSampler) -> Tuple[Dict[_ClassKey, int],
 def type_class_counts(spec: ConditionSpec) -> EnumerationReport:
     """Group the full support by exact empirical locality measure."""
     counts, _ = _census(_guard(spec))
-    encoded = {_class_text(spec.n, key): count for key, count in counts.items()}
+    encoded = {encode_atom_counts(spec.n, key): count for key, count in counts.items()}
     return EnumerationReport(spec, sum(counts.values()), encoded)
 
 
@@ -239,34 +230,28 @@ def entropy_neighborhood(p: ProbMeasure, type_law: ProbMeasure, link_law,
     return lambda mu: relative_entropy(mu, reference) > threshold
 
 
-def lldp_exponent_gap(
-    specs: Sequence[ConditionSpec],
-    targets: Union[ProbMeasure, Sequence[ProbMeasure]],
-) -> List[Tuple[int, float]]:
+def lldp_exponent_gap(specs: Sequence[ConditionSpec],
+                      target: ProbMeasure) -> List[Tuple[int, float]]:
     """Finite-size exponent gaps of a target type class along a spec family:
 
         gap_n = | -(1/n) log Q{class of p_n} - H(p_n || q_n) |,
 
     where the class probability is exact (enumeration) and q_n is the
     product-Poisson reference built from the spec's own constraint pair.
-    ``targets`` is one locality measure per spec, or a single measure shared
-    by all specs (a family whose target class is constant).  Each weight w
-    is read as the count n w by the spec-count rule (``sampler._as_count``).
+    ``target`` is one locality measure shared by every spec (a family whose
+    target class is constant); at each n its weight w is read as the count
+    n w by the spec-count rule (``sampler._as_count``), giving p_n.
     """
-    if isinstance(targets, ProbMeasure):
-        targets = [targets] * len(specs)
-    if len(targets) != len(specs):
-        raise ValueError("need one target measure per spec")
     gaps: List[Tuple[int, float]] = []
-    for spec, target in zip(specs, targets):
-        target = ProbMeasure({atom: Fraction(_as_count(spec.n * w, f"n*p({encode_key(atom)})"),
-                                             spec.n) for atom, w in target.items()})
+    for spec in specs:
+        p_n = ProbMeasure({atom: Fraction(_as_count(spec.n * w, f"n*p({encode_key(atom)})"),
+                                          spec.n) for atom, w in target.items()})
         report = type_class_counts(spec)
-        count = report.class_counts.get(encode_measure(target), 0)
+        count = report.class_counts.get(encode_measure(p_n), 0)
         if count == 0:
             raise ValueError(f"target class is empty at n = {spec.n}")
         exponent = -(math.log(count) - math.log(report.support_size)) / spec.n
-        entropy = relative_entropy(target, ReferenceLaw(spec.type_law, spec.link_law))
+        entropy = relative_entropy(p_n, ReferenceLaw(spec.type_law, spec.link_law))
         gaps.append((spec.n, abs(exponent - entropy)))
     return gaps
 
@@ -294,6 +279,6 @@ def sampled_class_counts(spec: ConditionSpec, num_samples: int,
             counts[key] = counts.get(key, 0) + count
     # interned: callers that keep many results share one copy of each class
     return {
-        sys.intern(_class_text(spec.n, key)): count
+        sys.intern(encode_atom_counts(spec.n, key)): count
         for key, count in counts.items()
     }

@@ -28,6 +28,7 @@ analytically constructed measures carry float error (default tol 1e-9).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from numbers import Rational
@@ -160,24 +161,16 @@ class ReferenceLaw:
         """Yield every atom ``((a, e), q(a, e))`` with ``total(e) <= max_total``."""
         symbols = self.alphabet.symbols
         for a in symbols:
-            for vec in _count_vectors(len(symbols), max_total):
-                e = CountingMeasure(tuple(zip(symbols, vec)))
-                yield (a, e), self.pmf(a, e)
+            for vec in itertools.product(range(max_total + 1), repeat=len(symbols)):
+                if sum(vec) <= max_total:
+                    e = CountingMeasure(tuple(zip(symbols, vec)))
+                    yield (a, e), self.pmf(a, e)
 
     def truncated(self, max_total: int) -> ProbMeasure:
         """The law restricted to ``total(e) <= max_total`` and renormalized."""
         atoms = {key: mass for key, mass in self.iter_atoms(max_total) if mass > 0}
         total = math.fsum(atoms.values())
         return ProbMeasure({key: mass / total for key, mass in atoms.items()})
-
-
-def _count_vectors(dims: int, max_total: int) -> Iterator[Tuple[int, ...]]:
-    if dims == 0:
-        yield ()
-        return
-    for k in range(max_total + 1):
-        for rest in _count_vectors(dims - 1, max_total - k):
-            yield (k,) + rest
 
 
 # ---------------------------------------------------------------------------

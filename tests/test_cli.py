@@ -17,6 +17,7 @@ import graphld
 import graphld.optimizer
 from graphld.cli import (
     ExperimentRecord,
+    _json_text,
     decay_records_to_csv,
     fit_decay_slope,
     lldp_rows_to_csv,
@@ -546,3 +547,62 @@ def test_integer_config_fields_read_integral_floats_and_refuse_the_rest(
     for bad in (node + 0.5, str(node), True):
         assert run_main(tmp_path, command, with_value(bad), *extra) == (1, None)
         assert f"{name} = {bad!r} is not an integer" in capsys.readouterr().err
+
+
+DECAY_FIELDS = '"n_list": [4], "samples": 10, "event": {"K": 1, "ge": [{"f": "pmf@0", "r": 0.2}]}'
+
+
+@pytest.mark.parametrize("command, text, error", [
+    ("sample", '{"spec": {"n": 4, "eta": {"a": 1}, "pi": {"a,a": Infinity}}}',
+     "Infinity is not a finite JSON number"),
+    ("sample", '{"spec": {"n": 4, "eta": {"a": 1}, "pi": {"a,a": 1e400}}}',
+     "1e400 is not a finite JSON number"),
+    ("enumerate", '{"spec": {"n": 4, "eta": {"a": 1}, "pi": {"a,a": Infinity}}}',
+     "Infinity is not a finite JSON number"),
+    ("enumerate", '{"spec": {"n": 4, "eta": {"a": 1}, "pi": {"a,a": 1e400}}}',
+     "1e400 is not a finite JSON number"),
+    ("decay", '{"c": Infinity, ' + DECAY_FIELDS + '}', "Infinity is not a finite JSON number"),
+    ("decay", '{"c": NaN, ' + DECAY_FIELDS + '}', "NaN is not a finite JSON number"),
+    ("optimize", '{"c": 2.0, "constraints": {"K": 1, "ge": [{"f": "pmf@0", "r": -Infinity}]}}',
+     "-Infinity is not a finite JSON number"),
+    ("rate", '{"c": Infinity, "p": {"0": 0.5, "1": 0.5}}',
+     "Infinity is not a finite JSON number"),
+], ids=["sample.inf", "sample.1e400", "enumerate.inf", "enumerate.1e400", "decay.inf",
+        "decay.nan", "optimize.-inf", "rate.inf"])
+def test_configs_must_be_standard_json(tmp_path, capsys, command, text, error):
+    """NaN, Infinity and float literals that overflow exit 1 with an error
+    line and write nothing.  They used to raise OverflowError from the count
+    rule, reach linprog, or (``rate``) write Infinity, which is not JSON."""
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--seed", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
+
+
+def test_json_output_refuses_non_finite_numbers():
+    with pytest.raises(ValueError, match="JSON"):
+        _json_text({"tv_marginal": math.inf})
+
+
+@pytest.mark.parametrize("spec", [
+    {"n": 4, "eta": {"a": True}, "pi": {"a,a": 1}},
+    {"n": 4, "eta": {"a": 1}, "pi": {"a,a": True}},
+], ids=["eta", "pi"])
+def test_bool_weights_exit_1(tmp_path, capsys, spec):
+    """A bool weight used to read as 1 and draw a graph."""
+    assert run_main(tmp_path, "sample", {"spec": spec}, "--seed", "1") == (1, None)
+    assert capsys.readouterr().err.startswith("error: bool weight True at key")
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"n": 0, "eta": {"a": 1}, "pi": {}}, "n = 0 must be >= 1"),
+    ({"n": 4, "eta": {"a": 0.5, "b": 0.5}, "pi": {"a,b": 0.5}},
+     "link law is not symmetric at ('a', 'b')"),
+    ({"n": 4, "eta": {"a": 1}, "pi": {"a,c": 0.5, "c,a": 0.5}},
+     "link law key ('a', 'c') outside the alphabet"),
+], ids=["n=0", "asymmetric", "outside-alphabet"])
+def test_malformed_spec_laws_exit_2_from_sample(tmp_path, capsys, spec, message):
+    assert run_main(tmp_path, "sample", {"spec": spec}, "--seed", "1") == (2, None)
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -126,6 +126,15 @@ def test_text_format_errors():
         TypedGraph.from_text("typedgraph v1\nn=2\ntypes=a a\ne 2 1\n")
 
 
+@pytest.mark.parametrize("text, error", [
+    ("typedgraph v1\nnodes=2\ntypes=a a\n", "line 2 must be 'n=<int>'"),
+    ("typedgraph v1\n\nn=2\nlabels=a a\n", "line 4 must be 'types=<labels>'"),
+])
+def test_text_format_header_line_errors(text, error):
+    with pytest.raises(ValueError, match=re.escape(error)):
+        TypedGraph.from_text(text)
+
+
 def test_text_format_rejects_a_repeated_edge_line():
     """Four edge lines, one of them repeated, would load as three edges."""
     text = "typedgraph v1\nn=4\ntypes=a a a a\ne 1 2\ne 2 3\ne 1 2\ne 3 4\n"

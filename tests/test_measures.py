@@ -1,5 +1,6 @@
 """Measures, marginal maps, consistency checks, total variation."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -46,6 +47,17 @@ def test_alphabet_is_sorted_and_unique():
         TypeAlphabet(["bad label"])  # whitespace not allowed
 
 
+def test_alphabet_is_a_frozen_value():
+    alph = TypeAlphabet(["b", "a"])
+    assert alph == TypeAlphabet(("a", "b"))
+    assert hash(alph) == hash(TypeAlphabet(["a", "b"]))
+    assert alph != TypeAlphabet(["a"])
+    assert list(alph) == ["a", "b"]
+    assert "a" in alph and "c" not in alph
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        alph.symbols = ("c",)
+
+
 def test_counting_measure_canonical():
     e = CountingMeasure({"b": 1, "a": 2, "c": 0})
     assert e.counts == (("a", 2), ("b", 1))  # sorted, zeros dropped
@@ -84,6 +96,22 @@ def test_prob_measure_validation():
     # zero weights are dropped, so support is exactly the carried keys
     m = FiniteMeasure({("a", "b"): 1.0, ("b", "a"): 0.0})
     assert m.keys() == (("a", "b"),)
+
+
+def test_bool_weights_are_refused():
+    """A bool is no weight, as it is no count (``config_int``)."""
+    for weight in (True, False):
+        with pytest.raises(TypeError, match="bool weight"):
+            FiniteMeasure({(A, B): weight})
+    with pytest.raises(TypeError, match="bool weight"):
+        ProbMeasure({A: True})
+
+
+def test_non_finite_weights_are_refused():
+    """An infinite weight has no exact fraction for ``encode_measure``."""
+    for weight in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="non-finite weight"):
+            FiniteMeasure({(A, B): weight})
 
 
 def test_measure_equality_across_numeric_types():
@@ -224,3 +252,14 @@ def test_json_dict_round_trip():
 def test_encode_measure_exact_rationals():
     p = ProbMeasure({atom(A, {B: 1}): Fraction(1, 2), atom(B, {A: 1}): Fraction(1, 2)})
     assert encode_measure(p) == "a|b:1=1/2; b|a:1=1/2"
+
+
+def test_encode_measure_writes_float_weights_as_their_exact_fractions():
+    """Equal measures encode identically, whatever their weight types: a
+    float is written as the binary fraction it holds."""
+    exact = ProbMeasure({atom(A, {B: 1}): Fraction(1, 2), atom(B, {A: 1}): Fraction(1, 2)})
+    floats = ProbMeasure({atom(A, {B: 1}): 0.5, atom(B, {A: 1}): 0.5})
+    assert encode_measure(floats) == encode_measure(exact) == "a|b:1=1/2; b|a:1=1/2"
+    assert encode_measure(ProbMeasure({A: 0.5, B: 0.5})) == "a=1/2; b=1/2"
+    assert encode_measure(FiniteMeasure({(A, B): 3.0, (B, A): 3})) == "a,b=3; b,a=3"
+    assert encode_measure(FiniteMeasure({0: 0.1})) == "0=3602879701896397/36028797018963968"

@@ -280,14 +280,15 @@ def test_kkt_certificate_on_random_problems(seed):
         cons = ConstraintSet(cap, eqs, ges)
         opt = minimize_relative_entropy(q, cons)
         p = law_vector(opt.minimizer, cap)
-        assert cons.satisfied_by(p, tol=1e-8)
+        feq, req = cons.eq_arrays()
+        fge, rge = cons.ge_arrays()
+        assert np.all(np.abs(feq @ p - req) <= 1e-8)
+        assert np.all(fge @ p - rge >= -1e-8)
         assert opt.kkt_residual <= 1e-6
         assert opt.converged
         assert opt.iterations <= 100  # Newton's local convergence, not a crawl
         # stationarity: log(p/q) + 1 = sum(lambda_i f_i) + sum(mu_j g_j) + nu
         grad = np.log(np.maximum(p, 1e-300) / q) + 1.0
-        feq, _ = cons.eq_arrays()
-        fge, _ = cons.ge_arrays()
         combo = np.zeros(cap + 1)
         if feq.shape[0]:
             combo += feq.T @ np.array(opt.dual_eq)

@@ -14,13 +14,13 @@ from graphld.measures import (
     FiniteMeasure,
     ProbMeasure,
     dirac,
+    encode_atom_counts,
     encode_measure,
     marginal_pair,
 )
 from graphld.oracle import (
     EnumerationGuardError,
     _class_key,
-    _class_text,
     _row_ids,
     entropy_neighborhood,
     enumerate_support,
@@ -211,18 +211,14 @@ def test_exponent_gap_single_type_one_edge():
     # support is one graph, probability 1: gap = H(p_2 || q_2) = 1
     spec = single_type_spec(2, 1)
     target = dirac(atom("a", {"a": 1}))
-    [(n, gap)] = lldp_exponent_gap([spec], [target])
+    [(n, gap)] = lldp_exponent_gap([spec], target)
     assert n == 2
     assert gap == pytest.approx(1.0, abs=1e-12)
 
 
 def test_exponent_gap_zero_for_edgeless_family():
-    specs = []
-    targets = []
-    for n in (3, 5):
-        specs.append(ConditionSpec(n, dirac("a"), FiniteMeasure({})))
-        targets.append(dirac(atom("a", {})))
-    for (n, gap) in lldp_exponent_gap(specs, targets):
+    specs = [ConditionSpec(n, dirac("a"), FiniteMeasure({})) for n in (3, 5)]
+    for (n, gap) in lldp_exponent_gap(specs, dirac(atom("a", {}))):
         assert gap == 0.0
 
 
@@ -239,8 +235,7 @@ def test_exponent_gap_reads_float_target_weights_as_counts():
 
 def test_exponent_gap_empty_class_raises():
     with pytest.raises(ValueError, match="empty"):
-        lldp_exponent_gap([binary_cross_spec(4)],
-                          [dirac(atom("a", {"b": 2}))])
+        lldp_exponent_gap([binary_cross_spec(4)], dirac(atom("a", {"b": 2})))
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +401,7 @@ def test_class_text_names_every_class_of_the_support(spec):
     for graph in enumerate_support(spec):
         key = _class_key(sampler.types, graph.edges)
         text = encode_measure(class_measure(spec.n, key))
-        assert _class_text(spec.n, key) == text
+        assert encode_atom_counts(spec.n, key) == text
         expected[text] = expected.get(text, 0) + 1
     assert list(type_class_counts(spec).class_counts.items()) == list(expected.items())
     sampled = sampled_class_counts(spec, 2000, np.random.default_rng(5))
@@ -427,4 +422,4 @@ def test_class_text_equals_the_encoded_class_measure(census):
     where text order and numeric order part."""
     n = sum(census.values())
     key = tuple(sorted(census.items()))
-    assert _class_text(n, key) == encode_measure(class_measure(n, key))
+    assert encode_atom_counts(n, key) == encode_measure(class_measure(n, key))

@@ -15,7 +15,7 @@ from scipy.stats import chi2
 from graphld import sampler
 from graphld.graphs import TypedGraph, empirical_link_measure, empirical_locality_measure, \
     empirical_type_measure
-from graphld.measures import FiniteMeasure, ProbMeasure, total_variation
+from graphld.measures import FiniteMeasure, ProbMeasure, dirac, total_variation
 from graphld.oracle import _class_key, enumerate_support
 from graphld.rate import ReferenceLaw
 from graphld.sampler import (
@@ -62,7 +62,29 @@ def test_block_over_capacity_is_inadmissible():
         sample_conditional_graph(spec, np.random.default_rng(0))
 
 
-def test_type_groups_beyond_the_exact_pair_decode_are_inadmissible(monkeypatch):
+HALVES = ProbMeasure({"a": Fraction(1, 2), "b": Fraction(1, 2)})
+
+
+@pytest.mark.parametrize("spec, reason", [
+    (ConditionSpec(0, dirac("a"), FiniteMeasure({})), "n = 0 must be >= 1"),
+    (ConditionSpec(4, dirac(("a", "a")), FiniteMeasure({})),
+     "eta must be a measure over type labels"),
+    (ConditionSpec(4, HALVES, FiniteMeasure({"a": 1})),
+     "link law must be a measure over type pairs"),
+    (ConditionSpec(4, HALVES, FiniteMeasure({("a", "b"): Fraction(1, 2)})),
+     "link law is not symmetric at ('a', 'b')"),
+    (ConditionSpec(4, dirac("a"), FiniteMeasure({("a", "c"): 1, ("c", "a"): 1})),
+     "link law key ('a', 'c') outside the alphabet"),
+], ids=["n=0", "eta-over-pairs", "pi-over-types", "asymmetric", "outside-alphabet"])
+def test_spec_analysis_refuses_malformed_laws(spec, reason):
+    report = admissible(spec)
+    assert not report
+    assert report.reason == reason
+    with pytest.raises(InadmissibleSpecError, match=re.escape(reason)):
+        sample_conditional_graph(spec, np.random.default_rng(0))
+
+
+def test_type_groups_beyond_the_exact_pair_decode_are_inadmissible(monkeypatch, request):
     """``_unrank_pairs_np`` is exact up to 2**24 nodes a group: one node
     more with links inside the group is rejected before the node types are
     laid out; links only across groups, or none, need no such decode."""
@@ -77,7 +99,10 @@ def test_type_groups_beyond_the_exact_pair_decode_are_inadmissible(monkeypatch):
     with pytest.raises(ValueError, match=str(2**24)):
         next(iter_er_degree_histograms(big, 1, 1, np.random.default_rng(0)))
     # the same rule at a small limit, where admitted specs are cheap to lay out
+    # (G(n, m) samplers are cached: drop those analysed under the other limit)
     monkeypatch.setattr(sampler, "MAX_GROUP_SIZE", 3)
+    sampler._erdos_renyi_sampler.cache_clear()
+    request.addfinalizer(sampler._erdos_renyi_sampler.cache_clear)
     eta = ProbMeasure({"a": 0.5, "b": 0.5})
     assert "decode limit" in admissible(ConditionSpec(8, eta, FiniteMeasure({("a", "a"): 0.25}))).reason
     assert admissible(binary_cross_spec(8))
