@@ -22,7 +22,6 @@ from .measures import (
     TypeAlphabet,
     dirac,
     encode_measure,
-    is_consistent,
     is_sub_consistent,
     link_marginal,
     marginal_pair,
@@ -67,7 +66,7 @@ __version__ = "0.2.1"
 
 __all__ = [
     "CountingMeasure", "FiniteMeasure", "ProbMeasure", "TypeAlphabet",
-    "dirac", "encode_measure", "is_consistent", "is_sub_consistent",
+    "dirac", "encode_measure", "is_sub_consistent",
     "link_marginal", "marginal_pair", "total_variation", "type_marginal",
     "TypedGraph", "degree_distribution", "empirical_link_measure",
     "empirical_locality_measure", "empirical_type_measure",

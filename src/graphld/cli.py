@@ -45,7 +45,7 @@ from .graphs import (
     empirical_locality_measure,
     empirical_type_measure,
 )
-from .measures import CountingMeasure, FiniteMeasure, ProbMeasure, config_int
+from .measures import CountingMeasure, FiniteMeasure, ProbMeasure, config_float, config_int
 from .oracle import EnumerationGuardError, lldp_exponent_gap, type_class_counts
 from .optimizer import (
     ConstraintSet,
@@ -219,10 +219,10 @@ def run_rate(config: Dict[str, object]) -> Dict[str, object]:
     Typed form:  {"eta": {...}, "pi": {...}, "p": {locality-key: weight},
                   "tol": num?}.
     """
-    tol = config.get("tol")
+    tol = None if config.get("tol") is None else config_float(config["tol"], "tol")
     if "c" in config:
         p = ProbMeasure.from_json_dict(config["p"], "degree")
-        result = degree_rate(float(config["c"]), p, tol)
+        result = degree_rate(config_float(config["c"], "c"), p, tol)
     else:
         eta = ProbMeasure.from_json_dict(config["eta"], "type")
         pi = FiniteMeasure.from_json_dict(config["pi"], "pair")
@@ -244,10 +244,10 @@ def run_optimize(config: Dict[str, object]) -> Dict[str, object]:
     cons = ConstraintSet.from_json_dict(config["constraints"])
     if "c" in config:
         cap = config.get("K")
-        optimum = rate_infimum_for_event(float(config["c"]), cons,
+        optimum = rate_infimum_for_event(config_float(config["c"], "c"), cons,
                                          None if cap is None else config_int(cap, "K"))
     else:
-        q_obj = {int(k): float(v) for k, v in config["q"].items()}
+        q_obj = {int(k): config_float(v, f"q[{k}]") for k, v in config["q"].items()}
         q = [q_obj.get(k, 0.0) for k in range(cons.support_cap + 1)]
         optimum = minimize_relative_entropy(q, cons)
     if not optimum.converged:
@@ -337,7 +337,7 @@ def _cmd_optimize(config, seed, fmt) -> str:
 def _cmd_decay(config, seed, fmt) -> str:
     seed = _require_seed(seed)
     records = run_decay_study(
-        c=float(config["c"]),
+        c=config_float(config["c"], "c"),
         n_list=[config_int(n, "n_list") for n in config["n_list"]],
         samples=config_int(config["samples"], "samples"),
         event=ConstraintSet.from_json_dict(config["event"]),

@@ -14,9 +14,10 @@ measure to its type law, ``link_marginal`` to its pair law
 
     link_marginal(p)(a, b) = sum_e p(a, e) * e(b),
 
-and ``marginal_pair`` returns both at once.  ``is_sub_consistent`` /
-``is_consistent`` compare a pair law against the link marginal of a locality
-measure, and ``total_variation`` is the test metric used throughout.
+and ``marginal_pair`` returns both at once.  ``is_sub_consistent``, the one
+consistency check, reports whether a pair law dominates the link marginal of
+a locality measure (the paper's condition for a finite rate) and the largest
+excess; ``law_pair_problem`` checks a pair (type law, link law).
 ``encode_measure`` writes a measure as one line, each weight an exact
 fraction, and ``encode_atom_counts`` the same text of a type class from its
 atom counts: the one spelling of a class.
@@ -27,7 +28,9 @@ so everything in this module is safe to share across threads.
 Weights may be exact rationals (``int`` / ``Fraction``, not ``bool``) or
 floats.  Empirical measures extracted from graphs are exact; exactness is
 preserved by every operation in this module and only dropped at
-serialization boundaries.
+serialization boundaries.  ``PROB_MASS_TOL`` (on mass) and ``INPUT_TOL`` (on
+a written number) forgive float error only: exact inputs must be exact.  JSON
+config numbers are read by ``config_int`` and ``config_float``.
 """
 
 from __future__ import annotations
@@ -41,8 +44,11 @@ from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 Scalar = Union[int, float, Fraction]
 
-#: Absolute tolerance on the total mass of a probability measure.
+#: Absolute tolerance on the total mass of a probability measure with float weights.
 PROB_MASS_TOL = 1e-12
+
+#: Float error allowed in a written number: a count at n, a constraint met.
+INPUT_TOL = 1e-9
 
 _LABEL_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
 
@@ -278,12 +284,15 @@ class FiniteMeasure:
 
 
 class ProbMeasure(FiniteMeasure):
-    """A FiniteMeasure whose total mass is 1 (within ``PROB_MASS_TOL``)."""
+    """A FiniteMeasure whose total mass is 1: exactly, for exact weights, and
+    within ``PROB_MASS_TOL`` once a weight is a float."""
 
     __slots__ = ()
 
     def _validate(self) -> None:
         mass = self.total_mass()
+        if isinstance(mass, Rational) and mass != 1:
+            raise ValueError(f"probability weights sum to {mass}, not 1")
         if abs(mass - 1) > PROB_MASS_TOL:
             raise ValueError(f"probability weights sum to {float(mass)!r}, not 1")
 
@@ -325,14 +334,17 @@ def marginal_pair(p: ProbMeasure) -> Tuple[ProbMeasure, FiniteMeasure]:
     return type_marginal(p), link_marginal(p)
 
 
-def link_law_problem(link_law: FiniteMeasure, alphabet: TypeAlphabet) -> Optional[str]:
-    """The first reason ``link_law`` is not a symmetric measure over pairs of
-    ``alphabet`` labels, or None.  Float weights are symmetric to 1e-12."""
+def law_pair_problem(type_law: FiniteMeasure, link_law: FiniteMeasure) -> Optional[str]:
+    """The first reason ``(type_law, link_law)`` is not a constraint pair, or
+    None: ``type_law`` must be over type labels, and ``link_law`` a symmetric
+    measure over pairs of them.  Float weights are symmetric to 1e-12."""
+    if type_law.kind() != "type":
+        return "eta must be a measure over type labels"
     if link_law.kind() not in (None, "pair"):
         return "link law must be a measure over type pairs"
     sym_tol = 0 if link_law.is_exact() else 1e-12
     for (a, b) in link_law.keys():
-        if a not in alphabet or b not in alphabet:
+        if a not in type_law or b not in type_law:
             return f"link law key ({a!r}, {b!r}) outside the alphabet"
         if abs(link_law((a, b)) - link_law((b, a))) > sym_tol:
             return f"link law is not symmetric at ({a!r}, {b!r})"
@@ -341,50 +353,28 @@ def link_law_problem(link_law: FiniteMeasure, alphabet: TypeAlphabet) -> Optiona
 
 @dataclass(frozen=True)
 class ConsistencyReport:
-    """Outcome of a (sub-)consistency check.
-
-    ``max_residual`` is the largest signed residual (positive means violated)
-    and ``worst_key`` the pair key attaining it; both are None when there is
-    nothing to compare.
-    """
+    """Outcome of the sub-consistency check: ``max_residual`` is the largest
+    residual ``link_marginal(p)(k) - pi(k)`` (positive means violated), None
+    when there is nothing to compare."""
 
     ok: bool
     max_residual: Union[Scalar, None]
-    worst_key: Union[Key, None]
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-def _link_report(pi: FiniteMeasure, p: ProbMeasure, tol: Scalar,
-                 absolute: bool) -> ConsistencyReport:
-    """Compare the largest residual ``link_marginal(p)(k) - pi(k)`` over the
-    keys of either measure (its absolute value when ``absolute``) with
-    ``tol``; ties go to the largest key."""
+def is_sub_consistent(pi: FiniteMeasure, p: ProbMeasure, tol: Scalar = 0) -> ConsistencyReport:
+    """Check that ``link_marginal(p)(a, b) <= pi(a, b) + tol`` at every key of
+    either measure."""
     if tol < 0:
         raise ValueError("tol must be >= 0")
     marg = link_marginal(p)
-    residuals = {key: marg(key) - pi(key) for key in set(marg.keys()) | set(pi.keys())}
-    if absolute:
-        residuals = {key: abs(r) for key, r in residuals.items()}
+    residuals = [marg(key) - pi(key) for key in set(marg.keys()) | set(pi.keys())]
     if not residuals:
-        return ConsistencyReport(True, None, None)
-    worst = max(residuals, key=lambda k: (residuals[k], _sort_key(k)))
-    return ConsistencyReport(residuals[worst] <= tol, residuals[worst], worst)
-
-
-def is_sub_consistent(pi: FiniteMeasure, p: ProbMeasure, tol: Scalar = 0) -> ConsistencyReport:
-    """Check that the link marginal of ``p`` is dominated by ``pi`` pointwise:
-
-        link_marginal(p)(a, b) <= pi(a, b) + tol   for every (a, b).
-    """
-    return _link_report(pi, p, tol, absolute=False)
-
-
-def is_consistent(pi: FiniteMeasure, p: ProbMeasure, tol: Scalar = 0) -> ConsistencyReport:
-    """Like :func:`is_sub_consistent` but demanding pointwise equality:
-    ``|link_marginal(p)(a, b) - pi(a, b)| <= tol`` for every (a, b)."""
-    return _link_report(pi, p, tol, absolute=True)
+        return ConsistencyReport(True, None)
+    worst = max(residuals)
+    return ConsistencyReport(worst <= tol, worst)
 
 
 def total_variation(mu: FiniteMeasure, nu: FiniteMeasure) -> Scalar:
@@ -433,3 +423,14 @@ def config_int(value: object, field: str) -> int:
                                        isinstance(value, float) and value.is_integer()):
         raise ValueError(f"{field} = {value!r} is not an integer")
     return int(value)
+
+
+def config_float(value: object, field: str) -> float:
+    """A real field of a JSON config: an int or a float, not a bool, that is
+    finite as a float; anything else raises ValueError naming the field."""
+    try:
+        if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise ValueError(f"{field} = {value!r} is not a finite number")

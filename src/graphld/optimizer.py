@@ -1,10 +1,11 @@
 """Entropy projection onto linearly constrained degree laws.
 
 Minimizes H(p || q_ref) over probability vectors p on {0..K} (q_ref given by
-its K + 1 positive values) subject to linear equalities <f, p> = r and
-inequalities <f, p> >= r (the simplex constraint is implicit and always
-active).  This is the machinery behind predicted decay rates for degree-law
-events: the infimum of the mean-c Poisson rate function over an event set.
+its K + 1 positive values: its length fixes K) subject to linear equalities
+<f, p> = r and inequalities <f, p> >= r (the simplex constraint is implicit
+and always active).  This is the machinery behind predicted decay rates for
+degree-law events: the infimum of the mean-c Poisson rate function over an
+event set.
 
 Algorithm: for fixed dual multipliers the minimizer is q_ref tilted by the
 multiplier-weighted constraint vectors, normalized on the simplex.  So, with
@@ -32,10 +33,11 @@ Constraint vectors are ``Functional``s that keep the name they were
 written with: ``mean``, ``pmf@k``, or explicit coefficients.  They extend by
 zero beyond K, except the mean, which stays f(k) = k at every degree; so an
 event written on {0..K} ignores any other degree-law mass above K.  The
-solve reads them as float vectors.  Whether a sampled graph's degree law
-lies in the event is decided by one exact rule, on its integer degree
-counts: ``ConstraintSet.holds_on_counts`` reads coefficients and thresholds
-as their shortest decimals, so an equality holds only on lattice points.
+solve reads them as float vectors (from JSON by ``measures.config_float``).
+Whether a sampled graph's degree law lies in the event is decided by one
+exact rule, on its integer degree counts: ``ConstraintSet.holds_on_counts``
+reads coefficients and thresholds as their shortest decimals, so an
+equality holds only on lattice points.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import linprog
 
-from .measures import ProbMeasure, config_int
+from .measures import ProbMeasure, config_float, config_int
 from .rate import poisson_pmf, poisson_tail
 
 KKT_TOL = 1e-6
@@ -250,13 +252,13 @@ class ConstraintSet:
                     idx = int(k)
                     if not 0 <= idx <= cap:
                         raise ValueError(f"coefficient index {idx} outside 0..{cap}")
-                    f[idx] = float(coef)
+                    f[idx] = config_float(coef, f"coefficient {k}")
                 return Functional(f)
             raise ValueError(f"unsupported constraint vector spec {spec!r}")
 
         def parse_block(name):
             items = obj.get(name, [])
-            return [(parse_vector(item["f"]), float(item["r"])) for item in items]
+            return [(parse_vector(item["f"]), config_float(item["r"], "r")) for item in items]
 
         return cls(cap, parse_block("eq"), parse_block("ge"))
 
@@ -310,10 +312,10 @@ class Optimum:
         }
 
 
-def _as_reference(q_ref: VectorLike, support_cap: int) -> np.ndarray:
+def _as_reference(q_ref: VectorLike) -> np.ndarray:
     q = np.asarray(q_ref, dtype=float)
-    if q.shape != (support_cap + 1,):
-        raise ValueError(f"reference has shape {q.shape}, expected ({support_cap + 1},)")
+    if q.ndim != 1:
+        raise ValueError(f"reference has shape {q.shape}, expected a vector q(0..K)")
     if np.any(q <= 0):
         raise ValueError("reference law must be strictly positive on 0..K")
     return q
@@ -348,8 +350,9 @@ def minimize_relative_entropy(q_ref: VectorLike, cons: ConstraintSet, *,
     The objective is strictly convex on the simplex, so the minimizer is
     unique.  See the module docstring for the algorithm.
     """
-    cap = cons.support_cap
-    q = _as_reference(q_ref, cap)
+    q = _as_reference(q_ref)
+    if len(q) != cons.support_cap + 1:
+        raise ValueError(f"reference has {len(q)} values, expected {cons.support_cap + 1}")
     check_feasible(cons)
 
     feq, req = cons.eq_arrays()
@@ -426,15 +429,14 @@ def minimize_relative_entropy(q_ref: VectorLike, cons: ConstraintSet, *,
                    tuple(x[:n_eq]), tuple(x[n_eq:]), residual, iterations, converged)
 
 
-def tilted_family(q_ref: VectorLike, theta: float, support_cap: int) -> ProbMeasure:
+def tilted_family(q_ref: VectorLike, theta: float) -> ProbMeasure:
     """Exponentially tilted reference: p(k) = q_ref(k) e^(theta k) / Z on
-    {0..support_cap}, ``q_ref`` holding the support_cap + 1 values q(0..K).
+    {0..K}, ``q_ref`` holding the K + 1 values q(0..K).
     The mean is continuous and strictly increasing in theta, which makes
     this the solution family for single-mean projections.
     """
-    q = _as_reference(q_ref, support_cap)
-    k = np.arange(support_cap + 1)
-    logits = np.log(q) + theta * k
+    q = _as_reference(q_ref)
+    logits = np.log(q) + theta * np.arange(len(q))
     logits -= np.max(logits)
     w = np.exp(logits)
     w /= w.sum()

@@ -21,9 +21,10 @@ are per-node exponents in base e):
 * ``degree_rate(c, p)``       = H(p || Poisson(c)) if mean(p) = c, else
   +infinity -- the single-type reduction of ``typed_rate``.
 
-Feasibility tolerances are explicit: empirical measures from graphs match
-their constraints exactly (rational arithmetic, default tol 0) while
-analytically constructed measures carry float error (default tol 1e-9).
+Sub-consistency and the pair (eta, pi) are checked by ``measures``, as the
+sampler checks them.  Empirical measures from graphs match their constraints
+exactly (rational arithmetic, default tol 0); float inputs carry float error
+(default tol ``measures.INPUT_TOL`` = 1e-9).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from typing import Callable, Dict, Iterator, Tuple, Union
 from scipy.special import pdtr, pdtrc
 
 from .measures import (
+    INPUT_TOL,
     CountingMeasure,
     FiniteMeasure,
     Key,
@@ -44,15 +46,12 @@ from .measures import (
     Scalar,
     TypeAlphabet,
     is_sub_consistent,
-    link_law_problem,
+    law_pair_problem,
     total_variation,
     type_marginal,
 )
 
 _INF = float("inf")
-
-#: Default feasibility tolerance for float-valued inputs.
-FLOAT_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -106,12 +105,10 @@ class ReferenceLaw:
     __slots__ = ("type_law", "link_law", "alphabet", "_log_eta", "_rates", "_row_sums")
 
     def __init__(self, type_law: ProbMeasure, link_law: FiniteMeasure):
-        if type_law.kind() != "type":
-            raise ValueError("type_law must be a measure over type labels")
-        alphabet = TypeAlphabet(type_law.keys())
-        problem = link_law_problem(link_law, alphabet)
+        problem = law_pair_problem(type_law, link_law)
         if problem:
             raise ValueError(problem)
+        alphabet = TypeAlphabet(type_law.keys())
         self.type_law = type_law
         self.link_law = link_law
         self.alphabet = alphabet
@@ -225,7 +222,7 @@ def _default_tol(*inputs) -> Scalar:
     for x in inputs:
         exact = x.is_exact() if isinstance(x, FiniteMeasure) else isinstance(x, Rational)
         if not exact:
-            return FLOAT_TOL
+            return INPUT_TOL
     return 0
 
 
@@ -273,13 +270,10 @@ def degree_rate(c: Scalar, p: ProbMeasure, tol: Union[Scalar, None] = None) -> R
     return RateResult(value, feasible, float(mismatch), 0.0)
 
 
-def embed_degree_law(p: ProbMeasure, label: str = "a") -> ProbMeasure:
-    """Lift a degree law to the single-type locality space: k -> (label, {label: k}).
+def embed_degree_law(p: ProbMeasure) -> ProbMeasure:
+    """Lift a degree law to the single-type locality space: k -> (a, {a: k}).
 
     Under this embedding, ``degree_rate(mean(p), p)`` and ``typed_rate`` with
-    the point type law at ``label`` and link mass mean(p) at (label, label)
-    agree.
+    the point type law at ``a`` and link mass mean(p) at (a, a) agree.
     """
-    return ProbMeasure(
-        {(label, CountingMeasure({label: k} if k else {})): w for k, w in p.items()}
-    )
+    return ProbMeasure({("a", CountingMeasure({"a": k} if k else {})): w for k, w in p.items()})

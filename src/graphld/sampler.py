@@ -25,9 +25,10 @@ closed-form decode, ``_Block.pairs``, turns pair indices into node pairs for
 every draw, degree histograms included, and ``oracle``'s enumeration.  It is
 exact up to ``MAX_GROUP_SIZE`` = 2**24 nodes, so larger groups with links
 inside are rejected (cross blocks decode exactly at any size).  Key
-widths, the decode and the empty-block skip leave the int64 index stream as
-it is, so seeded ``decay``, ``sample`` and ``sampled_class_counts`` output
-does not change with them.
+widths (a stable sort where no packed int64 key fits, as in G(16e6, 1e5)),
+the decode and the empty-block skip leave the int64 index stream as it is,
+so seeded ``decay``, ``sample`` and ``sampled_class_counts`` output does
+not change with them.
 
 RNG contract: every sampler consumes an explicit ``numpy.random.Generator``
 (PCG64 via ``numpy.random.default_rng``); identical seed + spec produces the
@@ -48,11 +49,8 @@ from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .graphs import Edge, TypedGraph
-from .measures import (FiniteMeasure, ProbMeasure, Scalar, TypeAlphabet, config_int, dirac,
-                       link_law_problem)
-
-#: Tolerance when checking that n * weight is an integer for float weights.
-COUNT_TOL = 1e-9
+from .measures import (INPUT_TOL, FiniteMeasure, ProbMeasure, Scalar, TypeAlphabet, config_int,
+                       dirac, law_pair_problem)
 
 #: Largest type group with within-type links: ``_unrank_pairs_np`` is exact up to here.
 MAX_GROUP_SIZE = 2**24
@@ -133,8 +131,8 @@ def _as_count(x: Scalar, what: str) -> int:
             raise InadmissibleSpecError(f"{what} = {x} is not an integer")
         return int(x)
     rounded = round(x)
-    if abs(x - rounded) > COUNT_TOL:
-        raise InadmissibleSpecError(f"{what} = {x!r} is not an integer (tol {COUNT_TOL})")
+    if abs(x - rounded) > INPUT_TOL:
+        raise InadmissibleSpecError(f"{what} = {x!r} is not an integer (tol {INPUT_TOL})")
     return int(rounded)
 
 
@@ -145,12 +143,10 @@ def _analyze(spec: ConditionSpec) -> Tuple[Tuple[str, ...], Tuple[_Block, ...]]:
     """
     if spec.n < 1:
         raise InadmissibleSpecError(f"n = {spec.n} must be >= 1")
-    if spec.type_law.kind() != "type":
-        raise InadmissibleSpecError("eta must be a measure over type labels")
-    alphabet = TypeAlphabet(spec.type_law.keys())
-    problem = link_law_problem(spec.link_law, alphabet)
+    problem = law_pair_problem(spec.type_law, spec.link_law)
     if problem:
         raise InadmissibleSpecError(problem)
+    alphabet = TypeAlphabet(spec.type_law.keys())
 
     sizes = {a: _as_count(spec.n * spec.type_law(a), f"n*eta({a})") for a in alphabet}
     if sum(sizes.values()) != spec.n:
@@ -292,9 +288,10 @@ def _unrank_pairs_np(idx: np.ndarray, n: int, start: int = 0) -> Tuple[np.ndarra
 
 
 @functools.lru_cache(maxsize=256)
-def _stream_layout(capacity: int, m: int) -> Tuple[int, int, type]:
+def _stream_layout(capacity: int, m: int) -> Tuple[int, int, Optional[type]]:
     """``_subset_rows``'s stream length L, position bits and key type for
-    m-subsets of range(capacity) (not the positions: L can reach millions)."""
+    m-subsets of range(capacity) (not the positions: L can reach millions);
+    the key type is None where no packed int64 key fits."""
     # L = mean + 4 sd of the number of draws needed to see m distinct values:
     # a sum of geometric waits, success probabilities (capacity - j) / capacity
     seen = np.arange(m)
@@ -302,7 +299,8 @@ def _stream_layout(capacity: int, m: int) -> Tuple[int, int, type]:
     sd = math.sqrt(np.sum(seen * capacity / (capacity - seen) ** 2.0))
     length = math.ceil(mean + 4.0 * sd)
     bits = (length - 1).bit_length()
-    key_type = np.int32 if capacity << bits < 2**31 else np.int64
+    key_type = (np.int32 if capacity << bits < 2**31 else
+                np.int64 if capacity << bits < 2**63 else None)
     return length, bits, key_type
 
 
@@ -323,19 +321,24 @@ def _subset_rows(rng: np.random.Generator, capacity: int, m: int, rows: int) -> 
     small labels.)
     """
     length, bits, key_type = _stream_layout(capacity, m)
-    positions = np.arange(length, dtype=key_type)
+    positions = None if key_type is None else np.arange(length, dtype=key_type)
     out = np.empty((rows, m), dtype=np.int64)
     todo = np.arange(rows)
     while todo.size:
-        # value << bits | position sorts by value, then by draw position; the
-        # draws stay int64 whatever the key width, so the stream is the same
-        keys = rng.integers(0, capacity, size=(todo.size, length)).astype(key_type, copy=False)
-        keys <<= bits
-        keys |= positions
-        keys.sort(axis=1)
-        values = keys >> bits
-        position = keys & ((1 << bits) - 1)
-        first = np.ones(keys.shape, dtype=bool)
+        # sort each row by value, then by draw position; the draws stay int64
+        # whatever the key width, so the stream is the same
+        draws = rng.integers(0, capacity, size=(todo.size, length))
+        if key_type is None:  # no packed key fits: a stable sort, in the same order
+            position = np.argsort(draws, axis=1, kind="stable")
+            values = np.take_along_axis(draws, position, axis=1)
+        else:  # value << bits | position
+            keys = draws.astype(key_type, copy=False)
+            keys <<= bits
+            keys |= positions
+            keys.sort(axis=1)
+            values = keys >> bits
+            position = keys & ((1 << bits) - 1)
+        first = np.ones(draws.shape, dtype=bool)
         np.not_equal(values[:, 1:], values[:, :-1], out=first[:, 1:])
         # column m of the draw positions of first occurrences (`length`
         # elsewhere) is where the (m+1)-th distinct value first appears; when

@@ -606,3 +606,47 @@ def test_bool_weights_exit_1(tmp_path, capsys, spec):
 def test_malformed_spec_laws_exit_2_from_sample(tmp_path, capsys, spec, message):
     assert run_main(tmp_path, "sample", {"spec": spec}, "--seed", "1") == (2, None)
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+HUGE = 10**400  # standard JSON, but beyond the float range
+RATE_CONFIG = {"c": 2.0, "p": {"2": 1.0}, "tol": 1.0}
+EXPLICIT_CONFIG = {"c": 2.0, "K": 50, "constraints": {"K": 1, "ge": [{"f": {"0": 1.0}, "r": 0.3}]}}
+REFERENCE_CONFIG = {"q": {"0": 1.0, "1": 2.0, "2": 1.0},
+                    "constraints": {"K": 2, "ge": [{"f": "pmf@0", "r": 0.5}]}}
+
+
+@pytest.mark.parametrize("command, config, path, name, extra", [
+    ("decay", DECAY_CONFIG, ("c",), "c", ("--seed", "5")),
+    ("rate", RATE_CONFIG, ("c",), "c", ()),
+    ("rate", RATE_CONFIG, ("tol",), "tol", ()),
+    ("optimize", OPTIMIZE_CONFIG, ("c",), "c", ()),
+    ("optimize", OPTIMIZE_CONFIG, ("constraints", "ge", 0, "r"), "r", ()),
+    ("optimize", EXPLICIT_CONFIG, ("constraints", "ge", 0, "f", "0"), "coefficient 0", ()),
+    ("optimize", REFERENCE_CONFIG, ("q", "1"), "q[1]", ()),
+], ids=["decay.c", "rate.c", "rate.tol", "optimize.c", "optimize.r", "optimize.coefficient",
+        "optimize.q"])
+def test_float_config_fields_read_numbers_and_refuse_the_rest(
+        tmp_path, capsys, command, config, path, name, extra):
+    """An integral float and its int give the same bytes; a bool, a string
+    or an int beyond the float range exits 1, naming the field.  A bool used
+    to read as 0 or 1 (``rate`` at c = 1.0, ``optimize`` at r = 0.0), and a
+    huge int ended in an OverflowError traceback."""
+    def with_value(value):
+        copy = json.loads(json.dumps(config))
+        node = copy
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return copy
+
+    node = config
+    for key in path:
+        node = node[key]
+    code, text = run_main(tmp_path, command, config, *extra)
+    assert code == 0
+    if node.is_integer():
+        assert run_main(tmp_path, command, with_value(int(node)), *extra) == (0, text)
+    capsys.readouterr()
+    for bad in (True, False, str(node), HUGE, -HUGE):
+        assert run_main(tmp_path, command, with_value(bad), *extra) == (1, None)
+        assert capsys.readouterr().err == f"error: {name} = {bad!r} is not a finite number\n"

@@ -1,6 +1,8 @@
 """Measures, marginal maps, consistency checks, total variation."""
 
 import dataclasses
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -11,11 +13,11 @@ from graphld.measures import (
     FiniteMeasure,
     ProbMeasure,
     TypeAlphabet,
+    config_float,
     dirac,
     encode_key,
     decode_key,
     encode_measure,
-    is_consistent,
     is_sub_consistent,
     link_marginal,
     marginal_pair,
@@ -182,7 +184,7 @@ def test_link_marginal_is_linear():
 def test_consistency_equality_case():
     pi = FiniteMeasure({(A, B): 2})
     p = dirac(atom(A, {B: 2}))
-    assert is_consistent(pi, p, 0)
+    assert link_marginal(p) == pi
     assert is_sub_consistent(pi, p, 0)
 
 
@@ -192,14 +194,13 @@ def test_sub_consistency_violation_reports_residual():
     report = is_sub_consistent(pi, p, 0)
     assert not report
     assert report.max_residual == 1
-    assert report.worst_key == (A, B)
 
 
 def test_sub_consistent_but_not_consistent():
     pi = FiniteMeasure({(A, B): 3})
     p = dirac(atom(A, {B: 2}))
     assert is_sub_consistent(pi, p, 0)
-    assert not is_consistent(pi, p, 0)
+    assert link_marginal(p) != pi
 
 
 def test_consistent_implies_sub_consistent_random():
@@ -207,7 +208,7 @@ def test_consistent_implies_sub_consistent_random():
     for _ in range(50):
         p = random_locality_measure(rng)
         pi = link_marginal(p)  # exactly consistent by construction
-        assert is_consistent(pi, p, 0)
+        assert link_marginal(p) == pi
         assert is_sub_consistent(pi, p, 0)
 
 
@@ -263,3 +264,27 @@ def test_encode_measure_writes_float_weights_as_their_exact_fractions():
     assert encode_measure(ProbMeasure({A: 0.5, B: 0.5})) == "a=1/2; b=1/2"
     assert encode_measure(FiniteMeasure({(A, B): 3.0, (B, A): 3})) == "a,b=3; b,a=3"
     assert encode_measure(FiniteMeasure({0: 0.1})) == "0=3602879701896397/36028797018963968"
+
+
+def test_exact_weights_must_have_mass_exactly_one():
+    """``PROB_MASS_TOL`` forgives float mass only: exact weights whose mass
+    misses 1 by 1e-13 used to build a measure whose ``total_mass() == 1`` was
+    False."""
+    near = Fraction(1, 2) + Fraction(1, 10**13)
+    with pytest.raises(ValueError, match="sum to 10000000000001/10000000000000, not 1"):
+        ProbMeasure({A: Fraction(1, 2), B: near})
+    assert ProbMeasure({A: 0.5, B: float(near)}).total_mass() != 1
+    assert ProbMeasure({A: Fraction(1, 2), B: Fraction(1, 2)}).total_mass() == 1
+
+
+@pytest.mark.parametrize("value", [2, -3, 2.5, 0.0, 10**300])
+def test_config_float_reads_finite_numbers(value):
+    assert config_float(value, "c") == float(value)
+    assert type(config_float(value, "c")) is float
+
+
+@pytest.mark.parametrize("value", [True, False, None, "2.0", [2.0], math.inf, math.nan, 10**400,
+                                   -10**400])
+def test_config_float_refuses_the_rest_naming_the_field(value):
+    with pytest.raises(ValueError, match=re.escape(f"c = {value!r} is not a finite number")):
+        config_float(value, "c")

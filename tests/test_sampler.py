@@ -372,6 +372,35 @@ def test_subset_kernel_rows_are_distinct_subsets(capacity, data, rows, seed):
     assert np.all((out >= 0) & (out < capacity))
 
 
+@pytest.mark.parametrize("capacity, m, rows", [
+    (10, 9, 200), (6, 6, 4), (15, 6, 50), (5456, 100, 300), (2**21, 2000, 20)])
+def test_wide_key_path_draws_what_the_packed_keys_draw(monkeypatch, capacity, m, rows):
+    """Where no packed int64 key fits, ``_subset_rows`` orders each row's
+    draws with a stable sort.  Forced on small blocks, that path returns the
+    packed path's arrays and leaves the generator in the same state, redraws
+    of nearly full blocks included."""
+    packed_rng = np.random.default_rng(31)
+    packed = _subset_rows(packed_rng, capacity, m, rows)
+    layout = sampler._stream_layout
+    monkeypatch.setattr(sampler, "_stream_layout", lambda c, k: (*layout(c, k)[:2], None))
+    wide_rng = np.random.default_rng(31)
+    assert np.array_equal(_subset_rows(wide_rng, capacity, m, rows), packed)
+    assert wide_rng.bit_generator.state == packed_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("capacity, m", [(16_000_000 * 15_999_999 // 2, 100_000),
+                                         (2**50, 13_422)], ids=["G(16e6,1e5)", "cross-2**50"])
+def test_blocks_too_wide_for_packed_keys_draw_distinct_sorted_indices(capacity, m):
+    """Past ``capacity << bits < 2**63`` the packed keys used to wrap
+    negative, and ``graphld sample`` on G(16e6, 1e5) wrote edges out of the
+    node range."""
+    out = _subset_rows(np.random.default_rng(3), capacity, m, 2)
+    assert out.shape == (2, m)
+    assert np.all(np.diff(out, axis=1) > 0)
+    assert np.all((out >= 0) & (out < capacity))
+    assert sampler._stream_layout(capacity, m)[2] is None  # the stable-sort path ran
+
+
 def test_erdos_renyi_extremes_and_bounds():
     rng = np.random.default_rng(0)
     assert sample_erdos_renyi(5, 0, rng).edges == frozenset()
