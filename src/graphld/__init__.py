@@ -19,7 +19,6 @@ from .measures import (
     CountingMeasure,
     FiniteMeasure,
     ProbMeasure,
-    TypeAlphabet,
     dirac,
     encode_measure,
     is_sub_consistent,
@@ -65,8 +64,8 @@ from .sampler import (
 __version__ = "0.2.1"
 
 __all__ = [
-    "CountingMeasure", "FiniteMeasure", "ProbMeasure", "TypeAlphabet",
-    "dirac", "encode_measure", "is_sub_consistent",
+    "CountingMeasure", "FiniteMeasure", "ProbMeasure", "dirac",
+    "encode_measure", "is_sub_consistent",
     "link_marginal", "marginal_pair", "total_variation", "type_marginal",
     "TypedGraph", "degree_distribution", "empirical_link_measure",
     "empirical_locality_measure", "empirical_type_measure",

@@ -45,7 +45,8 @@ from .graphs import (
     empirical_locality_measure,
     empirical_type_measure,
 )
-from .measures import CountingMeasure, FiniteMeasure, ProbMeasure, config_float, config_int
+from .measures import (CountingMeasure, FiniteMeasure, ProbMeasure, config_float, config_int,
+                       decoded_items)
 from .oracle import EnumerationGuardError, lldp_exponent_gap, type_class_counts
 from .optimizer import (
     ConstraintSet,
@@ -247,7 +248,7 @@ def run_optimize(config: Dict[str, object]) -> Dict[str, object]:
         optimum = rate_infimum_for_event(config_float(config["c"], "c"), cons,
                                          None if cap is None else config_int(cap, "K"))
     else:
-        q_obj = {int(k): config_float(v, f"q[{k}]") for k, v in config["q"].items()}
+        q_obj = {key: config_float(v, f"q[{k}]") for key, k, v in decoded_items(config["q"], int)}
         q = [q_obj.get(k, 0.0) for k in range(cons.support_cap + 1)]
         optimum = minimize_relative_entropy(q, cons)
     if not optimum.converged:

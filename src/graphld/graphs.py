@@ -7,7 +7,9 @@ rational arithmetic:
 * the empirical type measure    -- fraction of nodes of each type;
 * the empirical link measure    -- (1/n) x ordered count of adjacent type
   pairs (symmetric, total mass 2|E|/n);
-* the empirical locality measure -- law of (node type, neighbor-type multiset);
+* the empirical locality measure -- law of (node type, neighbor-type multiset),
+  from the graph's type-class key (``locality_atoms_of``: each distinct atom
+  with its node count), the one per-graph atom counter;
 * the degree distribution       -- law of node degree, mean exactly 2|E|/n.
 
 Exact arithmetic matters: graphs with equal locality measures must land in the
@@ -24,6 +26,10 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 from .measures import CountingMeasure, FiniteMeasure, ProbMeasure, _check_label
 
 Edge = Tuple[int, int]
+
+#: A type class: the sorted ``((type, neighbor-type counts), node count)``
+#: pairs of a graph; on n nodes, equal keys mean equal locality measures.
+ClassKey = Tuple[Tuple[Tuple[str, Tuple[Tuple[str, int], ...]], int], ...]
 
 
 @dataclass(frozen=True)
@@ -42,7 +48,7 @@ class TypedGraph:
         n = len(types)
         if n < 1:
             raise ValueError("graph needs at least one node")
-        for t in types:
+        for t in dict.fromkeys(types):  # each distinct label once, in node order
             _check_label(t)
         normalized = set()
         for u, v in edges:
@@ -126,33 +132,32 @@ def empirical_link_measure(z: TypedGraph) -> FiniteMeasure:
     return FiniteMeasure({k: Fraction(c, z.n) for k, c in counts.items()})
 
 
-def locality_atoms_of(types: Sequence[str], edges: Iterable[Edge]
-                      ) -> List[Tuple[str, Tuple[Tuple[str, int], ...]]]:
-    """Per-node locality atoms ``(type, sorted neighbor-type counts)`` for a
-    bare (types, edges) description.
+def locality_atoms_of(types: Sequence[str], edges: Iterable[Edge]) -> ClassKey:
+    """The type-class key of a bare (types, edges) description: each distinct
+    locality atom ``(type, sorted neighbor-type counts)`` with the number of
+    nodes that carry it, sorted.
 
-    Cheap building block shared by :func:`empirical_locality_measure` and the
-    enumeration census (``oracle._class_key``), which only needs hashable atoms.
+    The one per-graph atom counter: :func:`empirical_locality_measure` and
+    the enumeration census (``oracle._census``) both read it.
     """
-    n = len(types)
-    neigh: List[Dict[str, int]] = [{} for _ in range(n)]
+    neigh: List[Dict[str, int]] = [{} for _ in types]
     for u, v in edges:
         a, b = types[u - 1], types[v - 1]
         nu, nv = neigh[u - 1], neigh[v - 1]
         nu[b] = nu.get(b, 0) + 1
         nv[a] = nv.get(a, 0) + 1
-    return [(types[i], tuple(sorted(neigh[i].items()))) for i in range(n)]
+    counts: Dict[Tuple[str, Tuple[Tuple[str, int], ...]], int] = {}
+    for t, counted in zip(types, neigh):
+        atom = (t, tuple(sorted(counted.items())))
+        counts[atom] = counts.get(atom, 0) + 1
+    return tuple(sorted(counts.items()))
 
 
 def empirical_locality_measure(z: TypedGraph) -> ProbMeasure:
     """out = (1/n) * sum over nodes v of the point mass at
     ``(type(v), neighbor-type counts of v)``, exact."""
-    counts: Dict[Tuple[str, Tuple[Tuple[str, int], ...]], int] = {}
-    for atom in locality_atoms_of(z.types, z.edges):
-        counts[atom] = counts.get(atom, 0) + 1
-    return ProbMeasure(
-        {(a, CountingMeasure(e)): Fraction(k, z.n) for (a, e), k in counts.items()}
-    )
+    return ProbMeasure({(a, CountingMeasure(e)): Fraction(k, z.n)
+                        for (a, e), k in locality_atoms_of(z.types, z.edges)})
 
 
 def degree_distribution(z: TypedGraph) -> ProbMeasure:

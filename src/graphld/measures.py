@@ -2,7 +2,6 @@
 
 The building blocks are:
 
-* ``TypeAlphabet`` -- the finite, lexicographically ordered set of type labels.
 * ``CountingMeasure`` -- an integer multiset of types (a node's neighbor-type
   counts), hashable and canonically ordered.
 * ``FiniteMeasure`` / ``ProbMeasure`` -- non-negative weight functions over a
@@ -17,10 +16,13 @@ measure to its type law, ``link_marginal`` to its pair law
 and ``marginal_pair`` returns both at once.  ``is_sub_consistent``, the one
 consistency check, reports whether a pair law dominates the link marginal of
 a locality measure (the paper's condition for a finite rate) and the largest
-excess; ``law_pair_problem`` checks a pair (type law, link law).
+excess; ``law_pair_problem`` checks a pair (type law, link law), its type
+labels included: the one rule for labels, which ``_check_label`` shares.
 ``encode_measure`` writes a measure as one line, each weight an exact
 fraction, and ``encode_atom_counts`` the same text of a type class from its
-atom counts: the one spelling of a class.
+atom counts (a ``graphs.locality_atoms_of`` key): the one spelling of a
+class.  ``decoded_items`` reads the keys of a JSON object, refusing two
+spellings of one key.
 
 All values are immutable after construction and every function here is pure,
 so everything in this module is safe to share across threads.
@@ -40,7 +42,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Hashable, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 Scalar = Union[int, float, Fraction]
 
@@ -53,38 +55,18 @@ INPUT_TOL = 1e-9
 _LABEL_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
 
 
+def _label_problem(label: object) -> Optional[str]:
+    """Why ``label`` is not a type label, or None."""
+    if isinstance(label, str) and _LABEL_RE.match(label):
+        return None
+    return f"invalid type label {label!r} (allowed: [A-Za-z0-9_.-]+)"
+
+
 def _check_label(label: str) -> str:
-    if not isinstance(label, str) or not _LABEL_RE.match(label):
-        raise ValueError(f"invalid type label {label!r} (allowed: [A-Za-z0-9_.-]+)")
+    problem = _label_problem(label)
+    if problem:
+        raise ValueError(problem)
     return label
-
-
-@dataclass(frozen=True)
-class TypeAlphabet:
-    """An ordered finite set of type labels.
-
-    Labels are stored in lexicographic order; that order is the canonical one
-    used by every serialization and iteration in the package.
-    """
-
-    symbols: Tuple[str, ...]
-
-    def __init__(self, symbols: Iterable[str]):
-        syms = tuple(sorted(_check_label(s) for s in symbols))
-        if not syms:
-            raise ValueError("alphabet must contain at least one label")
-        if len(set(syms)) != len(syms):
-            raise ValueError("alphabet labels must be unique")
-        object.__setattr__(self, "symbols", syms)
-
-    def index(self, label: str) -> int:
-        return self.symbols.index(label)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.symbols)
-
-    def __contains__(self, label: object) -> bool:
-        return label in self.symbols
 
 
 @dataclass(frozen=True)
@@ -188,6 +170,20 @@ def decode_key(text: str, kind: str) -> Key:
     raise ValueError(f"unknown key kind {kind!r}")
 
 
+def decoded_items(obj: Mapping[str, object], decode: Callable[[str], Hashable]
+                  ) -> Iterator[Tuple[Hashable, str, object]]:
+    """``(decode(text), text, value)`` for each item of a JSON object.  Two
+    spellings of one key (``"2"`` and ``"02"`` of degree 2) raise ValueError
+    naming both, rather than one silently overwriting the other."""
+    spellings: Dict[Hashable, str] = {}
+    for text, value in obj.items():
+        key = decode(text)
+        if key in spellings:
+            raise ValueError(f"keys {spellings[key]!r} and {text!r} are the same key")
+        spellings[key] = text
+        yield key, text, value
+
+
 def _sort_key(key: Key):
     kind = key_kind(key)
     if kind == "degree":
@@ -280,7 +276,7 @@ class FiniteMeasure:
 
     @classmethod
     def from_json_dict(cls, obj: Mapping[str, Scalar], kind: str) -> "FiniteMeasure":
-        return cls({decode_key(k, kind): v for k, v in obj.items()})
+        return cls({key: v for key, _, v in decoded_items(obj, lambda k: decode_key(k, kind))})
 
 
 class ProbMeasure(FiniteMeasure):
@@ -336,10 +332,15 @@ def marginal_pair(p: ProbMeasure) -> Tuple[ProbMeasure, FiniteMeasure]:
 
 def law_pair_problem(type_law: FiniteMeasure, link_law: FiniteMeasure) -> Optional[str]:
     """The first reason ``(type_law, link_law)`` is not a constraint pair, or
-    None: ``type_law`` must be over type labels, and ``link_law`` a symmetric
-    measure over pairs of them.  Float weights are symmetric to 1e-12."""
+    None: ``type_law`` must be over valid type labels, and ``link_law`` a
+    symmetric measure over pairs of them.  Float weights are symmetric to
+    1e-12."""
     if type_law.kind() != "type":
         return "eta must be a measure over type labels"
+    for a in type_law.keys():
+        problem = _label_problem(a)
+        if problem:
+            return problem
     if link_law.kind() not in (None, "pair"):
         return "link law must be a measure over type pairs"
     sym_tol = 0 if link_law.is_exact() else 1e-12

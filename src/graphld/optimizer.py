@@ -52,7 +52,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import linprog
 
-from .measures import ProbMeasure, config_float, config_int
+from .measures import ProbMeasure, config_float, config_int, decoded_items
 from .rate import poisson_pmf, poisson_tail
 
 KKT_TOL = 1e-6
@@ -248,8 +248,7 @@ class ConstraintSet:
                 return point_vector(int(spec[4:]), cap)
             if isinstance(spec, Mapping):
                 f = [0.0] * (cap + 1)
-                for k, coef in spec.items():
-                    idx = int(k)
+                for idx, k, coef in decoded_items(spec, int):
                     if not 0 <= idx <= cap:
                         raise ValueError(f"coefficient index {idx} outside 0..{cap}")
                     f[idx] = config_float(coef, f"coefficient {k}")

@@ -6,7 +6,8 @@ be enumerated outright at desk scale (guarded at 1e8 graphs).  On top of the
 enumeration sit:
 
 * ``type_class_counts`` -- group the support by exact empirical locality
-  measure (the type classes); ``sampled_class_counts`` groups Monte Carlo
+  measure (the type classes), each graph keyed by
+  ``graphs.locality_atoms_of``; ``sampled_class_counts`` groups Monte Carlo
   draws the same way, in batches keyed by ``_class_keys``; both name a class
   by ``measures.encode_atom_counts`` of its key;
 * ``exact_event_probability`` -- the exact rational probability of any
@@ -34,7 +35,7 @@ from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .graphs import Edge, TypedGraph, empirical_locality_measure, locality_atoms_of
+from .graphs import ClassKey, Edge, TypedGraph, empirical_locality_measure, locality_atoms_of
 from .measures import ProbMeasure, encode_atom_counts, encode_key, encode_measure
 from .rate import ReferenceLaw, relative_entropy
 from .sampler import BATCH_ENTRIES, ConditionalSampler, ConditionSpec, _as_count
@@ -88,18 +89,6 @@ def enumerate_support(spec: ConditionSpec) -> Iterator[TypedGraph]:
         yield TypedGraph(sampler.types, edges)
 
 
-# A type class is keyed internally by the sorted multiset of per-node locality
-# atoms; two graphs on n nodes have equal locality measures iff these match.
-_ClassKey = Tuple[Tuple[Tuple[str, Tuple[Tuple[str, int], ...]], int], ...]
-
-
-def _class_key(types: Sequence[str], edges) -> _ClassKey:
-    counts: Dict = {}
-    for atom in locality_atoms_of(types, edges):
-        counts[atom] = counts.get(atom, 0) + 1
-    return tuple(sorted(counts.items()))
-
-
 def _row_ids(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Ids of the distinct rows of a 2-D int64 array in ``np.lexsort`` order
     (last column most significant): ``(ids, first)``, ``rows[first[ids[i]]]``
@@ -128,8 +117,8 @@ def _row_ids(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _class_keys(labels: Sequence[str], node_type: np.ndarray, u: np.ndarray,
-                v: np.ndarray) -> Tuple[List[_ClassKey], np.ndarray]:
-    """``_class_key`` of every graph (u[i], v[i]) of a batch (endpoint arrays
+                v: np.ndarray) -> Tuple[List[ClassKey], np.ndarray]:
+    """``locality_atoms_of`` of every graph (u[i], v[i]) of a batch (endpoint arrays
     as ``ConditionalSampler.sample_batch`` returns them), without a Python
     loop over graphs: the distinct keys, and each graph's index into them.
     ``labels, node_type`` is ``np.unique(types, return_inverse=True)``."""
@@ -179,15 +168,15 @@ class EnumerationReport:
         }
 
 
-def _census(sampler: ConditionalSampler) -> Tuple[Dict[_ClassKey, int],
-                                                   Dict[_ClassKey, List[Edge]]]:
+def _census(sampler: ConditionalSampler) -> Tuple[Dict[ClassKey, int],
+                                                   Dict[ClassKey, List[Edge]]]:
     """The one pass over the support: the number of graphs of each type
     class, and the edge list of each class's first graph, both in the order
     classes first appear."""
-    counts: Dict[_ClassKey, int] = {}
-    firsts: Dict[_ClassKey, List[Edge]] = {}
+    counts: Dict[ClassKey, int] = {}
+    firsts: Dict[ClassKey, List[Edge]] = {}
     for edges in _support_edges(sampler):
-        key = _class_key(sampler.types, edges)
+        key = locality_atoms_of(sampler.types, edges)
         counts[key] = counts.get(key, 0) + 1
         firsts.setdefault(key, edges)
     return counts, firsts
@@ -271,7 +260,7 @@ def sampled_class_counts(spec: ConditionSpec, num_samples: int,
     labels = labels.tolist()
     edges = sum(block.edge_count for block in sampler.blocks)
     step = max(1, BATCH_ENTRIES // max(spec.n * (len(labels) + 1), edges))
-    counts: Dict[_ClassKey, int] = {}
+    counts: Dict[ClassKey, int] = {}
     for start in range(0, num_samples, step):
         u, v = sampler.sample_batch(rng, min(step, num_samples - start))
         keys, class_ids = _class_keys(labels, node_type, u, v)

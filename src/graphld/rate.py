@@ -44,7 +44,6 @@ from .measures import (
     Key,
     ProbMeasure,
     Scalar,
-    TypeAlphabet,
     is_sub_consistent,
     law_pair_problem,
     total_variation,
@@ -108,10 +107,9 @@ class ReferenceLaw:
         problem = law_pair_problem(type_law, link_law)
         if problem:
             raise ValueError(problem)
-        alphabet = TypeAlphabet(type_law.keys())
         self.type_law = type_law
         self.link_law = link_law
-        self.alphabet = alphabet
+        self.alphabet = alphabet = type_law.keys()  # sorted, distinct and valid
         self._log_eta = {a: math.log(type_law(a)) for a in alphabet}
         self._rates = {
             a: {b: float(link_law((a, b))) / float(type_law(a)) for b in alphabet}
@@ -156,11 +154,10 @@ class ReferenceLaw:
 
     def iter_atoms(self, max_total: int) -> Iterator[Tuple[Tuple[str, CountingMeasure], float]]:
         """Yield every atom ``((a, e), q(a, e))`` with ``total(e) <= max_total``."""
-        symbols = self.alphabet.symbols
-        for a in symbols:
-            for vec in itertools.product(range(max_total + 1), repeat=len(symbols)):
+        for a in self.alphabet:
+            for vec in itertools.product(range(max_total + 1), repeat=len(self.alphabet)):
                 if sum(vec) <= max_total:
-                    e = CountingMeasure(tuple(zip(symbols, vec)))
+                    e = CountingMeasure(tuple(zip(self.alphabet, vec)))
                     yield (a, e), self.pmf(a, e)
 
     def truncated(self, max_total: int) -> ProbMeasure:

@@ -49,8 +49,8 @@ from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .graphs import Edge, TypedGraph
-from .measures import (INPUT_TOL, FiniteMeasure, ProbMeasure, Scalar, TypeAlphabet, config_int,
-                       dirac, law_pair_problem)
+from .measures import (INPUT_TOL, FiniteMeasure, ProbMeasure, Scalar, config_int, dirac,
+                       law_pair_problem)
 
 #: Largest type group with within-type links: ``_unrank_pairs_np`` is exact up to here.
 MAX_GROUP_SIZE = 2**24
@@ -146,27 +146,26 @@ def _analyze(spec: ConditionSpec) -> Tuple[Tuple[str, ...], Tuple[_Block, ...]]:
     problem = law_pair_problem(spec.type_law, spec.link_law)
     if problem:
         raise InadmissibleSpecError(problem)
-    alphabet = TypeAlphabet(spec.type_law.keys())
+    labels = spec.type_law.keys()  # sorted, distinct and valid
 
-    sizes = {a: _as_count(spec.n * spec.type_law(a), f"n*eta({a})") for a in alphabet}
+    sizes = {a: _as_count(spec.n * spec.type_law(a), f"n*eta({a})") for a in labels}
     if sum(sizes.values()) != spec.n:
         raise InadmissibleSpecError(
             f"type counts {sizes} sum to {sum(sizes.values())}, not n = {spec.n}")
-    if any(sizes[a] > MAX_GROUP_SIZE and spec.link_law((a, a)) for a in alphabet):
+    if any(sizes[a] > MAX_GROUP_SIZE and spec.link_law((a, a)) for a in labels):
         raise InadmissibleSpecError(f"type counts {sizes} exceed the decode limit {MAX_GROUP_SIZE}")
 
     starts = {}
     next_id = 1
     types: List[str] = []
-    for a in alphabet:
+    for a in labels:
         starts[a] = next_id
         types.extend([a] * sizes[a])
         next_id += sizes[a]
 
     blocks: List[_Block] = []
-    symbols = alphabet.symbols
-    for i, a in enumerate(symbols):
-        for b in symbols[i:]:
+    for i, a in enumerate(labels):
+        for b in labels[i:]:
             if a == b:
                 count = _as_count(spec.n * spec.link_law((a, a)) / 2, f"n*pi({a},{a})/2")
                 capacity = sizes[a] * (sizes[a] - 1) // 2

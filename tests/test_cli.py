@@ -650,3 +650,28 @@ def test_float_config_fields_read_numbers_and_refuse_the_rest(
     for bad in (True, False, str(node), HUGE, -HUGE):
         assert run_main(tmp_path, command, with_value(bad), *extra) == (1, None)
         assert capsys.readouterr().err == f"error: {name} = {bad!r} is not a finite number\n"
+
+
+def test_main_measure_refuses_an_invalid_label_in_a_graph_file(tmp_path, capsys):
+    graph = tmp_path / "graph.txt"
+    graph.write_text("typedgraph v1\nn=3\ntypes=a b! a\ne 1 2\n")
+    assert run_main(tmp_path, "measure", {"graph": str(graph)}) == (1, None)
+    assert capsys.readouterr().err == \
+        "error: invalid type label 'b!' (allowed: [A-Za-z0-9_.-]+)\n"
+
+
+@pytest.mark.parametrize("command, config, first, second", [
+    ("rate", {"c": 2.0, "p": {"2": 1.0, "02": 1.0}}, "2", "02"),
+    ("optimize", {"q": {"0": 1.0, "1": 2.0, "01": 5.0, "2": 1.0},
+                  "constraints": {"K": 2, "ge": [{"f": "pmf@0", "r": 0.5}]}}, "1", "01"),
+    ("rate", {"eta": {"a": 0.5, "b": 0.5}, "pi": {"a,b": 1.0, "b,a": 1.0},
+              "p": {"a|b:1,b:2": 0.5, "a|b:3": 0.5}}, "a|b:1,b:2", "a|b:3"),
+    ("optimize", {"c": 2.0, "constraints": {"K": 2, "ge": [{"f": {"1": 1.0, "01": 0.0},
+                                                            "r": 0.5}]}}, "1", "01"),
+], ids=["rate.degree", "optimize.q", "rate.locality", "optimize.coefficient"])
+def test_two_spellings_of_one_key_exit_1(tmp_path, capsys, command, config, first, second):
+    """A later spelling of a key used to overwrite the earlier one: ``rate``
+    dropped a unit of mass, ``optimize`` read q(1) = 5 and a coefficient of
+    0 in place of 1."""
+    assert run_main(tmp_path, command, config) == (1, None)
+    assert capsys.readouterr().err == f"error: keys {first!r} and {second!r} are the same key\n"

@@ -32,6 +32,15 @@ def test_graph_validation():
     assert z.edges == frozenset({(1, 2)})
 
 
+@pytest.mark.parametrize("node", [0, 2, 4], ids=["first", "middle", "last"])
+def test_graph_refuses_an_invalid_label_at_any_node(node):
+    """Each distinct label is checked once, wherever its nodes are."""
+    types = ["a", "b", "a", "b", "a"]
+    types[node] = "bad label"
+    with pytest.raises(ValueError, match=re.escape("invalid type label 'bad label'")):
+        TypedGraph(types, [(1, 2)])
+
+
 def test_empirical_type_measure():
     z = TypedGraph(["a", "a", "b", "b"], [(1, 3), (2, 4)])
     assert empirical_type_measure(z) == ProbMeasure({"a": Fraction(1, 2), "b": Fraction(1, 2)})

@@ -1,6 +1,5 @@
 """Measures, marginal maps, consistency checks, total variation."""
 
-import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -12,7 +11,6 @@ from graphld.measures import (
     CountingMeasure,
     FiniteMeasure,
     ProbMeasure,
-    TypeAlphabet,
     config_float,
     dirac,
     encode_key,
@@ -36,29 +34,6 @@ def atom(a, counts):
 # ---------------------------------------------------------------------------
 # Types
 # ---------------------------------------------------------------------------
-
-def test_alphabet_is_sorted_and_unique():
-    alph = TypeAlphabet(["c", "a", "b"])
-    assert alph.symbols == ("a", "b", "c")
-    assert alph.index("b") == 1
-    with pytest.raises(ValueError):
-        TypeAlphabet([])
-    with pytest.raises(ValueError):
-        TypeAlphabet(["a", "a"])
-    with pytest.raises(ValueError):
-        TypeAlphabet(["bad label"])  # whitespace not allowed
-
-
-def test_alphabet_is_a_frozen_value():
-    alph = TypeAlphabet(["b", "a"])
-    assert alph == TypeAlphabet(("a", "b"))
-    assert hash(alph) == hash(TypeAlphabet(["a", "b"]))
-    assert alph != TypeAlphabet(["a"])
-    assert list(alph) == ["a", "b"]
-    assert "a" in alph and "c" not in alph
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        alph.symbols = ("c",)
-
 
 def test_counting_measure_canonical():
     e = CountingMeasure({"b": 1, "a": 2, "c": 0})

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from graphld.graphs import empirical_locality_measure
+from graphld.graphs import empirical_locality_measure, locality_atoms_of
 from graphld.measures import (
     CountingMeasure,
     FiniteMeasure,
@@ -20,7 +20,6 @@ from graphld.measures import (
 )
 from graphld.oracle import (
     EnumerationGuardError,
-    _class_key,
     _row_ids,
     entropy_neighborhood,
     enumerate_support,
@@ -304,14 +303,14 @@ def test_sampled_class_counts_are_pinned(name, spec, draws):
                          ids=["binary4", "binary6", "binary8", "single4", "three5"])
 def test_batched_class_keys_equal_the_per_graph_key(spec):
     """``_class_keys`` on the whole support, as one batch in
-    ``sample_batch`` form, against ``_class_key`` graph by graph."""
+    ``sample_batch`` form, against ``locality_atoms_of`` graph by graph."""
     sampler = ConditionalSampler(spec)
     graphs = [sorted(graph.edges) for graph in enumerate_support(spec)]
     edges = np.array(graphs, dtype=np.int64).reshape(len(graphs), -1, 2)
     keys, class_ids = class_keys(sampler.types, edges[:, :, 0], edges[:, :, 1])
     assert len(set(keys)) == len(keys)
     assert [keys[i] for i in class_ids.tolist()] == \
-        [_class_key(sampler.types, graph) for graph in graphs]
+        [locality_atoms_of(sampler.types, graph) for graph in graphs]
 
 
 def test_batched_class_keys_of_wide_atoms_equal_the_per_graph_key():
@@ -327,7 +326,7 @@ def test_batched_class_keys_of_wide_atoms_equal_the_per_graph_key():
     keys, class_ids = class_keys(sampler.types, u, v)
     assert len(keys) > 1
     assert [keys[i] for i in class_ids.tolist()] == \
-        [_class_key(sampler.types, zip(r, s)) for r, s in zip(u.tolist(), v.tolist())]
+        [locality_atoms_of(sampler.types, zip(r, s)) for r, s in zip(u.tolist(), v.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +398,7 @@ def test_class_text_names_every_class_of_the_support(spec):
     sampler = ConditionalSampler(spec)
     expected = {}
     for graph in enumerate_support(spec):
-        key = _class_key(sampler.types, graph.edges)
+        key = locality_atoms_of(sampler.types, graph.edges)
         text = encode_measure(class_measure(spec.n, key))
         assert encode_atom_counts(spec.n, key) == text
         expected[text] = expected.get(text, 0) + 1

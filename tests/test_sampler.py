@@ -14,9 +14,9 @@ from scipy.stats import chi2
 
 from graphld import sampler
 from graphld.graphs import TypedGraph, empirical_link_measure, empirical_locality_measure, \
-    empirical_type_measure
+    empirical_type_measure, locality_atoms_of
 from graphld.measures import FiniteMeasure, ProbMeasure, dirac, total_variation
-from graphld.oracle import _class_key, enumerate_support
+from graphld.oracle import enumerate_support
 from graphld.rate import ReferenceLaw
 from graphld.sampler import (
     ConditionSpec,
@@ -75,7 +75,9 @@ HALVES = ProbMeasure({"a": Fraction(1, 2), "b": Fraction(1, 2)})
      "link law is not symmetric at ('a', 'b')"),
     (ConditionSpec(4, dirac("a"), FiniteMeasure({("a", "c"): 1, ("c", "a"): 1})),
      "link law key ('a', 'c') outside the alphabet"),
-], ids=["n=0", "eta-over-pairs", "pi-over-types", "asymmetric", "outside-alphabet"])
+    (ConditionSpec(4, ProbMeasure({"a": 0.5, "bad label": 0.5}), FiniteMeasure({})),
+     "invalid type label 'bad label' (allowed: [A-Za-z0-9_.-]+)"),
+], ids=["n=0", "eta-over-pairs", "pi-over-types", "asymmetric", "outside-alphabet", "bad-label"])
 def test_spec_analysis_refuses_malformed_laws(spec, reason):
     report = admissible(spec)
     assert not report
@@ -208,7 +210,7 @@ def test_batched_rows_realize_the_link_law_exactly(seed, rows):
     keys, class_ids = class_keys(sampler.types, u, v)
     for r, s, i in zip(u.tolist(), v.tolist(), class_ids.tolist()):
         assert empirical_link_measure(TypedGraph(sampler.types, zip(r, s))) == spec.link_law
-        assert keys[i] == _class_key(sampler.types, zip(r, s))
+        assert keys[i] == locality_atoms_of(sampler.types, zip(r, s))
 
 
 @pytest.mark.parametrize("spec", [binary_cross_spec(4), three_type_spec5(), prefix_label_spec(),
