@@ -23,7 +23,6 @@ from .measures import (
     encode_measure,
     is_sub_consistent,
     link_marginal,
-    marginal_pair,
     total_variation,
     type_marginal,
 )
@@ -33,7 +32,6 @@ from .optimizer import (
     Optimum,
     minimize_relative_entropy,
     rate_infimum_for_event,
-    tilted_family,
 )
 from .oracle import (
     EnumerationGuardError,
@@ -66,7 +64,7 @@ __version__ = "0.2.1"
 __all__ = [
     "CountingMeasure", "FiniteMeasure", "ProbMeasure", "dirac",
     "encode_measure", "is_sub_consistent",
-    "link_marginal", "marginal_pair", "total_variation", "type_marginal",
+    "link_marginal", "total_variation", "type_marginal",
     "TypedGraph", "degree_distribution", "empirical_link_measure",
     "empirical_locality_measure", "empirical_type_measure",
     "RateResult", "ReferenceLaw", "degree_rate",
@@ -77,5 +75,5 @@ __all__ = [
     "enumerate_support", "exact_event_probability", "lldp_exponent_gap",
     "type_class_counts",
     "ConstraintSet", "InfeasibleConstraintsError", "Optimum",
-    "minimize_relative_entropy", "rate_infimum_for_event", "tilted_family",
+    "minimize_relative_entropy", "rate_infimum_for_event",
 ]

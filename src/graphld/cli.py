@@ -238,7 +238,8 @@ def run_optimize(config: Dict[str, object]) -> Dict[str, object]:
     Event form:     {"c": num, "constraints": {...}, "K": int?} -- predicted
                     decay rate (mean-c equality appended).
     Reference form: {"q": {degree: weight}, "constraints": {...}} -- plain
-                    projection onto the constraints.
+                    projection onto the constraints; q weighs each
+                    degree 0..K, and no other.
 
     Raises NotConvergedError when the solve did not meet its tolerances.
     """
@@ -248,8 +249,11 @@ def run_optimize(config: Dict[str, object]) -> Dict[str, object]:
         optimum = rate_infimum_for_event(config_float(config["c"], "c"), cons,
                                          None if cap is None else config_int(cap, "K"))
     else:
-        q_obj = {key: config_float(v, f"q[{k}]") for key, k, v in decoded_items(config["q"], int)}
-        q = [q_obj.get(k, 0.0) for k in range(cons.support_cap + 1)]
+        q = [0.0] * (cons.support_cap + 1)
+        for idx, k, v in decoded_items(config["q"], int):
+            if not 0 <= idx <= cons.support_cap:
+                raise ValueError(f"q index {idx} outside 0..{cons.support_cap}")
+            q[idx] = config_float(v, f"q[{k}]")
         optimum = minimize_relative_entropy(q, cons)
     if not optimum.converged:
         raise NotConvergedError(
@@ -274,7 +278,10 @@ def _load_config(path: Optional[str]) -> Dict[str, object]:
         raise ValueError("this command requires --config FILE")
     with open(path, "r", encoding="utf-8") as fh:
         # standard JSON only: NaN, Infinity and numbers that overflow are refused
-        return json.load(fh, parse_constant=_finite_float, parse_float=_finite_float)
+        config = json.load(fh, parse_constant=_finite_float, parse_float=_finite_float)
+    if not isinstance(config, dict):
+        raise ValueError(f"a config must be a JSON object, not {config!r}")
+    return config
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -317,7 +324,10 @@ def _cmd_sample(config, seed, fmt) -> str:
 
 
 def _cmd_measure(config, seed, fmt) -> str:
-    with open(config["graph"], "r", encoding="utf-8") as fh:
+    path = config["graph"]
+    if not isinstance(path, str):  # open() would take an int for a file descriptor
+        raise ValueError(f"graph = {path!r} is not a file path")
+    with open(path, "r", encoding="utf-8") as fh:
         graph = TypedGraph.from_text(fh.read())
     return _json_text(run_measure(graph))
 

@@ -11,18 +11,18 @@ The building blocks are:
 On top of these sit the marginal maps: ``type_marginal`` collapses a locality
 measure to its type law, ``link_marginal`` to its pair law
 
-    link_marginal(p)(a, b) = sum_e p(a, e) * e(b),
+    link_marginal(p)(a, b) = sum_e p(a, e) * e(b).
 
-and ``marginal_pair`` returns both at once.  ``is_sub_consistent``, the one
-consistency check, reports whether a pair law dominates the link marginal of
-a locality measure (the paper's condition for a finite rate) and the largest
-excess; ``law_pair_problem`` checks a pair (type law, link law), its type
-labels included: the one rule for labels, which ``_check_label`` shares.
+``is_sub_consistent``, the one consistency check, reports whether a pair law
+dominates the link marginal of a locality measure (the paper's condition for
+a finite rate) and the largest excess; ``law_pair_problem`` checks a pair
+(type law, link law), its type labels included: the one rule for labels,
+which ``_check_label`` shares.
 ``encode_measure`` writes a measure as one line, each weight an exact
 fraction, and ``encode_atom_counts`` the same text of a type class from its
 atom counts (a ``graphs.locality_atoms_of`` key): the one spelling of a
-class.  ``decoded_items`` reads the keys of a JSON object, refusing two
-spellings of one key.
+class.  ``decoded_items`` reads the keys of a JSON object, refusing a value
+that is not an object and two spellings of one key.
 
 All values are immutable after construction and every function here is pure,
 so everything in this module is safe to share across threads.
@@ -172,9 +172,12 @@ def decode_key(text: str, kind: str) -> Key:
 
 def decoded_items(obj: Mapping[str, object], decode: Callable[[str], Hashable]
                   ) -> Iterator[Tuple[Hashable, str, object]]:
-    """``(decode(text), text, value)`` for each item of a JSON object.  Two
-    spellings of one key (``"2"`` and ``"02"`` of degree 2) raise ValueError
-    naming both, rather than one silently overwriting the other."""
+    """``(decode(text), text, value)`` for each item of a JSON object.  A
+    value that is not an object, and two spellings of one key (``"2"`` and
+    ``"02"`` of degree 2), raise ValueError, rather than an AttributeError or
+    one spelling silently overwriting the other."""
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"expected a JSON object of keys, not {obj!r}")
     spellings: Dict[Hashable, str] = {}
     for text, value in obj.items():
         key = decode(text)
@@ -237,9 +240,6 @@ class FiniteMeasure:
 
     def __len__(self) -> int:
         return len(self._w)
-
-    def __iter__(self) -> Iterator[Key]:
-        return iter(self.keys())
 
     def keys(self) -> Tuple[Key, ...]:
         """Support keys in canonical order."""
@@ -323,11 +323,6 @@ def link_marginal(p: ProbMeasure) -> FiniteMeasure:
             key = (a, b)
             out[key] = out.get(key, 0) + w * k
     return FiniteMeasure(out)
-
-
-def marginal_pair(p: ProbMeasure) -> Tuple[ProbMeasure, FiniteMeasure]:
-    """Both marginals of a locality measure: ``(type_marginal, link_marginal)``."""
-    return type_marginal(p), link_marginal(p)
 
 
 def law_pair_problem(type_law: FiniteMeasure, link_law: FiniteMeasure) -> Optional[str]:

@@ -18,7 +18,8 @@ on the dual
 which is smooth and concave with bounds as its only constraints (Csiszar,
 Ann. Probab. 1975).  Projected Newton solves it (Bertsekas, SIAM J. Control
 Optim. 1982): Newton steps on the free multipliers, projected back onto
-mu >= 0.  Iteration stops at KKT residual 1e-6 -- with constraint
+mu >= 0, and a step along their gradient where no Newton trial point is
+accepted.  Iteration stops at KKT residual 1e-6 -- with constraint
 satisfaction tightened to 1e-8 -- or after 1e5 dual trial points, and a
 solve that stops short of the tolerances reports ``converged = False``.
 Problems here are tiny (K of order 100, a handful of constraints), so
@@ -311,15 +312,6 @@ class Optimum:
         }
 
 
-def _as_reference(q_ref: VectorLike) -> np.ndarray:
-    q = np.asarray(q_ref, dtype=float)
-    if q.ndim != 1:
-        raise ValueError(f"reference has shape {q.shape}, expected a vector q(0..K)")
-    if np.any(q <= 0):
-        raise ValueError("reference law must be strictly positive on 0..K")
-    return q
-
-
 def check_feasible(cons: ConstraintSet) -> None:
     """Phase-1 linear feasibility check; raises InfeasibleConstraintsError."""
     cap = cons.support_cap
@@ -349,9 +341,12 @@ def minimize_relative_entropy(q_ref: VectorLike, cons: ConstraintSet, *,
     The objective is strictly convex on the simplex, so the minimizer is
     unique.  See the module docstring for the algorithm.
     """
-    q = _as_reference(q_ref)
-    if len(q) != cons.support_cap + 1:
-        raise ValueError(f"reference has {len(q)} values, expected {cons.support_cap + 1}")
+    q = np.asarray(q_ref, dtype=float)
+    if q.shape != (cons.support_cap + 1,):
+        raise ValueError(f"reference has shape {q.shape}, expected {cons.support_cap + 1} "
+                         f"values q(0..K)")
+    if np.any(q <= 0):
+        raise ValueError("reference law must be strictly positive on 0..K")
     check_feasible(cons)
 
     feq, req = cons.eq_arrays()
@@ -384,7 +379,25 @@ def minimize_relative_entropy(q_ref: VectorLike, cons: ConstraintSet, *,
     # the KKT tolerance, then by any decrease of the free-gradient norm.  The
     # gradient *is* the vector of constraint residuals, so it is computed
     # without cancellation and the 1e-8 feasibility target is reachable; a
-    # value-based search stalls near 1e-7 on double precision.
+    # value-based search stalls near 1e-7 on double precision.  Where no
+    # Newton trial point is accepted, the same search runs along the free
+    # gradient, an ascent direction, before the solve gives up.
+    def line_search(direction: np.ndarray):
+        """The first accepted point of x + s direction, s = 1, 1/2, ... (at
+        most 40 trials, within the budget), projected onto mu >= 0, as
+        (x, p, log p, dual, g, free); None when no trial point is accepted."""
+        nonlocal iterations
+        for scale in 0.5 ** np.arange(min(40, max_iterations - iterations)):
+            trial = x + scale * direction
+            trial[n_eq:] = np.maximum(trial[n_eq:], 0.0)
+            p_try, log_p_try, dual_try = tilt(trial)
+            g_try, free_try = free_gradient(trial, p_try)
+            iterations += 1
+            if (np.linalg.norm(g_try[free_try]) < size if size <= KKT_TOL
+                    else dual_try >= dual + 1e-4 * float(g @ (trial - x))):
+                return trial, p_try, log_p_try, dual_try, g_try, free_try
+        return None
+
     inner_tol = 0.5 * min(FEASIBILITY_TOL, KKT_TOL)
     x = np.zeros(n_eq + n_ge)
     p, log_p, dual = tilt(x)
@@ -403,18 +416,10 @@ def minimize_relative_entropy(q_ref: VectorLike, cons: ConstraintSet, *,
             direction[free] = np.linalg.solve(hess, g[free])
         except np.linalg.LinAlgError:
             direction[free] = np.linalg.lstsq(hess, g[free], rcond=None)[0]
-        for scale in 0.5 ** np.arange(min(40, max_iterations - iterations)):
-            trial = x + scale * direction
-            trial[n_eq:] = np.maximum(trial[n_eq:], 0.0)
-            p_try, log_p_try, dual_try = tilt(trial)
-            g_try, free_try = free_gradient(trial, p_try)
-            iterations += 1
-            if (np.linalg.norm(g_try[free_try]) < size if size <= KKT_TOL
-                    else dual_try >= dual + 1e-4 * float(g @ (trial - x))):
-                break
-        else:
+        step = line_search(direction) or line_search(np.where(free, g, 0.0))
+        if step is None:
             break  # no trial point makes progress
-        x, p, log_p, dual, g, free = trial, p_try, log_p_try, dual_try, g_try, free_try
+        x, p, log_p, dual, g, free = step
 
     # primal violation and complementary-slackness defect, read off the residuals
     primal_res = max(float(np.max(np.abs(g[:n_eq]), initial=0.0)),
@@ -426,20 +431,6 @@ def minimize_relative_entropy(q_ref: VectorLike, cons: ConstraintSet, *,
     minimizer = ProbMeasure({k: float(w) for k, w in enumerate(p) if w > 0})
     return Optimum(minimizer, max(value, 0.0) if value > -1e-12 else value,
                    tuple(x[:n_eq]), tuple(x[n_eq:]), residual, iterations, converged)
-
-
-def tilted_family(q_ref: VectorLike, theta: float) -> ProbMeasure:
-    """Exponentially tilted reference: p(k) = q_ref(k) e^(theta k) / Z on
-    {0..K}, ``q_ref`` holding the K + 1 values q(0..K).
-    The mean is continuous and strictly increasing in theta, which makes
-    this the solution family for single-mean projections.
-    """
-    q = _as_reference(q_ref)
-    logits = np.log(q) + theta * np.arange(len(q))
-    logits -= np.max(logits)
-    w = np.exp(logits)
-    w /= w.sum()
-    return ProbMeasure({int(i): float(x) for i, x in enumerate(w) if x > 0})
 
 
 def rate_infimum_for_event(c: float, cons: ConstraintSet,

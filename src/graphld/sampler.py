@@ -15,14 +15,13 @@ Two models:
 * ``sample_erdos_renyi`` -- G(n, m), a uniform m-subset of all node pairs:
   the conditional sampler on a single-type spec.
 
-Every draw comes from one vectorized subset kernel, ``_subset_rows``, which
-draws many independent subsets of a block at once.  A single draw
-(``ConditionalSampler.sample_edges``) is a batch of one
-(``ConditionalSampler.sample_batch``), and ``iter_er_degree_histograms``
-draws its G(n, m) edge sets from the block of the single-type spec that
-``_erdos_renyi_sampler`` checks; blocks without edges draw nothing.  One
-closed-form decode, ``_Block.pairs``, turns pair indices into node pairs for
-every draw, degree histograms included, and ``oracle``'s enumeration.  It is
+Every draw is one ``ConditionalSampler.sample_batch`` call, the only user of
+the vectorized subset kernel ``_subset_rows``, which draws many independent
+subsets of a block at once: a single draw (``sample_edges``) is a batch of
+one, and ``iter_er_degree_histograms`` takes its G(n, m) batches from the
+sampler of the single-type spec that ``_erdos_renyi_sampler`` checks; blocks
+without edges draw nothing.  One closed-form decode, ``_Block.pairs``, turns
+pair indices into node pairs for every draw and ``oracle``'s enumeration.  It is
 exact up to ``MAX_GROUP_SIZE`` = 2**24 nodes, so larger groups with links
 inside are rejected (cross blocks decode exactly at any size).  Key
 widths (a stable sort where no packed int64 key fits, as in G(16e6, 1e5)),
@@ -212,7 +211,8 @@ class ConditionalSampler:
         ``_subset_rows``, independently of the other blocks, so each row is
         exactly uniform over the support.  Columns come block by block, each
         block's pair indices decoded by ``_Block.pairs``; a block without
-        edges adds no column and draws nothing from ``rng``.
+        edges adds no column and draws nothing from ``rng``.  Both arrays
+        are fresh, so the caller may shift them in place.
         """
         pairs = [block.pairs(_subset_rows(rng, block.capacity, block.edge_count, count))
                  for block in self.blocks if block.edge_count]
@@ -370,17 +370,15 @@ def iter_er_degree_histograms(n: int, m: int, count: int,
 
     Yields arrays of shape (batch, n): row i holds the number of nodes of each
     degree 0..n-1 in the i-th sampled graph.  Each batch (see
-    ``BATCH_ENTRIES``) draws its edge sets from the one block of
-    ``_erdos_renyi_sampler(n, m)`` with the kernel ``_subset_rows`` and
-    decodes them with ``_Block.pairs``, as every draw does; the kernel's
-    docstring shows why every edge set is exactly uniform.  The generator
-    state fully determines the output.
+    ``BATCH_ENTRIES``) is one ``sample_batch`` call of
+    ``_erdos_renyi_sampler(n, m)``, so every edge set is exactly uniform.
+    The generator state fully determines the output.
     """
-    block = _erdos_renyi_sampler(n, m).blocks[0]
+    sampler = _erdos_renyi_sampler(n, m)
     step = max(1, BATCH_ENTRIES // max(1, n, m))
     for start in range(0, count, step):
         b = min(step, count - start)
-        u, v = block.pairs(_subset_rows(rng, block.capacity, m, b))
+        u, v = sampler.sample_batch(rng, b)
         offsets = (np.arange(b, dtype=np.int64) * n)[:, None]
         u += offsets - 1  # node ids are 1-based
         v += offsets - 1

@@ -25,7 +25,7 @@ from graphld.cli import decay_records_to_csv, fit_decay_slope, matching_measure,
 from graphld.graphs import empirical_link_measure, empirical_locality_measure, \
     empirical_type_measure
 from graphld.measures import FiniteMeasure, ProbMeasure, dirac, encode_measure, \
-    marginal_pair
+    link_marginal, type_marginal
 from graphld.oracle import exact_event_probability, lldp_exponent_gap, \
     sampled_class_counts, type_class_counts
 from graphld.optimizer import ConstraintSet, minimize_relative_entropy, \
@@ -61,8 +61,8 @@ def test_criterion_1_marginal_consistency():
     for _ in range(1000):
         z = random_typed_graph(rng, max_n=50, max_types=4)
         locality = empirical_locality_measure(z)
-        if marginal_pair(locality) != (empirical_type_measure(z),
-                                       empirical_link_measure(z)):
+        if (type_marginal(locality), link_marginal(locality)) != \
+                (empirical_type_measure(z), empirical_link_measure(z)):
             ok = False
             break
     _report("criterion 1: marginal-pair consistency, 1000 random graphs", ok)

@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -675,3 +676,44 @@ def test_two_spellings_of_one_key_exit_1(tmp_path, capsys, command, config, firs
     0 in place of 1."""
     assert run_main(tmp_path, command, config) == (1, None)
     assert capsys.readouterr().err == f"error: keys {first!r} and {second!r} are the same key\n"
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("rate", {"c": 2.0, "p": [1]}, "expected a JSON object of keys, not [1]"),
+    ("enumerate", {"spec": {"n": 4, "eta": [1], "pi": {}}},
+     "expected a JSON object of keys, not [1]"),
+    ("optimize", {"q": [1, 2, 3], "constraints": {"K": 2, "ge": [{"f": "pmf@0", "r": 0.5}]}},
+     "expected a JSON object of keys, not [1, 2, 3]"),
+    ("rate", [1], "a config must be a JSON object, not [1]"),
+    ("lldp", "binary-cross", "a config must be a JSON object, not 'binary-cross'"),
+    ("optimize", {**REFERENCE_CONFIG, "q": {**REFERENCE_CONFIG["q"], "7": 1.0}},
+     "q index 7 outside 0..2"),
+    ("optimize", {**REFERENCE_CONFIG, "q": {"-1": 1.0, **REFERENCE_CONFIG["q"]}},
+     "q index -1 outside 0..2"),
+    ("measure", {"graph": 1}, "graph = 1 is not a file path"),
+    ("measure", {"graph": None}, "graph = None is not a file path"),
+    ("rate", None, "this command requires --config FILE"),
+], ids=["rate.p-list", "enumerate.eta-list", "optimize.q-list", "rate.config-list",
+        "lldp.config-string", "optimize.q-key-7", "optimize.q-key--1", "measure.graph-int",
+        "measure.graph-null", "rate.no-config"])
+def test_malformed_configs_exit_1_with_one_error_line(tmp_path, capsys, command, config,
+                                                      message):
+    """A list where a map is expected used to end in an AttributeError
+    traceback; ``optimize`` dropped q keys outside 0..K and exited 0; and
+    ``measure`` passed an int ``graph`` to ``open``, which read it as a file
+    descriptor and closed it (here, the process's stdout)."""
+    if config is None:
+        assert main([command]) == 1
+    else:
+        assert run_main(tmp_path, command, config) == (1, None)
+    assert capsys.readouterr().err == f"error: {message}\n"
+    os.fstat(1)  # stdout is still open
+
+
+def test_output_goes_to_stdout_without_out(tmp_path, capsys):
+    config = {"c": 2.0, "p": {"0": 0.25, "2": 0.75}}
+    code, text = run_main(tmp_path, "rate", config)
+    assert code == 0
+    assert main(["rate", "--config", str(tmp_path / "rate.json")]) == 0
+    assert capsys.readouterr().out == text
+

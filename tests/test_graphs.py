@@ -13,7 +13,8 @@ from graphld.graphs import (
     empirical_locality_measure,
     empirical_type_measure,
 )
-from graphld.measures import CountingMeasure, FiniteMeasure, ProbMeasure, dirac, marginal_pair
+from graphld.measures import (CountingMeasure, FiniteMeasure, ProbMeasure, dirac, link_marginal,
+                              type_marginal)
 from helpers import random_typed_graph
 
 
@@ -102,7 +103,7 @@ def test_marginals_of_locality_measure_match_empirical_pair():
     for _ in range(100):
         z = random_typed_graph(rng)
         locality = empirical_locality_measure(z)
-        assert marginal_pair(locality) == \
+        assert (type_marginal(locality), link_marginal(locality)) == \
             (empirical_type_measure(z), empirical_link_measure(z))
 
 

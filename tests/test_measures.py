@@ -8,17 +8,18 @@ import numpy as np
 import pytest
 
 from graphld.measures import (
+    ConsistencyReport,
     CountingMeasure,
     FiniteMeasure,
     ProbMeasure,
     config_float,
+    decoded_items,
     dirac,
     encode_key,
     decode_key,
     encode_measure,
     is_sub_consistent,
     link_marginal,
-    marginal_pair,
     total_variation,
     type_marginal,
 )
@@ -112,6 +113,7 @@ def test_link_marginal_point_masses():
 
 def test_type_marginal_point_masses():
     assert type_marginal(dirac(atom(A, {B: 2}))) == dirac(A)
+    assert type_marginal(dirac(atom(A, {}))) == dirac(A)
     mixed = ProbMeasure({atom(A, {B: 1}): 0.5, atom(B, {A: 1}): 0.5})
     assert type_marginal(mixed) == ProbMeasure({A: 0.5, B: 0.5})
     three = ProbMeasure({
@@ -120,13 +122,6 @@ def test_type_marginal_point_masses():
         atom(B, {A: 1}): Fraction(1, 2),
     })
     assert type_marginal(three) == ProbMeasure({A: Fraction(1, 2), B: Fraction(1, 2)})
-
-
-def test_marginal_pair_combines_both():
-    p = dirac(atom(A, {B: 2}))
-    assert marginal_pair(p) == (dirac(A), FiniteMeasure({(A, B): 2}))
-    p0 = dirac(atom(A, {}))
-    assert marginal_pair(p0) == (dirac(A), FiniteMeasure({}))
 
 
 def test_type_marginal_total_mass_random():
@@ -263,3 +258,23 @@ def test_config_float_reads_finite_numbers(value):
 def test_config_float_refuses_the_rest_naming_the_field(value):
     with pytest.raises(ValueError, match=re.escape(f"c = {value!r} is not a finite number")):
         config_float(value, "c")
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: is_sub_consistent(FiniteMeasure({(A, B): 1}), dirac(atom(A, {B: 1})), -1e-9),
+     ValueError("tol must be >= 0")),
+    (lambda: is_sub_consistent(FiniteMeasure({}), dirac(atom(A, {}))),
+     ConsistencyReport(True, None)),
+    (lambda: list(decoded_items([1], int)), ValueError("expected a JSON object of keys, not [1]")),
+    (lambda: FiniteMeasure.from_json_dict("a", "type"),
+     ValueError("expected a JSON object of keys, not 'a'")),
+], ids=["negative-tol", "nothing-to-compare", "list-as-map", "string-as-map"])
+def test_consistency_edge_cases_and_map_refusals(call, expected):
+    """With no link mass on either side the check has no residual to
+    report; a JSON value that is not an object, where a map is expected, is
+    refused rather than ending in an AttributeError."""
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected), match=re.escape(str(expected))):
+            call()
+    else:
+        assert call() == expected

@@ -1,6 +1,7 @@
 """Entropy projection: constraint handling, oracle agreement, KKT certificates."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,6 @@ from graphld.optimizer import (
     minimize_relative_entropy,
     point_vector,
     rate_infimum_for_event,
-    tilted_family,
 )
 from graphld.rate import poisson_pmf, poisson_tail, truncated_poisson
 from oracles import grid_search_value, pinned_zero_rate, theta_scan_value
@@ -138,37 +138,6 @@ def test_holds_on_counts_refuses_a_sum_that_could_overflow_int64():
         [False, True]
     with pytest.raises(ValueError, match="beyond int64"):
         cons.holds_on_counts(counts_with_isolated(10, [0, 1]), 10, 5)
-
-
-# ---------------------------------------------------------------------------
-# Tilted family
-# ---------------------------------------------------------------------------
-
-def test_tilt_at_zero_is_normalized_reference():
-    q = poisson_vector(2.0, 40)
-    p = tilted_family(q, 0.0)
-    expected = q / q.sum()
-    assert all(abs(p(k) - expected[k]) <= 1e-14 for k in range(41))
-
-
-def test_poisson_tilts_to_poisson():
-    # Poisson(c) tilted by theta is Poisson(c e^theta), up to truncation tail
-    c, theta, cap = 1.5, 0.4, 60
-    p = tilted_family(poisson_vector(c, cap), theta)
-    mean = sum(k * w for k, w in p.items())
-    assert mean == pytest.approx(c * math.exp(theta), abs=1e-8)
-
-
-def test_strong_negative_tilt_collapses_to_zero():
-    p = tilted_family(poisson_vector(2.0, 30), -40.0)
-    assert p(0) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_tilt_mean_is_increasing_in_theta():
-    q = poisson_vector(2.0, 40)
-    means = [sum(k * w for k, w in tilted_family(q, th).items())
-             for th in (-1.0, -0.3, 0.0, 0.5, 1.0)]
-    assert all(a < b for a, b in zip(means, means[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -351,3 +320,57 @@ def test_a_stalled_solve_reports_that_it_did_not_converge():
     assert opt.iterations == 1
     assert opt.kkt_residual > 1e-6
     assert opt.to_json_dict()["converged"] is False
+
+
+def box_event(cap, center, delta):
+    """|p(k) - center[k]| <= delta for each k < len(center), as 2 len(center)
+    inequalities: p(k) >= center[k] - delta and -p(k) >= -(center[k] + delta)."""
+    rows = []
+    for k, mass in enumerate(center):
+        below = tuple(-1.0 if j == k else 0.0 for j in range(cap + 1))
+        rows += [(point_vector(k, cap), round(mass - delta, 12)),
+                 (below, round(-(mass + delta), 12))]
+    return ConstraintSet(cap, inequalities=rows)
+
+
+def test_a_box_event_where_no_newton_point_is_accepted_still_converges():
+    """At c = 1, K = 60 and delta = 0.005 around (1/2, 1/4, 1/4), a line
+    search along the Newton direction once found no accepted point, and the
+    solve stopped after 124 trial points with KKT residual 0.10.  Searching
+    along the free gradient there reaches the projection: the KKT conditions
+    hold, the value matches an SLSQP solve of the primal (0.56555431) and it
+    lies between those of the looser and the tighter box."""
+    center = (0.5, 0.25, 0.25)
+    event = box_event(60, center, 0.005)
+    opt = rate_infimum_for_event(1.0, event)
+    assert opt.converged
+    assert opt.value == pytest.approx(0.56555431, abs=1e-7)
+    loose = rate_infimum_for_event(1.0, box_event(60, center, 0.006))
+    tight = rate_infimum_for_event(1.0, box_event(60, center, 0.004))
+    assert loose.converged and tight.converged
+    assert loose.value < opt.value < tight.value
+    # the KKT certificate on the solved problem: the event plus mean = 1
+    p = law_vector(opt.minimizer, 60)
+    fge, rge = event.ge_arrays()
+    assert abs(p @ np.arange(61) - 1.0) <= 1e-8 and np.all(fge @ p - rge >= -1e-8)
+    mu = np.array(opt.dual_ge)
+    assert np.all(mu >= 0) and np.all(np.abs(mu * (fge @ p - rge)) <= 1e-6)
+    residual = np.log(p / poisson_vector(1.0, 60)) - np.arange(61) * opt.dual_eq[0] - fge.T @ mu
+    assert np.max(np.abs(residual - residual.mean())) <= 1e-6
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: point_vector(3, 2), "point 3 outside 0..2"),
+    (lambda: ConstraintSet(3).extended(2), "cannot shrink the support cap"),
+    (lambda: minimize_relative_entropy([[1.0, 1.0]], ConstraintSet(1)),
+     "reference has shape (1, 2), expected 2 values q(0..K)"),
+    (lambda: minimize_relative_entropy([1.0, 1.0, 1.0], ConstraintSet(1)),
+     "reference has shape (3,), expected 2 values q(0..K)"),
+    (lambda: minimize_relative_entropy([1.0, 0.0], ConstraintSet(1)),
+     "reference law must be strictly positive on 0..K"),
+    (lambda: rate_infimum_for_event(0.0, ConstraintSet(1)), "c must be > 0"),
+], ids=["point-outside-cap", "shrink", "reference-matrix", "reference-length",
+        "reference-zero", "c-not-positive"])
+def test_bad_inputs_raise_naming_the_problem(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -16,7 +16,8 @@ from graphld.measures import (
     dirac,
     encode_atom_counts,
     encode_measure,
-    marginal_pair,
+    link_marginal,
+    type_marginal,
 )
 from graphld.oracle import (
     EnumerationGuardError,
@@ -60,7 +61,8 @@ def test_enumerate_binary_cross_support():
     assert len(graphs) == 6  # C(4, 2) placements of 2 cross links
     assert len({g.edges for g in graphs}) == 6  # all distinct
     for g in graphs:
-        assert marginal_pair(empirical_locality_measure(g)) == \
+        locality = empirical_locality_measure(g)
+        assert (type_marginal(locality), link_marginal(locality)) == \
             (spec.type_law, spec.link_law)
 
 
@@ -422,3 +424,10 @@ def test_class_text_equals_the_encoded_class_measure(census):
     n = sum(census.values())
     key = tuple(sorted(census.items()))
     assert encode_atom_counts(n, key) == encode_measure(class_measure(n, key))
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-3])
+def test_entropy_neighborhood_refuses_a_radius_that_is_not_positive(eps):
+    spec = binary_cross_spec(4)
+    with pytest.raises(ValueError, match="eps must be > 0"):
+        entropy_neighborhood(matching_measure(), spec.type_law, spec.link_law, eps=eps)

@@ -1,6 +1,7 @@
 """Reference law, relative entropy, and the two rate functions."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -286,3 +287,23 @@ def test_rate_result_json_serializes_infinity():
     assert obj["feasible"] is False
     finite = degree_rate(2.0, dirac(2)).to_json_dict()
     assert isinstance(finite["value"], float)
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: poisson_pmf(-1.0, 0), ValueError("mean must be >= 0")),
+    (lambda: poisson_pmf(1.0, -1), 0.0),
+    (lambda: poisson_pmf(0.0, 0), 1.0),
+    (lambda: poisson_pmf(0.0, 3), 0.0),
+    (lambda: truncated_poisson(1.0, -1), ValueError("support_cap must be >= 0")),
+    (lambda: degree_rate(1.0, dirac("a")),
+     ValueError("p must be a measure over non-negative integers")),
+    (lambda: degree_rate(1.0, ProbMeasure({-1: 0.5, 3: 0.5})),
+     ValueError("negative degree -1 in support")),
+], ids=["pmf-negative-mean", "pmf-negative-k", "pmf-mean-0-at-0", "pmf-mean-0-at-3",
+        "truncated-negative-cap", "degree-rate-type-keys", "degree-rate-negative-degree"])
+def test_poisson_edge_cases_and_degree_rate_refusals(call, expected):
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected), match=re.escape(str(expected))):
+            call()
+    else:
+        assert call() == expected

@@ -524,3 +524,25 @@ def test_block_pairs_returns_fresh_arrays():
         assert not (np.shares_memory(u, idx) or np.shares_memory(v, idx)
                     or np.shares_memory(u, v))
         assert np.all(u >= block.a_start) and np.all(v >= block.b_start)
+
+
+def test_sample_batch_returns_fresh_arrays():
+    """The degree histograms shift ``sample_batch``'s arrays in place, so
+    they must be writeable and share no memory."""
+    for spec in (single_type_spec4(), binary_cross_spec(4), three_type_spec5()):
+        u, v = ConditionalSampler(spec).sample_batch(np.random.default_rng(1), 3)
+        assert u.flags.writeable and v.flags.writeable and not np.shares_memory(u, v)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ConditionalSampler(ConditionSpec(4, ProbMeasure({"a": Fraction(1, 3),
+                                                              "b": Fraction(2, 3)}),
+                                              FiniteMeasure({}))),
+     InadmissibleSpecError, "n*eta(a) = 4/3 is not an integer"),
+    (lambda: ConditionSpec.from_json_dict({"n": 4, "eta": {"a": 1}}),
+     ValueError, "spec object missing field 'pi'"),
+    (lambda: binary_cross_spec(5), ValueError, "binary cross family needs even n"),
+], ids=["exact-count-not-integral", "spec-missing-field", "odd-binary-cross"])
+def test_bad_inputs_raise_naming_the_problem(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
