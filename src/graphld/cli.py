@@ -32,7 +32,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -46,7 +46,7 @@ from .graphs import (
     empirical_type_measure,
 )
 from .measures import (CountingMeasure, FiniteMeasure, ProbMeasure, config_float, config_int,
-                       decoded_items)
+                       degree_values)
 from .oracle import EnumerationGuardError, lldp_exponent_gap, type_class_counts
 from .optimizer import (
     ConstraintSet,
@@ -96,18 +96,24 @@ class ExperimentRecord:
         return asdict(self)
 
 
-DECAY_CSV_HEADER = "n,event,estimate,stderr,predicted,samples,hits"
+_DECAY_COLUMNS = tuple(field.name for field in fields(ExperimentRecord))
+_LLDP_COLUMNS = ("n", "gap")
+
+
+def _table_text(columns: Sequence[str], rows: List[Dict[str, object]], fmt: str) -> str:
+    """A table as JSON (the list of its row objects) or as CSV: the header
+    always, then one line a row, None an empty field.  Fields are comma-free
+    (event ids are), and str of a float is its repr."""
+    if fmt == "json":
+        return _json_text(rows)
+    lines = [",".join(columns)]
+    lines += [",".join("" if row[col] is None else str(row[col]) for col in columns)
+              for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def decay_records_to_csv(records: Sequence[ExperimentRecord]) -> str:
-    """Fixed-column CSV (header always emitted); event ids are comma-free."""
-    lines = [DECAY_CSV_HEADER]
-    for rec in records:
-        est = "" if rec.estimate is None else repr(rec.estimate)
-        err = "" if rec.stderr is None else repr(rec.stderr)
-        lines.append(f"{rec.n},{rec.event},{est},{err},{rec.predicted!r},"
-                     f"{rec.samples},{rec.hits}")
-    return "\n".join(lines) + "\n"
+    return _table_text(_DECAY_COLUMNS, [rec.to_json_dict() for rec in records], "csv")
 
 
 def _shards(total: int) -> List[int]:
@@ -199,7 +205,7 @@ def matching_measure() -> ProbMeasure:
 
 
 def lldp_rows_to_csv(rows: Sequence[Tuple[int, float]]) -> str:
-    return "n,gap\n" + "".join(f"{n},{gap!r}\n" for n, gap in rows)
+    return _table_text(_LLDP_COLUMNS, [dict(zip(_LLDP_COLUMNS, row)) for row in rows], "csv")
 
 
 def run_measure(graph: TypedGraph) -> Dict[str, object]:
@@ -249,12 +255,8 @@ def run_optimize(config: Dict[str, object]) -> Dict[str, object]:
         optimum = rate_infimum_for_event(config_float(config["c"], "c"), cons,
                                          None if cap is None else config_int(cap, "K"))
     else:
-        q = [0.0] * (cons.support_cap + 1)
-        for idx, k, v in decoded_items(config["q"], int):
-            if not 0 <= idx <= cons.support_cap:
-                raise ValueError(f"q index {idx} outside 0..{cons.support_cap}")
-            q[idx] = config_float(v, f"q[{k}]")
-        optimum = minimize_relative_entropy(q, cons)
+        optimum = minimize_relative_entropy(degree_values(config["q"], cons.support_cap, "q"),
+                                            cons)
     if not optimum.converged:
         raise NotConvergedError(
             f"the optimizer did not converge: KKT residual {optimum.kkt_residual!r} "
@@ -355,17 +357,13 @@ def _cmd_decay(config, seed, fmt) -> str:
         seed=seed,
         support_cap=config_int(config["K"], "K") if "K" in config else None,
     )
-    if fmt == "json":
-        return _json_text([r.to_json_dict() for r in records])
-    return decay_records_to_csv(records)
+    return _table_text(_DECAY_COLUMNS, [rec.to_json_dict() for rec in records], fmt)
 
 
 def _cmd_lldp(config, seed, fmt) -> str:
     specs, target = _specs_from_config(config)
-    rows = lldp_exponent_gap(specs, target)
-    if fmt == "json":
-        return _json_text([{"n": n, "gap": gap} for n, gap in rows])
-    return lldp_rows_to_csv(rows)
+    rows = [dict(zip(_LLDP_COLUMNS, row)) for row in lldp_exponent_gap(specs, target)]
+    return _table_text(_LLDP_COLUMNS, rows, fmt)
 
 
 _COMMANDS = {

@@ -19,6 +19,7 @@ Graphs are immutable and the extraction functions are pure.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -60,9 +61,6 @@ class TypedGraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "types", tuple(types))
         object.__setattr__(self, "edges", frozenset(normalized))
-
-    def num_edges(self) -> int:
-        return len(self.edges)
 
     # -- text format ----------------------------------------------------------
     def to_text(self) -> str:
@@ -112,10 +110,7 @@ class TypedGraph:
 
 def empirical_type_measure(z: TypedGraph) -> ProbMeasure:
     """out(a) = (1/n) * #{nodes of type a}, exact."""
-    counts: Dict[str, int] = {}
-    for t in z.types:
-        counts[t] = counts.get(t, 0) + 1
-    return ProbMeasure({a: Fraction(k, z.n) for a, k in counts.items()})
+    return ProbMeasure({a: Fraction(k, z.n) for a, k in Counter(z.types).items()})
 
 
 def empirical_link_measure(z: TypedGraph) -> FiniteMeasure:
@@ -166,7 +161,4 @@ def degree_distribution(z: TypedGraph) -> ProbMeasure:
     for u, v in z.edges:
         deg[u - 1] += 1
         deg[v - 1] += 1
-    counts: Dict[int, int] = {}
-    for d in deg:
-        counts[d] = counts.get(d, 0) + 1
-    return ProbMeasure({k: Fraction(c, z.n) for k, c in counts.items()})
+    return ProbMeasure({k: Fraction(c, z.n) for k, c in Counter(deg).items()})

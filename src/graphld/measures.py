@@ -22,7 +22,9 @@ which ``_check_label`` shares.
 fraction, and ``encode_atom_counts`` the same text of a type class from its
 atom counts (a ``graphs.locality_atoms_of`` key): the one spelling of a
 class.  ``decoded_items`` reads the keys of a JSON object, refusing a value
-that is not an object and two spellings of one key.
+that is not an object and two spellings of one key, and ``degree_values``
+reads a {degree: number} object into the values at 0..K; ``decode_key`` is
+the one reader of each key kind, a degree (``-?[0-9]+``) included.
 
 All values are immutable after construction and every function here is pure,
 so everything in this module is safe to share across threads.
@@ -42,7 +44,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Callable, Dict, Hashable, Iterable, Iterator, Mapping, Optional, Tuple, Union
+from typing import (Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Tuple,
+                    Union)
 
 Scalar = Union[int, float, Fraction]
 
@@ -158,6 +161,10 @@ def decode_key(text: str, kind: str) -> Key:
     if kind == "type":
         return _check_label(text)
     if kind == "degree":
+        # ASCII digits only (int would read "1_0", " 0", "+1" and other scripts'
+        # digits); the sign lets a negative degree reach its range check
+        if not re.fullmatch(r"-?[0-9]+", text):
+            raise ValueError(f"invalid degree key {text!r} (allowed: -?[0-9]+)")
         return int(text)
     if kind == "pair":
         a, _, b = text.partition(",")
@@ -187,15 +194,21 @@ def decoded_items(obj: Mapping[str, object], decode: Callable[[str], Hashable]
         yield key, text, value
 
 
+def degree_values(obj: object, cap: int, field: str) -> List[float]:
+    """The values at degrees 0..cap of a JSON object {degree: number}, 0.0
+    where a degree is absent.  A degree outside 0..cap, or a value that is
+    not a finite number, raises ValueError naming ``field``."""
+    values = [0.0] * (cap + 1)
+    for degree, text, value in decoded_items(obj, lambda k: decode_key(k, "degree")):
+        if not 0 <= degree <= cap:
+            raise ValueError(f"{field} index {degree} outside 0..{cap}")
+        values[degree] = config_float(value, f"{field}[{text}]")
+    return values
+
+
 def _sort_key(key: Key):
-    kind = key_kind(key)
-    if kind == "degree":
-        return (key,)
-    if kind == "locality":
-        return (key[0], key[1].encode())
-    if kind == "pair":
-        return key
-    return (key,)
+    """Keys of one kind order as themselves, a locality atom by its text."""
+    return (key[0], key[1].encode()) if key_kind(key) == "locality" else key
 
 
 class FiniteMeasure:

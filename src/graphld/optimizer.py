@@ -20,10 +20,10 @@ Ann. Probab. 1975).  Projected Newton solves it (Bertsekas, SIAM J. Control
 Optim. 1982): Newton steps on the free multipliers, projected back onto
 mu >= 0, and a step along their gradient where no Newton trial point is
 accepted.  Iteration stops at KKT residual 1e-6 -- with constraint
-satisfaction tightened to 1e-8 -- or after 1e5 dual trial points, and a
-solve that stops short of the tolerances reports ``converged = False``.
-Problems here are tiny (K of order 100, a handful of constraints), so
-robustness beats sophistication.
+satisfaction tightened to 1e-8 -- or after ``MAX_ITERATIONS`` = 1e5 dual
+trial points (read at each call), and a solve that stops short of the
+tolerances reports ``converged = False``.  Problems here are tiny (K of
+order 100, a handful of constraints), so robustness beats sophistication.
 
 Feasibility is established up front by a phase-1 linear program (HiGHS via
 scipy); infeasible constraint sets raise with the solver's certificate
@@ -34,7 +34,8 @@ Constraint vectors are ``Functional``s that keep the name they were
 written with: ``mean``, ``pmf@k``, or explicit coefficients.  They extend by
 zero beyond K, except the mean, which stays f(k) = k at every degree; so an
 event written on {0..K} ignores any other degree-law mass above K.  The
-solve reads them as float vectors (from JSON by ``measures.config_float``).
+solve reads them as float vectors (from JSON by ``measures.degree_values``,
+and the k of ``pmf@k`` by ``measures.decode_key``).
 Whether a sampled graph's degree law lies in the event is decided by one
 exact rule, on its integer degree counts: ``ConstraintSet.holds_on_counts``
 reads coefficients and thresholds as their shortest decimals, so an
@@ -53,7 +54,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import linprog
 
-from .measures import ProbMeasure, config_float, config_int, decoded_items
+from .measures import ProbMeasure, config_float, config_int, decode_key, degree_values
 from .rate import poisson_pmf, poisson_tail
 
 KKT_TOL = 1e-6
@@ -246,14 +247,9 @@ class ConstraintSet:
             if spec == "mean":
                 return mean_vector(cap)
             if isinstance(spec, str) and spec.startswith("pmf@"):
-                return point_vector(int(spec[4:]), cap)
+                return point_vector(decode_key(spec[4:], "degree"), cap)
             if isinstance(spec, Mapping):
-                f = [0.0] * (cap + 1)
-                for idx, k, coef in decoded_items(spec, int):
-                    if not 0 <= idx <= cap:
-                        raise ValueError(f"coefficient index {idx} outside 0..{cap}")
-                    f[idx] = config_float(coef, f"coefficient {k}")
-                return Functional(f)
+                return Functional(degree_values(spec, cap, "coefficient"))
             raise ValueError(f"unsupported constraint vector spec {spec!r}")
 
         def parse_block(name):
@@ -329,8 +325,7 @@ def check_feasible(cons: ConstraintSet) -> None:
             f"(phase-1 LP: {res.message})")
 
 
-def minimize_relative_entropy(q_ref: VectorLike, cons: ConstraintSet, *,
-                              max_iterations: int = MAX_ITERATIONS) -> Optimum:
+def minimize_relative_entropy(q_ref: VectorLike, cons: ConstraintSet) -> Optimum:
     """Minimize H(p || q_ref) over the constraint polytope.
 
     ``q_ref`` holds the K + 1 reference values q(0..K) (a sequence or an
@@ -387,7 +382,7 @@ def minimize_relative_entropy(q_ref: VectorLike, cons: ConstraintSet, *,
         most 40 trials, within the budget), projected onto mu >= 0, as
         (x, p, log p, dual, g, free); None when no trial point is accepted."""
         nonlocal iterations
-        for scale in 0.5 ** np.arange(min(40, max_iterations - iterations)):
+        for scale in 0.5 ** np.arange(min(40, MAX_ITERATIONS - iterations)):
             trial = x + scale * direction
             trial[n_eq:] = np.maximum(trial[n_eq:], 0.0)
             p_try, log_p_try, dual_try = tilt(trial)
@@ -403,7 +398,7 @@ def minimize_relative_entropy(q_ref: VectorLike, cons: ConstraintSet, *,
     p, log_p, dual = tilt(x)
     g, free = free_gradient(x, p)
     iterations = 0
-    while iterations < max_iterations:
+    while iterations < MAX_ITERATIONS:
         size = float(np.linalg.norm(g[free]))
         if size <= inner_tol:
             break

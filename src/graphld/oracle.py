@@ -157,9 +157,6 @@ class EnumerationReport:
     support_size: int
     class_counts: Dict[str, int]
 
-    def class_probability(self, key: str) -> Fraction:
-        return Fraction(self.class_counts.get(key, 0), self.support_size)
-
     def to_json_dict(self) -> Dict[str, object]:
         return {
             "spec": self.spec.to_json_dict(),

@@ -19,7 +19,9 @@ are per-node exponents in base e):
 * ``typed_rate(eta, pi, p)``  = H(p || q) if (pi, p) is sub-consistent and the
   type marginal of p equals eta, else +infinity;
 * ``degree_rate(c, p)``       = H(p || Poisson(c)) if mean(p) = c, else
-  +infinity -- the single-type reduction of ``typed_rate``.
+  +infinity -- the single-type reduction of ``typed_rate``, evaluated as
+  such: ``relative_entropy`` of ``embed_degree_law(p)`` against the
+  single-type reference.
 
 Sub-consistency and the pair (eta, pi) are checked by ``measures``, as the
 sampler checks them.  Empirical measures from graphs match their constraints
@@ -44,6 +46,7 @@ from .measures import (
     Key,
     ProbMeasure,
     Scalar,
+    dirac,
     is_sub_consistent,
     law_pair_problem,
     total_variation,
@@ -134,19 +137,11 @@ class ReferenceLaw:
         lp = self.log_pmf(a, e)
         return math.exp(lp) if lp > -_INF else 0.0
 
-    def __call__(self, key: Key) -> float:
-        a, e = key  # type: ignore[misc]
-        return self.pmf(a, e)
-
     # -- truncation to a finite neighbor-count ball ------------------------------
-    def row_count_mean(self, a: str) -> float:
-        """Mean total neighbor count of a type-``a`` row (a Poisson mean)."""
-        return self._row_sums[a]
-
     def truncation_mass(self, max_total: int) -> float:
         """Mass of {(a, e) : total(e) <= max_total}: the total neighbor count of
-        row ``a`` is Poisson(row_count_mean(a)), so this is
-        ``sum_a eta(a) * P(Poisson(row_sum_a) <= max_total)``."""
+        row ``a`` is Poisson(row_sum_a), row_sum_a = sum_b pi(a, b) / eta(a),
+        so this is ``sum_a eta(a) * P(Poisson(row_sum_a) <= max_total)``."""
         return math.fsum(
             float(self.type_law(a)) * pdtr(max_total, self._row_sums[a])
             for a in self.alphabet
@@ -176,15 +171,21 @@ def relative_entropy(p: ProbMeasure, reference: Callable[[Key], Scalar]) -> floa
 
     ``reference`` is any pointwise evaluator (a measure, a
     :class:`ReferenceLaw`, or a plain callable).  Returns +infinity on an
-    absolute-continuity failure, i.e. q(x) = 0 < p(x).
+    absolute-continuity failure, i.e. q(x) = 0 < p(x).  A ReferenceLaw is
+    read through its ``log_pmf``, so an atom whose q underflows a double
+    keeps its finite term.
     """
     terms = []
     for key, w in p.items():
-        q = float(reference(key))
-        if q <= 0.0:
+        if isinstance(reference, ReferenceLaw):
+            log_q = reference.log_pmf(*key)
+        else:
+            q = float(reference(key))
+            log_q = math.log(q) if q > 0.0 else -_INF
+        if log_q == -_INF:
             return _INF
         pw = float(w)
-        terms.append(pw * (math.log(pw) - math.log(q)))
+        terms.append(pw * (math.log(pw) - log_q))
     total = math.fsum(terms)
     return 0.0 if -1e-12 < total < 0.0 else total
 
@@ -263,7 +264,8 @@ def degree_rate(c: Scalar, p: ProbMeasure, tol: Union[Scalar, None] = None) -> R
     mean = sum(k * w for k, w in p.items())
     mismatch = abs(mean - c)
     feasible = mismatch <= tol
-    value = relative_entropy(p, lambda k: poisson_pmf(float(c), k)) if feasible else _INF
+    reference = ReferenceLaw(dirac("a"), FiniteMeasure({("a", "a"): c}))  # Poisson(c) rows
+    value = relative_entropy(embed_degree_law(p), reference) if feasible else _INF
     return RateResult(value, feasible, float(mismatch), 0.0)
 
 

@@ -1,6 +1,5 @@
 """Experiment runners and command-line wiring."""
 
-import functools
 import itertools
 import json
 import math
@@ -305,8 +304,7 @@ CRITERION_5 = {"c": 2.0, "constraints": {"K": 1, "ge": [{"f": "pmf@0", "r": 0.4}
 
 
 def stop_after_one_trial_point(monkeypatch):
-    monkeypatch.setattr(graphld.optimizer, "minimize_relative_entropy", functools.partial(
-        graphld.optimizer.minimize_relative_entropy, max_iterations=1))
+    monkeypatch.setattr(graphld.optimizer, "MAX_ITERATIONS", 1)
 
 
 def test_optimize_exits_2_without_output_when_the_solve_does_not_converge(
@@ -622,7 +620,7 @@ REFERENCE_CONFIG = {"q": {"0": 1.0, "1": 2.0, "2": 1.0},
     ("rate", RATE_CONFIG, ("tol",), "tol", ()),
     ("optimize", OPTIMIZE_CONFIG, ("c",), "c", ()),
     ("optimize", OPTIMIZE_CONFIG, ("constraints", "ge", 0, "r"), "r", ()),
-    ("optimize", EXPLICIT_CONFIG, ("constraints", "ge", 0, "f", "0"), "coefficient 0", ()),
+    ("optimize", EXPLICIT_CONFIG, ("constraints", "ge", 0, "f", "0"), "coefficient[0]", ()),
     ("optimize", REFERENCE_CONFIG, ("q", "1"), "q[1]", ()),
 ], ids=["decay.c", "rate.c", "rate.tol", "optimize.c", "optimize.r", "optimize.coefficient",
         "optimize.q"])
@@ -693,15 +691,27 @@ def test_two_spellings_of_one_key_exit_1(tmp_path, capsys, command, config, firs
     ("measure", {"graph": 1}, "graph = 1 is not a file path"),
     ("measure", {"graph": None}, "graph = None is not a file path"),
     ("rate", None, "this command requires --config FILE"),
+    ("rate", {"c": 10.0, "p": {"1_0": 1.0}}, "invalid degree key '1_0' (allowed: -?[0-9]+)"),
+    ("optimize", {**REFERENCE_CONFIG, "q": {" 0": 1.0, "1": 2.0, "2": 1.0}},
+     "invalid degree key ' 0' (allowed: -?[0-9]+)"),
+    ("optimize", {"c": 2.0, "constraints": {"K": 2, "ge": [{"f": {"+1": 1.0}, "r": 0.5}]}},
+     "invalid degree key '+1' (allowed: -?[0-9]+)"),
+    ("rate", {"c": 1.0, "p": {"\u0661": 1.0}},
+     "invalid degree key '\u0661' (allowed: -?[0-9]+)"),
+    ("optimize", {"c": 2.0, "constraints": {"K": 10, "ge": [{"f": "pmf@1_0", "r": 0.1}]}},
+     "invalid degree key '1_0' (allowed: -?[0-9]+)"),
 ], ids=["rate.p-list", "enumerate.eta-list", "optimize.q-list", "rate.config-list",
         "lldp.config-string", "optimize.q-key-7", "optimize.q-key--1", "measure.graph-int",
-        "measure.graph-null", "rate.no-config"])
+        "measure.graph-null", "rate.no-config", "rate.degree-underscore", "optimize.q-space",
+        "optimize.coefficient-plus", "rate.degree-arabic-indic", "optimize.pmf-underscore"])
 def test_malformed_configs_exit_1_with_one_error_line(tmp_path, capsys, command, config,
                                                       message):
     """A list where a map is expected used to end in an AttributeError
-    traceback; ``optimize`` dropped q keys outside 0..K and exited 0; and
+    traceback; ``optimize`` dropped q keys outside 0..K and exited 0;
     ``measure`` passed an int ``graph`` to ``open``, which read it as a file
-    descriptor and closed it (here, the process's stdout)."""
+    descriptor and closed it (here, the process's stdout); and ``int`` read
+    the degree keys "1_0" as 10, " 0" as 0, "+1" and the Arabic-Indic one
+    as 1."""
     if config is None:
         assert main([command]) == 1
     else:

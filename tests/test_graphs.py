@@ -85,7 +85,7 @@ def test_degree_distribution():
     assert dist == ProbMeasure({1: Fraction(2, 3), 2: Fraction(1, 3)})
     # mean identity: mean = 4/3 = 2|E|/n
     mean = sum(k * w for k, w in dist.items())
-    assert mean == Fraction(2 * path.num_edges(), path.n)
+    assert mean == Fraction(2 * len(path.edges), path.n)
 
 
 def test_degree_mean_identity_random():
@@ -93,7 +93,7 @@ def test_degree_mean_identity_random():
     for _ in range(50):
         z = random_typed_graph(rng, max_n=30)
         dist = degree_distribution(z)
-        assert sum(k * w for k, w in dist.items()) == Fraction(2 * z.num_edges(), z.n)
+        assert sum(k * w for k, w in dist.items()) == Fraction(2 * len(z.edges), z.n)
 
 
 def test_marginals_of_locality_measure_match_empirical_pair():
@@ -150,7 +150,7 @@ def test_text_format_rejects_a_repeated_edge_line():
     text = "typedgraph v1\nn=4\ntypes=a a a a\ne 1 2\ne 2 3\ne 1 2\ne 3 4\n"
     with pytest.raises(ValueError, match=r"line 6: repeated edge 1 2"):
         TypedGraph.from_text(text)
-    assert TypedGraph.from_text(text.replace("e 1 2\ne 3 4", "e 1 4\ne 3 4")).num_edges() == 4
+    assert len(TypedGraph.from_text(text.replace("e 1 2\ne 3 4", "e 1 4\ne 3 4")).edges) == 4
 
 
 @pytest.mark.parametrize("body, error", [

@@ -268,7 +268,14 @@ def test_config_float_refuses_the_rest_naming_the_field(value):
     (lambda: list(decoded_items([1], int)), ValueError("expected a JSON object of keys, not [1]")),
     (lambda: FiniteMeasure.from_json_dict("a", "type"),
      ValueError("expected a JSON object of keys, not 'a'")),
-], ids=["negative-tol", "nothing-to-compare", "list-as-map", "string-as-map"])
+    (lambda: CountingMeasure.decode("b:x"), ValueError("malformed counting-measure entry 'b:x'")),
+    (lambda: decode_key("ab", "locality"), ValueError("locality key 'ab' missing '|' separator")),
+    (lambda: decode_key("1_0", "degree"),
+     ValueError("invalid degree key '1_0' (allowed: -?[0-9]+)")),
+    (lambda: FiniteMeasure({1.5: 1}), TypeError("unsupported measure key 1.5")),
+], ids=["negative-tol", "nothing-to-compare", "list-as-map", "string-as-map",
+        "counting-entry-not-a-count", "locality-key-without-bar", "degree-key-with-underscore",
+        "float-key"])
 def test_consistency_edge_cases_and_map_refusals(call, expected):
     """With no link mass on either side the check has no residual to
     report; a JSON value that is not an object, where a map is expected, is

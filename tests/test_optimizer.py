@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from graphld import optimizer
 from graphld.optimizer import (
     ConstraintSet,
     InfeasibleConstraintsError,
@@ -309,13 +310,14 @@ def test_a_one_point_event_reaches_its_closed_form_value():
     assert opt.value == pytest.approx(closed_form, abs=1e-7)
 
 
-def test_a_stalled_solve_reports_that_it_did_not_converge():
+def test_a_stalled_solve_reports_that_it_did_not_converge(monkeypatch):
     """One trial point does not solve criterion 5's event: the result says
     so instead of passing for the projection."""
     cap = 50
     cons = ConstraintSet(cap, equalities=[(mean_vector(cap), 2.0)],
                          inequalities=[(point_vector(0, cap), 0.4)])
-    opt = minimize_relative_entropy(poisson_vector(2.0, cap), cons, max_iterations=1)
+    monkeypatch.setattr(optimizer, "MAX_ITERATIONS", 1)
+    opt = minimize_relative_entropy(poisson_vector(2.0, cap), cons)
     assert not opt.converged
     assert opt.iterations == 1
     assert opt.kkt_residual > 1e-6
@@ -369,8 +371,15 @@ def test_a_box_event_where_no_newton_point_is_accepted_still_converges():
     (lambda: minimize_relative_entropy([1.0, 0.0], ConstraintSet(1)),
      "reference law must be strictly positive on 0..K"),
     (lambda: rate_infimum_for_event(0.0, ConstraintSet(1)), "c must be > 0"),
+    (lambda: ConstraintSet.from_json_dict({"ge": [{"f": "mean", "r": 1.0}]}),
+     "constraint object missing field 'K'"),
+    (lambda: ConstraintSet.from_json_dict({"K": 1, "ge": [{"f": {"2": 1.0}, "r": 0.1}]}),
+     "coefficient index 2 outside 0..1"),
+    (lambda: ConstraintSet.from_json_dict({"K": 1, "ge": [{"f": "median", "r": 1.0}]}),
+     "unsupported constraint vector spec 'median'"),
 ], ids=["point-outside-cap", "shrink", "reference-matrix", "reference-length",
-        "reference-zero", "c-not-positive"])
+        "reference-zero", "c-not-positive", "json-without-K", "json-coefficient-outside-cap",
+        "json-unknown-functional"])
 def test_bad_inputs_raise_naming_the_problem(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()

@@ -120,7 +120,7 @@ def test_link_marginal_of_reference_reproduces_link_law():
             for b, k in e:
                 partial[(a, b)] = partial.get((a, b), 0.0) + mass * k
         for (a, b) in pi.keys():
-            row_mean = q.row_count_mean(a)
+            row_mean = math.fsum(float(pi((a, b))) for b in eta.keys()) / float(eta(a))
             predicted_error = float(pi((a, b))) * (
                 poisson_tail(row_mean, cap - 1))  # P(X >= cap)
             actual_error = float(pi((a, b))) - partial.get((a, b), 0.0)
@@ -235,6 +235,26 @@ def test_degree_rate_point_mass_hand_value():
     result = degree_rate(2.0, dirac(2))
     assert result.feasible
     assert result.value == pytest.approx(2 - math.log(2), rel=1e-12)
+
+
+#: Mean 1, with mass 1/200 at degree 200, where Poisson(1) has mass e^-1 / 200!,
+#: about 1e-375: below the smallest double, so q underflows to 0 there.
+DEEP_ATOM = ProbMeasure({0: Fraction(199, 200), 200: Fraction(1, 200)})
+
+
+@pytest.mark.parametrize("rate", [
+    lambda: degree_rate(1, DEEP_ATOM),
+    lambda: typed_rate(dirac("a"), FiniteMeasure({("a", "a"): 1}), embed_degree_law(DEEP_ATOM)),
+], ids=["degree_rate", "typed_rate"])
+def test_an_atom_whose_reference_mass_underflows_keeps_its_finite_rate(rate):
+    """H = 0.995 log(0.995 e) + 0.005 log(0.005 e 200!); both rates read
+    log q, not q, and used to return +infinity here."""
+    closed_form = (0.995 * (math.log(0.995) + 1)
+                   + 0.005 * (math.log(0.005) + 1 + math.lgamma(201)))
+    result = rate()
+    assert result.feasible
+    assert result.value == pytest.approx(closed_form, rel=1e-12)
+    assert result.value == pytest.approx(5.28468087, abs=1e-8)
 
 
 def test_degree_rate_mean_mismatch():

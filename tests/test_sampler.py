@@ -77,7 +77,12 @@ HALVES = ProbMeasure({"a": Fraction(1, 2), "b": Fraction(1, 2)})
      "link law key ('a', 'c') outside the alphabet"),
     (ConditionSpec(4, ProbMeasure({"a": 0.5, "bad label": 0.5}), FiniteMeasure({})),
      "invalid type label 'bad label' (allowed: [A-Za-z0-9_.-]+)"),
-], ids=["n=0", "eta-over-pairs", "pi-over-types", "asymmetric", "outside-alphabet", "bad-label"])
+    # a type law within the float mass tolerance whose counts miss n by one
+    (ConditionSpec(2**40, ProbMeasure({"a": 0.5 + 2**-40, "b": 0.5}), FiniteMeasure({})),
+     "type counts {'a': 549755813889, 'b': 549755813888} sum to 1099511627777, "
+     "not n = 1099511627776"),
+], ids=["n=0", "eta-over-pairs", "pi-over-types", "asymmetric", "outside-alphabet", "bad-label",
+        "counts-miss-n"])
 def test_spec_analysis_refuses_malformed_laws(spec, reason):
     report = admissible(spec)
     assert not report
