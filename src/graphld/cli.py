@@ -14,9 +14,11 @@ Subcommands (``graphld <cmd> --config FILE [--seed U64] [--out PATH]
 * ``decay``     -- Monte Carlo decay-rate study over a list of graph sizes;
 * ``lldp``      -- exact finite-size exponent gaps along a spec family.
 
-Exit codes: 0 on success, 1 on parse errors, 2 on guard, feasibility and
-convergence errors (``optimize`` writes nothing when its solve did not
-converge; ``decay`` still writes its table and warns on stderr).
+Exit codes: 0 on success (``--help`` included), 1 on usage and parse
+errors, 2 on guard, feasibility and convergence errors (``optimize`` writes
+nothing when its solve did not converge; ``decay`` still writes its table and
+warns on stderr).  Every integer read from text, ``--seed`` and the graph
+file's included, follows ``measures.decode_int``'s rule, ``-?[0-9]+``.
 
 Determinism contract: a stochastic run is sharded into fixed-size blocks of
 samples; shard ``i`` for graph size ``n`` consumes the dedicated substream
@@ -46,7 +48,7 @@ from .graphs import (
     empirical_type_measure,
 )
 from .measures import (CountingMeasure, FiniteMeasure, ProbMeasure, config_float, config_int,
-                       degree_values)
+                       decode_int, degree_values)
 from .oracle import EnumerationGuardError, lldp_exponent_gap, type_class_counts
 from .optimizer import (
     ConstraintSet,
@@ -116,13 +118,6 @@ def decay_records_to_csv(records: Sequence[ExperimentRecord]) -> str:
     return _table_text(_DECAY_COLUMNS, [rec.to_json_dict() for rec in records], "csv")
 
 
-def _shards(total: int) -> List[int]:
-    sizes = [SHARD_SIZE] * (total // SHARD_SIZE)
-    if total % SHARD_SIZE:
-        sizes.append(total % SHARD_SIZE)
-    return sizes
-
-
 def _count_event_hits(n: int, m: int, samples: int, event: ConstraintSet,
                       seed: int) -> int:
     """Hits of a degree-law event over ``samples`` G(n, m) draws, sharded.
@@ -133,9 +128,9 @@ def _count_event_hits(n: int, m: int, samples: int, event: ConstraintSet,
     thresholds as decimals: {p(0) >= 0.4} at n = 50 needs 20 isolated nodes.
     """
     hits = 0
-    for shard_index, count in enumerate(_shards(samples)):
+    for shard_index, start in enumerate(range(0, samples, SHARD_SIZE)):
         rng = np.random.default_rng([seed, n, shard_index])
-        for hist in iter_er_degree_histograms(n, m, count, rng):
+        for hist in iter_er_degree_histograms(n, m, min(SHARD_SIZE, samples - start), rng):
             hits += int(np.count_nonzero(event.holds_on_counts(hist, n, m)))
     return hits
 
@@ -298,12 +293,6 @@ def _json_text(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _require_seed(seed: Optional[int]) -> int:
-    if seed is None:
-        raise ValueError("stochastic runs require --seed")
-    return seed
-
-
 def _specs_from_config(config: Dict[str, object]) -> Tuple[List[ConditionSpec], ProbMeasure]:
     if config.get("family") == "binary-cross":
         specs = [binary_cross_spec(config_int(n, "n_list")) for n in config["n_list"]]
@@ -314,7 +303,6 @@ def _specs_from_config(config: Dict[str, object]) -> Tuple[List[ConditionSpec], 
 
 
 def _cmd_sample(config, seed, fmt) -> str:
-    seed = _require_seed(seed)
     rng = np.random.default_rng(seed)
     if "er" in config:
         er = config["er"]
@@ -348,7 +336,6 @@ def _cmd_optimize(config, seed, fmt) -> str:
 
 
 def _cmd_decay(config, seed, fmt) -> str:
-    seed = _require_seed(seed)
     records = run_decay_study(
         c=config_float(config["c"], "c"),
         n_list=[config_int(n, "n_list") for n in config["n_list"]],
@@ -388,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", help="JSON config file")
-        cmd.add_argument("--seed", type=int, default=None,
+        cmd.add_argument("--seed", default=None,
                          help="64-bit RNG seed (required for stochastic runs)")
         cmd.add_argument("--out", default=None, help="output path (default stdout)")
         cmd.add_argument("--format", choices=("csv", "json"), default=None)
@@ -400,14 +387,20 @@ _PARSER = build_parser()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _PARSER.parse_args(argv)
-    fmt = args.format or ("csv" if args.command in ("decay", "lldp") else "json")
-    if fmt == "csv" and args.command not in ("decay", "lldp"):
-        print(f"error: {args.command} only supports --format json", file=sys.stderr)
-        return 1
     try:
+        args = _PARSER.parse_args(argv)
+    except SystemExit as exc:  # argparse wrote usage and error lines, or --help
+        return 1 if exc.code else 0
+    fmt = args.format or ("csv" if args.command in ("decay", "lldp") else "json")
+    try:
+        if fmt == "csv" and args.command not in ("decay", "lldp"):
+            raise ValueError(f"{args.command} only supports --format json")
+        seed = None if args.seed is None else decode_int(
+            args.seed, f"invalid --seed {args.seed!r} (allowed: -?[0-9]+)")
+        if seed is None and args.command in ("sample", "decay"):
+            raise ValueError("stochastic runs require --seed")
         config = _load_config(args.config)
-        text = _COMMANDS[args.command](config, args.seed, fmt)
+        text = _COMMANDS[args.command](config, seed, fmt)
         _emit(text, args.out)
         return 0
     except (EnumerationGuardError, InadmissibleSpecError, InfeasibleConstraintsError,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .measures import CountingMeasure, FiniteMeasure, ProbMeasure, _check_label
+from .measures import CountingMeasure, FiniteMeasure, ProbMeasure, _check_label, decode_int
 
 Edge = Tuple[int, int]
 
@@ -82,9 +82,10 @@ class TypedGraph:
         if len(lines) < 3 or lines[0][1].strip() != "typedgraph v1":
             raise ValueError("not a 'typedgraph v1' file")
         (n_lineno, n_line), (types_lineno, types_line) = lines[1:3]
-        if not n_line.startswith("n="):
-            raise ValueError(f"line {n_lineno} must be 'n=<int>'")
-        n = int(n_line[2:])
+        bad_n = f"line {n_lineno} must be 'n=<int>'"
+        n = decode_int(n_line[2:], bad_n) if n_line.startswith("n=") else -1
+        if n < 0:
+            raise ValueError(bad_n)
         if not types_line.startswith("types="):
             raise ValueError(f"line {types_lineno} must be 'types=<labels>'")
         types = types_line[len("types="):].split()
@@ -93,9 +94,10 @@ class TypedGraph:
         edges = set()
         for lineno, line in lines[3:]:
             parts = line.split()
+            bad_edge = f"line {lineno}: expected 'e <u> <v>', got {line!r}"
             if len(parts) != 3 or parts[0] != "e":
-                raise ValueError(f"line {lineno}: expected 'e <u> <v>', got {line!r}")
-            u, v = int(parts[1]), int(parts[2])
+                raise ValueError(bad_edge)
+            u, v = decode_int(parts[1], bad_edge), decode_int(parts[2], bad_edge)
             if not u < v:
                 raise ValueError(f"line {lineno}: edge must satisfy u < v")
             if (u, v) in edges:

@@ -24,7 +24,9 @@ atom counts (a ``graphs.locality_atoms_of`` key): the one spelling of a
 class.  ``decoded_items`` reads the keys of a JSON object, refusing a value
 that is not an object and two spellings of one key, and ``degree_values``
 reads a {degree: number} object into the values at 0..K; ``decode_key`` is
-the one reader of each key kind, a degree (``-?[0-9]+``) included.
+the one reader of each key kind.  ``decode_int`` is the one rule for an
+integer written in text (``-?[0-9]+``): degree keys, locality counts, the
+graph file's ``n=`` and edge endpoints, and ``--seed``.
 
 All values are immutable after construction and every function here is pure,
 so everything in this module is safe to share across threads.
@@ -56,6 +58,17 @@ PROB_MASS_TOL = 1e-12
 INPUT_TOL = 1e-9
 
 _LABEL_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
+_INT_RE = re.compile(r"-?[0-9]+\Z")
+
+
+def decode_int(text: str, problem: str) -> int:
+    """``text`` as an integer if it is ASCII digits after an optional minus
+    sign (``int`` alone would read "1_0", " 0", "+1" and other scripts'
+    digits); else ValueError(problem).  A negative value passes, so that it
+    reaches its caller's range check."""
+    if not _INT_RE.match(text):
+        raise ValueError(problem)
+    return int(text)
 
 
 def _label_problem(label: object) -> Optional[str]:
@@ -117,10 +130,7 @@ class CountingMeasure:
         pairs = []
         for part in text.split(","):
             label, _, count = part.partition(":")
-            try:
-                pairs.append((label, int(count)))
-            except ValueError:
-                raise ValueError(f"malformed counting-measure entry {part!r}") from None
+            pairs.append((label, decode_int(count, f"malformed counting-measure entry {part!r}")))
         return cls(pairs)
 
     def __repr__(self) -> str:
@@ -161,11 +171,7 @@ def decode_key(text: str, kind: str) -> Key:
     if kind == "type":
         return _check_label(text)
     if kind == "degree":
-        # ASCII digits only (int would read "1_0", " 0", "+1" and other scripts'
-        # digits); the sign lets a negative degree reach its range check
-        if not re.fullmatch(r"-?[0-9]+", text):
-            raise ValueError(f"invalid degree key {text!r} (allowed: -?[0-9]+)")
-        return int(text)
+        return decode_int(text, f"invalid degree key {text!r} (allowed: -?[0-9]+)")
     if kind == "pair":
         a, _, b = text.partition(",")
         return (_check_label(a), _check_label(b))

@@ -308,11 +308,10 @@ class Optimum:
         }
 
 
-def check_feasible(cons: ConstraintSet) -> None:
-    """Phase-1 linear feasibility check; raises InfeasibleConstraintsError."""
-    cap = cons.support_cap
-    feq, req = cons.eq_arrays()
-    fge, rge = cons.ge_arrays()
+def check_feasible(feq: np.ndarray, req: np.ndarray, fge: np.ndarray, rge: np.ndarray) -> None:
+    """Phase-1 linear feasibility check of the constraint arrays
+    (``eq_arrays`` and ``ge_arrays``); raises InfeasibleConstraintsError."""
+    cap = feq.shape[1] - 1
     a_eq = np.vstack([np.ones((1, cap + 1)), feq])
     b_eq = np.concatenate([[1.0], req])
     a_ub = -fge if fge.shape[0] else None
@@ -342,10 +341,9 @@ def minimize_relative_entropy(q_ref: VectorLike, cons: ConstraintSet) -> Optimum
                          f"values q(0..K)")
     if np.any(q <= 0):
         raise ValueError("reference law must be strictly positive on 0..K")
-    check_feasible(cons)
-
     feq, req = cons.eq_arrays()
     fge, rge = cons.ge_arrays()
+    check_feasible(feq, req, fge, rge)
     n_eq, n_ge = feq.shape[0], fge.shape[0]
     a = np.vstack([feq, fge])            # (J, K+1)
     targets = np.concatenate([req, rge])  # (J,)

@@ -241,12 +241,22 @@ TWO_TYPE_SPEC = {"n": 8, "eta": {"a": 0.5, "b": 0.5},
                  "pi": {"a,a": 0.75, "a,b": 0.625, "b,a": 0.625, "b,b": 0.25}}
 
 
-@pytest.mark.parametrize("config, seed, edges", [
-    ({"er": {"n": 8, "m": 10}}, 3, "1 3,1 4,1 7,1 8,2 5,2 8,3 7,3 8,5 6,5 8"),
-    ({"er": {"n": 8, "m": 10}}, 2024, "1 4,1 5,1 6,1 8,2 4,4 5,5 6,5 8,6 7,7 8"),
-    ({"spec": TWO_TYPE_SPEC}, 3, "1 2,1 3,1 5,1 6,2 4,2 6,2 7,3 6,5 6"),
-    ({"spec": TWO_TYPE_SPEC}, 2024, "1 2,1 3,1 6,1 7,2 4,4 6,4 7,4 8,5 7"),
-], ids=["er-3", "er-2024", "spec-3", "spec-2024"])
+PINNED_SAMPLES = {
+    "er-3": ({"er": {"n": 8, "m": 10}}, 3, "1 3,1 4,1 7,1 8,2 5,2 8,3 7,3 8,5 6,5 8"),
+    "er-2024": ({"er": {"n": 8, "m": 10}}, 2024, "1 4,1 5,1 6,1 8,2 4,4 5,5 6,5 8,6 7,7 8"),
+    "spec-3": ({"spec": TWO_TYPE_SPEC}, 3, "1 2,1 3,1 5,1 6,2 4,2 6,2 7,3 6,5 6"),
+    "spec-2024": ({"spec": TWO_TYPE_SPEC}, 2024, "1 2,1 3,1 6,1 7,2 4,4 6,4 7,4 8,5 7"),
+    "er-7": ({"er": {"n": 8, "m": 10}}, 7, "1 3,1 8,2 4,3 7,3 8,4 6,4 8,5 7,6 7,6 8"),
+}
+
+
+def pinned_sample_text(config, edges):
+    types = "a a a a a a a a" if "er" in config else "a a a a b b b b"
+    return f"typedgraph v1\nn=8\ntypes={types}\n" + \
+        "".join(f"e {edge}\n" for edge in edges.split(","))
+
+
+@pytest.mark.parametrize("config, seed, edges", PINNED_SAMPLES.values(), ids=list(PINNED_SAMPLES))
 def test_main_sample_bytes_are_pinned(tmp_path, config, seed, edges):
     """Seeded ``sample`` output, byte for byte: the subset kernel's index
     stream for a batch of one and the pair decode of a diagonal (G(n, m),
@@ -256,10 +266,31 @@ def test_main_sample_bytes_are_pinned(tmp_path, config, seed, edges):
     out = tmp_path / "graph.txt"
     assert main(["sample", "--config", str(config_file), "--seed", str(seed),
                  "--out", str(out)]) == 0
-    types = "a a a a a a a a" if "er" in config else "a a a a b b b b"
-    expected = f"typedgraph v1\nn=8\ntypes={types}\n" + \
-        "".join(f"e {edge}\n" for edge in edges.split(","))
-    assert out.read_bytes() == expected.encode()
+    assert out.read_bytes() == pinned_sample_text(config, edges).encode()
+
+
+def test_seed_is_read_by_the_one_integer_rule(tmp_path, capsys):
+    """``int`` read ``--seed 1_0`` as 10 and " 7" and "+7" as 7, and
+    argparse exited 2 with usage lines on "x": each exits 1 with one error
+    line, while ``--seed 7`` keeps its pinned bytes."""
+    config, _, edges = PINNED_SAMPLES["er-7"]
+    for bad in ("1_0", " 7", "+7", "x"):
+        assert run_main(tmp_path, "sample", config, "--seed", bad) == (1, None)
+        assert capsys.readouterr().err == f"error: invalid --seed {bad!r} (allowed: -?[0-9]+)\n"
+    assert run_main(tmp_path, "sample", config, "--seed", "7") == \
+        (0, pinned_sample_text(config, edges))
+
+
+def test_usage_errors_exit_1_and_help_exits_0(capsys):
+    """Exit 2 means a guard, feasibility or convergence error, on which a
+    script may fall back to Monte Carlo; argparse used to exit 2 on a
+    missing or unknown subcommand and on an unknown ``--format``."""
+    for argv in ([], ["frob"], ["rate", "--format", "xml"]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: graphld") and "error: " in err
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: graphld")
 
 
 def test_main_sample_requires_seed(tmp_path, capsys):
@@ -659,6 +690,20 @@ def test_main_measure_refuses_an_invalid_label_in_a_graph_file(tmp_path, capsys)
         "error: invalid type label 'b!' (allowed: [A-Za-z0-9_.-]+)\n"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("typedgraph v1\nn=0_3\ntypes=a a a\ne 1 2\n", "line 2 must be 'n=<int>'"),
+    ("typedgraph v1\nn=3\ntypes=a a a\ne 1 \u0663\n",
+     "line 4: expected 'e <u> <v>', got 'e 1 \u0663'"),
+], ids=["n-underscore", "endpoint-arabic-indic"])
+def test_main_measure_refuses_a_bad_integer_in_a_graph_file(tmp_path, capsys, text, message):
+    """``int`` read ``n=0_3`` as 3 and an Arabic-Indic 3 as 3, so a file
+    that is not canonical ``typedgraph v1`` loaded."""
+    graph = tmp_path / "graph.txt"
+    graph.write_text(text, encoding="utf-8")
+    assert run_main(tmp_path, "measure", {"graph": str(graph)}) == (1, None)
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command, config, first, second", [
     ("rate", {"c": 2.0, "p": {"2": 1.0, "02": 1.0}}, "2", "02"),
     ("optimize", {"q": {"0": 1.0, "1": 2.0, "01": 5.0, "2": 1.0},
@@ -700,10 +745,16 @@ def test_two_spellings_of_one_key_exit_1(tmp_path, capsys, command, config, firs
      "invalid degree key '\u0661' (allowed: -?[0-9]+)"),
     ("optimize", {"c": 2.0, "constraints": {"K": 10, "ge": [{"f": "pmf@1_0", "r": 0.1}]}},
      "invalid degree key '1_0' (allowed: -?[0-9]+)"),
+    ("rate", {"eta": {"a": 0.5, "b": 0.5}, "pi": {"a,b": 1.0, "b,a": 1.0},
+              "p": {"a|b:0_2": 0.5, "b|a:+2": 0.5}},
+     "malformed counting-measure entry 'b:0_2'"),
+    ("lldp", {"specs": [SPEC4], "target": {"a|b:1_0": 0.5, "b|a:1": 0.5}},
+     "malformed counting-measure entry 'b:1_0'"),
 ], ids=["rate.p-list", "enumerate.eta-list", "optimize.q-list", "rate.config-list",
         "lldp.config-string", "optimize.q-key-7", "optimize.q-key--1", "measure.graph-int",
         "measure.graph-null", "rate.no-config", "rate.degree-underscore", "optimize.q-space",
-        "optimize.coefficient-plus", "rate.degree-arabic-indic", "optimize.pmf-underscore"])
+        "optimize.coefficient-plus", "rate.degree-arabic-indic", "optimize.pmf-underscore",
+        "rate.locality-count-underscore", "lldp.target-count-underscore"])
 def test_malformed_configs_exit_1_with_one_error_line(tmp_path, capsys, command, config,
                                                       message):
     """A list where a map is expected used to end in an AttributeError
@@ -711,7 +762,7 @@ def test_malformed_configs_exit_1_with_one_error_line(tmp_path, capsys, command,
     ``measure`` passed an int ``graph`` to ``open``, which read it as a file
     descriptor and closed it (here, the process's stdout); and ``int`` read
     the degree keys "1_0" as 10, " 0" as 0, "+1" and the Arabic-Indic one
-    as 1."""
+    as 1, and the locality counts "0_2" as 2 and "1_0" as 10."""
     if config is None:
         assert main([command]) == 1
     else:

@@ -139,8 +139,13 @@ def test_text_format_errors():
 @pytest.mark.parametrize("text, error", [
     ("typedgraph v1\nnodes=2\ntypes=a a\n", "line 2 must be 'n=<int>'"),
     ("typedgraph v1\n\nn=2\nlabels=a a\n", "line 4 must be 'types=<labels>'"),
+    ("typedgraph v1\n\nn=0_3\ntypes=a a a\n", "line 3 must be 'n=<int>'"),
+    ("typedgraph v1\n\nn=x\ntypes=a a a\n", "line 3 must be 'n=<int>'"),
+    ("typedgraph v1\n\nn=-1\ntypes=a a a\n", "line 3 must be 'n=<int>'"),
 ])
 def test_text_format_header_line_errors(text, error):
+    """``int`` read ``n=0_3`` as 3, ``n=x`` failed with no line named, and
+    ``n=-1`` ended in "expected -1 type labels"."""
     with pytest.raises(ValueError, match=re.escape(error)):
         TypedGraph.from_text(text)
 
@@ -157,8 +162,12 @@ def test_text_format_rejects_a_repeated_edge_line():
     ("e 1 2\ne 1 2\n", "line 7: repeated edge 1 2"),
     ("e 1 2\n\ne 3 2\n", "line 8: edge must satisfy u < v"),
     ("e 1 2\nedge 2 3\n", "line 7: expected 'e <u> <v>'"),
+    ("e 1 \u0663\n", "line 6: expected 'e <u> <v>', got 'e 1 \u0663'"),
+    ("e 1 2\ne 1 x\n", "line 7: expected 'e <u> <v>', got 'e 1 x'"),
 ])
 def test_text_format_errors_count_blank_lines(body, error):
-    """An error names its line as the file numbers it, blank lines included."""
+    """An error names its line as the file numbers it, blank lines included.
+    An endpoint is read by the one integer rule: ``int`` read the
+    Arabic-Indic 3 as 3 and failed on ``x`` with no line named."""
     with pytest.raises(ValueError, match=re.escape(error)):
         TypedGraph.from_text("typedgraph v1\n\nn=3\ntypes=a a a\n\n" + body)

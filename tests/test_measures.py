@@ -269,17 +269,29 @@ def test_config_float_refuses_the_rest_naming_the_field(value):
     (lambda: FiniteMeasure.from_json_dict("a", "type"),
      ValueError("expected a JSON object of keys, not 'a'")),
     (lambda: CountingMeasure.decode("b:x"), ValueError("malformed counting-measure entry 'b:x'")),
+    (lambda: CountingMeasure.decode("b:1_0"),
+     ValueError("malformed counting-measure entry 'b:1_0'")),
+    (lambda: CountingMeasure.decode("b: 2"), ValueError("malformed counting-measure entry 'b: 2'")),
+    (lambda: CountingMeasure.decode("b:+2"), ValueError("malformed counting-measure entry 'b:+2'")),
+    (lambda: CountingMeasure.decode("b:\u0663"),
+     ValueError("malformed counting-measure entry 'b:\u0663'")),
+    (lambda: CountingMeasure.decode("b:-2"),
+     ValueError("count for 'b' must be a non-negative int, got -2")),
     (lambda: decode_key("ab", "locality"), ValueError("locality key 'ab' missing '|' separator")),
     (lambda: decode_key("1_0", "degree"),
      ValueError("invalid degree key '1_0' (allowed: -?[0-9]+)")),
     (lambda: FiniteMeasure({1.5: 1}), TypeError("unsupported measure key 1.5")),
 ], ids=["negative-tol", "nothing-to-compare", "list-as-map", "string-as-map",
-        "counting-entry-not-a-count", "locality-key-without-bar", "degree-key-with-underscore",
-        "float-key"])
+        "counting-entry-not-a-count", "counting-entry-underscore", "counting-entry-space",
+        "counting-entry-plus", "counting-entry-arabic-indic", "counting-entry-negative",
+        "locality-key-without-bar", "degree-key-with-underscore", "float-key"])
 def test_consistency_edge_cases_and_map_refusals(call, expected):
     """With no link mass on either side the check has no residual to
     report; a JSON value that is not an object, where a map is expected, is
-    refused rather than ending in an AttributeError."""
+    refused rather than ending in an AttributeError.  A locality count is
+    read by the one integer rule (``int`` read "1_0" as 10, " 2", "+2" and
+    the Arabic-Indic 3 as numbers), and a negative count still reaches
+    ``CountingMeasure``'s own check."""
     if isinstance(expected, Exception):
         with pytest.raises(type(expected), match=re.escape(str(expected))):
             call()
