@@ -17,8 +17,8 @@ Subcommands (``graphld <cmd> --config FILE [--seed U64] [--out PATH]
 Exit codes: 0 on success (``--help`` included), 1 on usage and parse
 errors, 2 on guard, feasibility and convergence errors (``optimize`` writes
 nothing when its solve did not converge; ``decay`` still writes its table and
-warns on stderr).  Every integer read from text, ``--seed`` and the graph
-file's included, follows ``measures.decode_int``'s rule, ``-?[0-9]+``.
+warns on stderr).  Every integer read from text, the graph file's included,
+follows ``measures.decode_int``'s rule, ``-?[0-9]+``; ``--seed`` is ``[0-9]+``.
 
 Determinism contract: a stochastic run is sharded into fixed-size blocks of
 samples; shard ``i`` for graph size ``n`` consumes the dedicated substream
@@ -250,8 +250,9 @@ def run_optimize(config: Dict[str, object]) -> Dict[str, object]:
         optimum = rate_infimum_for_event(config_float(config["c"], "c"), cons,
                                          None if cap is None else config_int(cap, "K"))
     else:
-        optimum = minimize_relative_entropy(degree_values(config["q"], cons.support_cap, "q"),
-                                            cons)
+        with np.errstate(divide="ignore", invalid="ignore"):  # the solver refuses q <= 0
+            log_q = np.log(degree_values(config["q"], cons.support_cap, "q"))
+        optimum = minimize_relative_entropy(log_q, cons)
     if not optimum.converged:
         raise NotConvergedError(
             f"the optimizer did not converge: KKT residual {optimum.kkt_residual!r} "
@@ -395,8 +396,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if fmt == "csv" and args.command not in ("decay", "lldp"):
             raise ValueError(f"{args.command} only supports --format json")
-        seed = None if args.seed is None else decode_int(
-            args.seed, f"invalid --seed {args.seed!r} (allowed: -?[0-9]+)")
+        bad_seed = f"invalid --seed {args.seed!r} (allowed: [0-9]+)"
+        if args.seed is not None and args.seed.startswith("-"):
+            raise ValueError(bad_seed)
+        seed = None if args.seed is None else decode_int(args.seed, bad_seed)
         if seed is None and args.command in ("sample", "decay"):
             raise ValueError("stochastic runs require --seed")
         config = _load_config(args.config)

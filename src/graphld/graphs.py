@@ -88,18 +88,21 @@ class TypedGraph:
             raise ValueError(bad_n)
         if not types_line.startswith("types="):
             raise ValueError(f"line {types_lineno} must be 'types=<labels>'")
-        types = types_line[len("types="):].split()
+        # "".split(" ") is [""]: n = 0 goes on to the node-count check
+        types = types_line[len("types="):].split(" ") if n else []
         if len(types) != n:
             raise ValueError(f"expected {n} type labels, got {len(types)}")
         edges = set()
         for lineno, line in lines[3:]:
-            parts = line.split()
+            parts = line.split(" ")
             bad_edge = f"line {lineno}: expected 'e <u> <v>', got {line!r}"
             if len(parts) != 3 or parts[0] != "e":
                 raise ValueError(bad_edge)
             u, v = decode_int(parts[1], bad_edge), decode_int(parts[2], bad_edge)
             if not u < v:
                 raise ValueError(f"line {lineno}: edge must satisfy u < v")
+            if u < 1 or v > n:
+                raise ValueError(f"line {lineno}: edge ({u}, {v}) out of node range 1..{n}")
             if (u, v) in edges:
                 raise ValueError(f"line {lineno}: repeated edge {u} {v}")
             edges.add((u, v))

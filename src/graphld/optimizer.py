@@ -1,11 +1,11 @@
 """Entropy projection onto linearly constrained degree laws.
 
-Minimizes H(p || q_ref) over probability vectors p on {0..K} (q_ref given by
-its K + 1 positive values: its length fixes K) subject to linear equalities
-<f, p> = r and inequalities <f, p> >= r (the simplex constraint is implicit
-and always active).  This is the machinery behind predicted decay rates for
-degree-law events: the infimum of the mean-c Poisson rate function over an
-event set.
+Minimizes H(p || q_ref) over probability vectors p on {0..L} (q_ref given by
+its finite logs log q(0..L), L >= K, so no underflow refuses a large c)
+subject to linear equalities <f, p> = r and inequalities <f, p> >= r (the
+simplex constraint is implicit and always active).  This is the machinery
+behind predicted decay rates for degree-law events: the infimum of the
+mean-c Poisson rate function over an event set.
 
 Algorithm: for fixed dual multipliers the minimizer is q_ref tilted by the
 multiplier-weighted constraint vectors, normalized on the simplex.  So, with
@@ -34,8 +34,9 @@ Constraint vectors are ``Functional``s that keep the name they were
 written with: ``mean``, ``pmf@k``, or explicit coefficients.  They extend by
 zero beyond K, except the mean, which stays f(k) = k at every degree; so an
 event written on {0..K} ignores any other degree-law mass above K.  The
-solve reads them as float vectors (from JSON by ``measures.degree_values``,
-and the k of ``pmf@k`` by ``measures.decode_key``).
+solve reads them on 0..L as float arrays, ``ConstraintSet.arrays(L)`` (from
+JSON by ``measures.degree_values``, and the k of ``pmf@k`` by
+``measures.decode_key``).
 Whether a sampled graph's degree law lies in the event is decided by one
 exact rule, on its integer degree counts: ``ConstraintSet.holds_on_counts``
 reads coefficients and thresholds as their shortest decimals, so an
@@ -55,7 +56,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .measures import ProbMeasure, config_float, config_int, decode_key, degree_values
-from .rate import poisson_pmf, poisson_tail
+from .rate import poisson_log_pmf, poisson_tail
 
 KKT_TOL = 1e-6
 #: Constraint-satisfaction tolerance demanded of the reported minimizer
@@ -146,36 +147,20 @@ class ConstraintSet:
         object.__setattr__(self, "equalities", freeze(equalities))
         object.__setattr__(self, "inequalities", freeze(inequalities))
 
-    # -- numpy views ------------------------------------------------------------
-    def _arrays(self, cons) -> Tuple[np.ndarray, np.ndarray]:
-        return (np.array([f for f, _ in cons]).reshape(len(cons), self.support_cap + 1),
-                np.array([r for _, r in cons], dtype=float))
-
-    def eq_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        return self._arrays(self.equalities)
-
-    def ge_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        return self._arrays(self.inequalities)
-
-    def extended(self, support_cap: int) -> "ConstraintSet":
-        """Same constraints on a larger support; vectors are zero-padded
-        (except the mean functional, which keeps its meaning)."""
-        if support_cap < self.support_cap:
-            raise ValueError("cannot shrink the support cap")
-        if support_cap == self.support_cap:
-            return self
-        pad = support_cap - self.support_cap
-
-        def grow(f: Functional) -> Functional:
-            if f.name == "mean":
-                return mean_vector(support_cap)
-            return Functional(f + (0.0,) * pad, f.name)
-
-        return ConstraintSet(
-            support_cap,
-            [(grow(f), r) for f, r in self.equalities],
-            [(grow(f), r) for f, r in self.inequalities],
-        )
+    def arrays(self, cap: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The constraints on 0..cap (cap >= K) as ``(F_eq, r_eq, F_ge, r_ge)``,
+        one row a functional: zero beyond K, except the mean, which stays
+        f(k) = k."""
+        if cap < self.support_cap:
+            raise ValueError(f"cannot shrink the support cap {self.support_cap} to {cap}")
+        out = []
+        for cons in (self.equalities, self.inequalities):
+            f = np.zeros((len(cons), cap + 1))
+            for row, (g, _) in zip(f, cons):
+                row[:] = np.arange(cap + 1) if g.name == "mean" else np.pad(
+                    g, (0, cap - self.support_cap))
+            out += [f, np.array([r for _, r in cons], dtype=float)]
+        return tuple(out)
 
     @functools.cached_property
     def _integer_form(self) -> Tuple[Tuple[Optional[Tuple[int, ...]], Fraction, bool], ...]:
@@ -310,7 +295,7 @@ class Optimum:
 
 def check_feasible(feq: np.ndarray, req: np.ndarray, fge: np.ndarray, rge: np.ndarray) -> None:
     """Phase-1 linear feasibility check of the constraint arrays
-    (``eq_arrays`` and ``ge_arrays``); raises InfeasibleConstraintsError."""
+    (``ConstraintSet.arrays``); raises InfeasibleConstraintsError."""
     cap = feq.shape[1] - 1
     a_eq = np.vstack([np.ones((1, cap + 1)), feq])
     b_eq = np.concatenate([[1.0], req])
@@ -324,30 +309,29 @@ def check_feasible(feq: np.ndarray, req: np.ndarray, fge: np.ndarray, rge: np.nd
             f"(phase-1 LP: {res.message})")
 
 
-def minimize_relative_entropy(q_ref: VectorLike, cons: ConstraintSet) -> Optimum:
-    """Minimize H(p || q_ref) over the constraint polytope.
+def minimize_relative_entropy(log_q: VectorLike, cons: ConstraintSet) -> Optimum:
+    """Minimize H(p || q_ref) over the constraint polytope on 0..L.
 
-    ``q_ref`` holds the K + 1 reference values q(0..K) (a sequence or an
-    array), strictly positive; it need not be normalized -- for a
+    ``log_q`` holds the finite logs log q(0..L) of the reference (a sequence
+    or an array), L >= K; ``cons`` is read on 0..L by
+    ``ConstraintSet.arrays``.  The reference need not be normalized -- for a
     sub-probability reference the value includes the -log(mass) offset, which
     is how truncated reference laws report their honest rate.
 
     The objective is strictly convex on the simplex, so the minimizer is
     unique.  See the module docstring for the algorithm.
     """
-    q = np.asarray(q_ref, dtype=float)
-    if q.shape != (cons.support_cap + 1,):
-        raise ValueError(f"reference has shape {q.shape}, expected {cons.support_cap + 1} "
-                         f"values q(0..K)")
-    if np.any(q <= 0):
+    log_q = np.asarray(log_q, dtype=float)
+    if log_q.ndim != 1:
+        raise ValueError(f"reference has shape {log_q.shape}, expected the values "
+                         f"log q(0..L)")
+    if not np.all(np.isfinite(log_q)):
         raise ValueError("reference law must be strictly positive on 0..K")
-    feq, req = cons.eq_arrays()
-    fge, rge = cons.ge_arrays()
+    feq, req, fge, rge = cons.arrays(len(log_q) - 1)
     check_feasible(feq, req, fge, rge)
     n_eq, n_ge = feq.shape[0], fge.shape[0]
-    a = np.vstack([feq, fge])            # (J, K+1)
+    a = np.vstack([feq, fge])            # (J, L+1)
     targets = np.concatenate([req, rge])  # (J,)
-    log_q = np.log(q)
 
     def tilt(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, float]:
         """Multiplicative update: q_ref reweighted by the dual combination of
@@ -435,19 +419,16 @@ def rate_infimum_for_event(c: float, cons: ConstraintSet,
                                  count graphs have mean exactly c).
 
     The Poisson reference is truncated at ``support_cap`` (default
-    max(50, ceil(10 c), event cap)); its tail mass is reported alongside the
-    value as ``reference_tail``.
+    max(50, ceil(10 c), event cap)) and passed as its logs, finite at any c;
+    its tail mass is reported alongside the value as ``reference_tail``.
     """
     if c <= 0:
         raise ValueError("c must be > 0")
     if support_cap is None:
         support_cap = max(50, math.ceil(10 * c), cons.support_cap)
-    grown = cons.extended(support_cap)
-    full = ConstraintSet(
-        support_cap,
-        list(grown.equalities) + [(mean_vector(support_cap), float(c))],
-        grown.inequalities,
-    )
-    q = np.array([poisson_pmf(c, k) for k in range(support_cap + 1)])
-    optimum = minimize_relative_entropy(q, full)
+    with_mean = ConstraintSet(cons.support_cap,
+                              cons.equalities + ((mean_vector(cons.support_cap), float(c)),),
+                              cons.inequalities)
+    optimum = minimize_relative_entropy(poisson_log_pmf(c, np.arange(support_cap + 1)),
+                                        with_mean)
     return dataclasses.replace(optimum, reference_tail=poisson_tail(c, support_cap))

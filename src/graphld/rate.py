@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from numbers import Rational
 from typing import Callable, Dict, Iterator, Tuple, Union
 
-from scipy.special import pdtr, pdtrc
+from scipy.special import gammaln, pdtr, pdtrc
 
 from .measures import (
     INPUT_TOL,
@@ -60,6 +60,12 @@ _INF = float("inf")
 # Poisson helpers
 # ---------------------------------------------------------------------------
 
+def poisson_log_pmf(mean: float, k):
+    """log Poisson(mean)(k) = k log(mean) - mean - log k!  (mean > 0; k >= 0,
+    an int or an integer array); finite where the pmf underflows."""
+    return k * math.log(mean) - mean - gammaln(k + 1)
+
+
 def poisson_pmf(mean: float, k: int) -> float:
     """exp(-mean) * mean^k / k!  (mean >= 0; the mean-0 law is the point mass at 0)."""
     if mean < 0:
@@ -68,7 +74,7 @@ def poisson_pmf(mean: float, k: int) -> float:
         return 0.0
     if mean == 0:
         return 1.0 if k == 0 else 0.0
-    return math.exp(k * math.log(mean) - mean - math.lgamma(k + 1))
+    return math.exp(poisson_log_pmf(mean, k))
 
 
 def poisson_tail(mean: float, k: int) -> float:

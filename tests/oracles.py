@@ -5,7 +5,8 @@ These deliberately share no code path with ``src/``: the grid oracle
 explores the primal polytope directly through an orthonormal basis of its
 affine hull, the theta-scan oracle walks the one-parameter tilted family that
 KKT stationarity forces on reduced problems (``pinned_zero_rate`` solves for
-its theta by root search), and the isolated-node oracle
+its theta by root search, in log space from ``math.lgamma``, so a Poisson
+mass that underflows a double keeps its weight), and the isolated-node oracle
 counts graphs exactly in big-integer arithmetic.  The class census has two
 slow references: ``lexsort_row_ids`` numbers distinct rows with
 ``np.lexsort``, and ``class_measure`` rebuilds a class's exact locality
@@ -22,25 +23,30 @@ from typing import Callable, Tuple, Union
 
 import numpy as np
 from scipy.optimize import brentq, linprog
+from scipy.special import logsumexp
 
 from graphld.graphs import empirical_locality_measure
 from graphld.measures import CountingMeasure, ProbMeasure
 from graphld.optimizer import ConstraintSet
 from graphld.oracle import enumerate_support
-from graphld.rate import poisson_pmf
 from graphld.sampler import ConditionSpec
 
 
-def entropy_objective(p: np.ndarray, q: np.ndarray) -> float:
+def entropy_objective(p: np.ndarray, log_q: np.ndarray) -> float:
     mask = p > 0
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+    return float(np.sum(p[mask] * (np.log(p[mask]) - log_q[mask])))
+
+
+def poisson_log_law(c: float, cap: int) -> np.ndarray:
+    """log Poisson(c)(k) for k = 0..cap."""
+    return np.array([k * math.log(c) - c - math.lgamma(k + 1) for k in range(cap + 1)])
 
 
 def _affine_parametrization(cons: ConstraintSet) -> Tuple[np.ndarray, np.ndarray]:
     """Particular solution and orthonormal nullspace basis of the equality
     system (simplex row included): p = p_part + basis @ y."""
     cap = cons.support_cap
-    feq, req = cons.eq_arrays()
+    feq, req, _, _ = cons.arrays(cap)
     a = np.vstack([np.ones((1, cap + 1)), feq])
     b = np.concatenate([[1.0], req])
     p_part, *_ = np.linalg.lstsq(a, b, rcond=None)
@@ -54,7 +60,7 @@ def _coordinate_bounds(p_part: np.ndarray, basis: np.ndarray,
                        cons: ConstraintSet) -> Tuple[np.ndarray, np.ndarray]:
     """Per-coordinate LP bounds of the feasible region in y-space."""
     dims = basis.shape[1]
-    fge, rge = cons.ge_arrays()
+    _, _, fge, rge = cons.arrays(cons.support_cap)
     a_ub = [-basis]
     b_ub = [p_part]
     if fge.shape[0]:
@@ -86,16 +92,15 @@ def grid_search_value(q_ref, cons: ConstraintSet, resolution: float = 1e-4,
     minimum; refinement stops once the cell size is below ``resolution``.
     """
     cap = cons.support_cap
-    q = np.asarray([q_ref(k) for k in range(cap + 1)] if callable(q_ref) else q_ref,
-                   dtype=float)
+    log_q = np.log(np.asarray(q_ref, dtype=float))
     p_part, basis = _affine_parametrization(cons)
     dims = basis.shape[1]
     if dims > 3:
         raise ValueError(f"grid oracle supports <= 3 free dimensions, got {dims}")
-    fge, rge = cons.ge_arrays()
+    _, _, fge, rge = cons.arrays(cap)
 
     if dims == 0:
-        return entropy_objective(np.maximum(p_part, 0.0), q)
+        return entropy_objective(np.maximum(p_part, 0.0), log_q)
 
     lo, hi = _coordinate_bounds(p_part, basis, cons)
     best_value = math.inf
@@ -111,7 +116,7 @@ def grid_search_value(q_ref, cons: ConstraintSet, resolution: float = 1e-4,
         if fge.shape[0]:
             ok &= np.all(ps @ fge.T >= rge - 1e-9, axis=1)
         for y, p in zip(mesh[ok], ps[ok]):
-            value = entropy_objective(np.maximum(p, 0.0), q)
+            value = entropy_objective(np.maximum(p, 0.0), log_q)
             if value < best_value:
                 best_value = value
                 best_y = y
@@ -125,10 +130,8 @@ def pinned_zero_tilt(c: float, cap: int, p_zero: float,
                      theta: float) -> Tuple[np.ndarray, float]:
     """The degree law with p(0) pinned and the rest an exponential tilt of
     Poisson(c) on {1..cap}; returns (p, mean)."""
-    ks = np.arange(1, cap + 1)
-    w = np.array([poisson_pmf(c, int(k)) for k in ks]) * np.exp(theta * ks)
-    w *= (1.0 - p_zero) / w.sum()
-    p = np.concatenate([[p_zero], w])
+    log_w = poisson_log_law(c, cap)[1:] + theta * np.arange(1, cap + 1)
+    p = np.concatenate([[p_zero], (1.0 - p_zero) * np.exp(log_w - logsumexp(log_w))])
     return p, float(np.arange(cap + 1) @ p)
 
 
@@ -139,8 +142,7 @@ def pinned_zero_rate(c: float, cap: int, r: float) -> float:
     """
     theta = brentq(lambda t: pinned_zero_tilt(c, cap, r, t)[1] - c, -10.0, 10.0,
                    xtol=1e-14)
-    q = np.array([poisson_pmf(c, k) for k in range(cap + 1)])
-    return entropy_objective(pinned_zero_tilt(c, cap, r, theta)[0], q)
+    return entropy_objective(pinned_zero_tilt(c, cap, r, theta)[0], poisson_log_law(c, cap))
 
 
 def theta_scan_value(c: float, cap: int, p_zero: float, mean_target: float,
@@ -149,14 +151,14 @@ def theta_scan_value(c: float, cap: int, p_zero: float, mean_target: float,
     """Dense scan of the pinned-p(0) tilted family: the entropy at the grid
     theta whose mean is closest to the target (the mean is strictly
     increasing in theta, so the crossing is unique)."""
-    q = np.array([poisson_pmf(c, k) for k in range(cap + 1)])
+    log_q = poisson_log_law(c, cap)
     thetas = np.arange(lo, hi + resolution, resolution)
     best = (math.inf, math.inf)
     for theta in thetas:
         p, mean = pinned_zero_tilt(c, cap, p_zero, float(theta))
         gap = abs(mean - mean_target)
         if gap < best[0]:
-            best = (gap, entropy_objective(p, q))
+            best = (gap, entropy_objective(p, log_q))
     if not best[0] < 1e-2:
         raise ValueError("theta scan never approached the target mean")
     return best[1]

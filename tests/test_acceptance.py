@@ -280,7 +280,7 @@ def test_criterion_6_optimizer_grid_equivalence():
             f = tuple(float(x) for x in rng.uniform(-1, 1, cap + 1))
             ges.append((f, float(np.dot(f, anchor)) - abs(float(rng.normal(0, 0.05)))))
         cons = ConstraintSet(cap, eqs, ges)
-        opt = minimize_relative_entropy(q, cons)
+        opt = minimize_relative_entropy(np.log(q), cons)
         grid = grid_search_value(q, cons, resolution=1e-4)
         worst = max(worst, abs(opt.value - grid))
     ok = worst <= 1e-4

@@ -270,13 +270,16 @@ def test_main_sample_bytes_are_pinned(tmp_path, config, seed, edges):
 
 
 def test_seed_is_read_by_the_one_integer_rule(tmp_path, capsys):
-    """``int`` read ``--seed 1_0`` as 10 and " 7" and "+7" as 7, and
-    argparse exited 2 with usage lines on "x": each exits 1 with one error
-    line, while ``--seed 7`` keeps its pinned bytes."""
+    """``int`` read ``--seed 1_0`` as 10 and " 7" and "+7" as 7, argparse
+    exited 2 with usage lines on "x", and numpy refused "-1" without naming
+    the flag: each exits 1 with one error line naming ``--seed``, for
+    ``sample`` and ``decay``, while ``--seed 7`` keeps its pinned bytes."""
     config, _, edges = PINNED_SAMPLES["er-7"]
-    for bad in ("1_0", " 7", "+7", "x"):
-        assert run_main(tmp_path, "sample", config, "--seed", bad) == (1, None)
-        assert capsys.readouterr().err == f"error: invalid --seed {bad!r} (allowed: -?[0-9]+)\n"
+    decay = {"c": 2.0, "n_list": [10], "samples": 10, "event": {"K": 1}}
+    for bad in ("1_0", " 7", "+7", "x", "-1", "-0"):
+        for command, cfg in (("sample", config), ("decay", decay)):
+            assert run_main(tmp_path, command, cfg, "--seed", bad) == (1, None)
+            assert capsys.readouterr().err == f"error: invalid --seed {bad!r} (allowed: [0-9]+)\n"
     assert run_main(tmp_path, "sample", config, "--seed", "7") == \
         (0, pinned_sample_text(config, edges))
 
@@ -479,7 +482,7 @@ def test_main_optimize_reference_form(tmp_path):
     constraints = {"K": 3, "eq": [{"f": "mean", "r": 1.5}], "ge": [{"f": "pmf@0", "r": 0.3}]}
     code, text = run_main(tmp_path, "optimize", {"q": q, "constraints": constraints})
     assert code == 0
-    expected = minimize_relative_entropy([0.4, 0.3, 0.2, 0.1],
+    expected = minimize_relative_entropy(np.log([0.4, 0.3, 0.2, 0.1]),
                                          ConstraintSet.from_json_dict(constraints))
     assert expected.converged
     assert json.loads(text) == json_round_trip(expected.to_json_dict())

@@ -142,10 +142,12 @@ def test_text_format_errors():
     ("typedgraph v1\n\nn=0_3\ntypes=a a a\n", "line 3 must be 'n=<int>'"),
     ("typedgraph v1\n\nn=x\ntypes=a a a\n", "line 3 must be 'n=<int>'"),
     ("typedgraph v1\n\nn=-1\ntypes=a a a\n", "line 3 must be 'n=<int>'"),
+    ("typedgraph v1\n\nn=3\ntypes=a  a\ta\n", "invalid type label ''"),
 ])
 def test_text_format_header_line_errors(text, error):
     """``int`` read ``n=0_3`` as 3, ``n=x`` failed with no line named, and
-    ``n=-1`` ended in "expected -1 type labels"."""
+    ``n=-1`` ended in "expected -1 type labels".  Labels are split on single
+    spaces, as ``to_text`` writes them: ``a  a<TAB>a`` loaded as three."""
     with pytest.raises(ValueError, match=re.escape(error)):
         TypedGraph.from_text(text)
 
@@ -164,10 +166,16 @@ def test_text_format_rejects_a_repeated_edge_line():
     ("e 1 2\nedge 2 3\n", "line 7: expected 'e <u> <v>'"),
     ("e 1 \u0663\n", "line 6: expected 'e <u> <v>', got 'e 1 \u0663'"),
     ("e 1 2\ne 1 x\n", "line 7: expected 'e <u> <v>', got 'e 1 x'"),
+    ("e  1\t2\n", "line 6: expected 'e <u> <v>', got 'e  1\\t2'"),
+    ("e 1 2 \n", "line 6: expected 'e <u> <v>', got 'e 1 2 '"),
+    ("e 1 2\ne 0 2\n", "line 7: edge (0, 2) out of node range 1..3"),
+    ("e 2 4\n", "line 6: edge (2, 4) out of node range 1..3"),
 ])
 def test_text_format_errors_count_blank_lines(body, error):
     """An error names its line as the file numbers it, blank lines included.
     An endpoint is read by the one integer rule: ``int`` read the
-    Arabic-Indic 3 as 3 and failed on ``x`` with no line named."""
+    Arabic-Indic 3 as 3 and failed on ``x`` with no line named.  An edge line
+    is split on single spaces, as ``to_text`` writes it (``e  1<TAB>2``
+    loaded as the edge (1, 2)), and an endpoint outside 1..n names its line."""
     with pytest.raises(ValueError, match=re.escape(error)):
         TypedGraph.from_text("typedgraph v1\n\nn=3\ntypes=a a a\n\n" + body)

@@ -64,12 +64,12 @@ def test_describe_is_stable_and_comma_free():
     assert "," not in cons.describe()
 
 
-def test_extended_preserves_the_mean_functional():
+def test_arrays_preserve_the_mean_functional():
     cons = ConstraintSet(3, equalities=[(mean_vector(3), 2.0)],
                          inequalities=[(point_vector(0, 3), 0.4)])
-    grown = cons.extended(6)
-    assert grown.equalities[0][0] == mean_vector(6)
-    assert grown.inequalities[0][0] == point_vector(0, 6)
+    feq, req, fge, rge = cons.arrays(6)
+    assert feq.tolist() == [list(mean_vector(6))] and req.tolist() == [2.0]
+    assert fge.tolist() == [list(point_vector(0, 6))] and rge.tolist() == [0.4]
 
 
 def test_json_round_trip_keeps_every_functional_name():
@@ -85,10 +85,9 @@ def test_json_round_trip_keeps_every_functional_name():
     [(pmf, _)], [(mean, _), (explicit, _)] = cons.equalities, cons.inequalities
     assert all(f == (0.0, 1.0) for f in (pmf, mean, explicit))
     assert pmf != mean and mean != explicit and explicit != pmf
-    grown = cons.extended(3)
-    assert grown.to_json_dict() == {**obj, "K": 3}
-    assert [f for f, _ in grown.equalities + grown.inequalities] == \
-        [(0.0, 1.0, 0.0, 0.0), (0.0, 1.0, 2.0, 3.0), (0.0, 1.0, 0.0, 0.0)]
+    feq, _, fge, _ = cons.arrays(3)
+    assert feq.tolist() + fge.tolist() == \
+        [[0.0, 1.0, 0.0, 0.0], [0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 0.0, 0.0]]
 
 
 def counts_with_isolated(n, isolated):
@@ -148,7 +147,7 @@ def test_holds_on_counts_refuses_a_sum_that_could_overflow_int64():
 def test_mean_only_projection_recovers_the_reference():
     cap = 60
     cons = ConstraintSet(cap, equalities=[(mean_vector(cap), 2.0)])
-    opt = minimize_relative_entropy(poisson_vector(2.0, cap), cons)
+    opt = minimize_relative_entropy(np.log(poisson_vector(2.0, cap)), cons)
     assert opt.value <= 1e-8
     trunc = truncated_poisson(2.0, cap)
     assert all(abs(opt.minimizer(k) - trunc(k)) <= 1e-6 for k in range(cap + 1))
@@ -158,7 +157,7 @@ def test_pinned_zero_projection_matches_independent_oracles():
     cap = 30
     cons = ConstraintSet(cap, equalities=[(mean_vector(cap), 1.0),
                                           (point_vector(0, cap), 0.5)])
-    opt = minimize_relative_entropy(poisson_vector(1.0, cap), cons)
+    opt = minimize_relative_entropy(np.log(poisson_vector(1.0, cap)), cons)
     assert opt.value == pytest.approx(VALUE_K30, abs=1e-8)
     assert opt.minimizer(0) == pytest.approx(0.5, abs=1e-8)
     scan = theta_scan_value(1.0, cap, 0.5, 1.0, lo=0.0, hi=1.0)
@@ -190,9 +189,9 @@ def test_infeasible_constraints_raise_with_certificate():
     cons = ConstraintSet(5, inequalities=[(point_vector(0, 5), 0.6),
                                           (point_vector(1, 5), 0.6)])
     with pytest.raises(InfeasibleConstraintsError, match="phase-1"):
-        minimize_relative_entropy(poisson_vector(1.0, 5), cons)
+        minimize_relative_entropy(np.log(poisson_vector(1.0, 5)), cons)
     with pytest.raises(ValueError, match="positive"):
-        minimize_relative_entropy(np.zeros(6), ConstraintSet(5))
+        minimize_relative_entropy(np.full(6, -np.inf), ConstraintSet(5))
 
 
 def test_value_zero_iff_reference_feasible():
@@ -205,8 +204,8 @@ def test_value_zero_iff_reference_feasible():
         slack = float(rng.uniform(0.05, 0.2))
         satisfied = ConstraintSet(cap, inequalities=[(f, float(np.dot(f, q_norm)) - slack)])
         violated = ConstraintSet(cap, inequalities=[(f, float(np.dot(f, q_norm)) + slack)])
-        assert minimize_relative_entropy(q_norm, satisfied).value <= 1e-8
-        assert minimize_relative_entropy(q_norm, violated).value > 1e-8
+        assert minimize_relative_entropy(np.log(q_norm), satisfied).value <= 1e-8
+        assert minimize_relative_entropy(np.log(q_norm), violated).value > 1e-8
 
 
 def test_tightening_a_threshold_never_decreases_value():
@@ -222,7 +221,7 @@ def test_tightening_a_threshold_never_decreases_value():
         for extra in (0.0, 0.05, 0.1):
             cons = ConstraintSet(cap, inequalities=[(f, base + loose + extra)])
             try:
-                values.append(minimize_relative_entropy(q, cons).value)
+                values.append(minimize_relative_entropy(np.log(q), cons).value)
             except InfeasibleConstraintsError:
                 values.append(math.inf)
         assert values[0] <= values[1] + 1e-9 and values[1] <= values[2] + 1e-9
@@ -248,10 +247,9 @@ def test_kkt_certificate_on_random_problems(seed):
             f = tuple(rng.uniform(-1, 1, cap + 1))
             ges.append((f, float(np.dot(f, anchor)) - abs(float(rng.normal(0, 0.1)))))
         cons = ConstraintSet(cap, eqs, ges)
-        opt = minimize_relative_entropy(q, cons)
+        opt = minimize_relative_entropy(np.log(q), cons)
         p = law_vector(opt.minimizer, cap)
-        feq, req = cons.eq_arrays()
-        fge, rge = cons.ge_arrays()
+        feq, req, fge, rge = cons.arrays(cap)
         assert np.all(np.abs(feq @ p - req) <= 1e-8)
         assert np.all(fge @ p - rge >= -1e-8)
         assert opt.kkt_residual <= 1e-6
@@ -278,7 +276,7 @@ def test_grid_oracle_agreement_small_problems():
         anchor = rng.dirichlet(np.ones(cap + 1))
         f = tuple(rng.uniform(-1, 1, cap + 1))
         cons = ConstraintSet(cap, equalities=[(f, float(np.dot(f, anchor)))])
-        opt = minimize_relative_entropy(q, cons)
+        opt = minimize_relative_entropy(np.log(q), cons)
         assert abs(opt.value - grid_search_value(q, cons)) <= 1e-4
 
 
@@ -301,6 +299,19 @@ def test_pinned_zero_sweep_matches_the_root_search_oracle(r):
     assert opt.value == pytest.approx(pinned_zero_rate(2.0, 50, r), abs=1e-7)
 
 
+@pytest.mark.parametrize("c", [53.0, 60.0])
+def test_a_large_mean_solves_at_its_default_cap(c):
+    """Poisson(c) underflows a double below k = 10 c, inside the default cap
+    max(50, ceil(10 c)), from c = 53 on; a reference taken as q, not log q,
+    was refused there as not strictly positive."""
+    cap = math.ceil(10 * c)
+    assert poisson_pmf(c, cap) == 0.0
+    opt = rate_infimum_for_event(c, ConstraintSet(1, inequalities=[(point_vector(0, 1), 0.01)]))
+    assert opt.converged
+    assert max(opt.minimizer.keys()) <= cap
+    assert opt.value == pytest.approx(pinned_zero_rate(c, cap, 0.01), abs=1e-9)
+
+
 def test_a_one_point_event_reaches_its_closed_form_value():
     """{p(0) >= 0.96} at mean 2 on {0..50} holds for one law only, p(0) = 0.96
     and p(50) = 0.04; no finite tilt reaches it, the dual runs off to infinity."""
@@ -317,7 +328,7 @@ def test_a_stalled_solve_reports_that_it_did_not_converge(monkeypatch):
     cons = ConstraintSet(cap, equalities=[(mean_vector(cap), 2.0)],
                          inequalities=[(point_vector(0, cap), 0.4)])
     monkeypatch.setattr(optimizer, "MAX_ITERATIONS", 1)
-    opt = minimize_relative_entropy(poisson_vector(2.0, cap), cons)
+    opt = minimize_relative_entropy(np.log(poisson_vector(2.0, cap)), cons)
     assert not opt.converged
     assert opt.iterations == 1
     assert opt.kkt_residual > 1e-6
@@ -353,7 +364,7 @@ def test_a_box_event_where_no_newton_point_is_accepted_still_converges():
     assert loose.value < opt.value < tight.value
     # the KKT certificate on the solved problem: the event plus mean = 1
     p = law_vector(opt.minimizer, 60)
-    fge, rge = event.ge_arrays()
+    _, _, fge, rge = event.arrays(60)
     assert abs(p @ np.arange(61) - 1.0) <= 1e-8 and np.all(fge @ p - rge >= -1e-8)
     mu = np.array(opt.dual_ge)
     assert np.all(mu >= 0) and np.all(np.abs(mu * (fge @ p - rge)) <= 1e-6)
@@ -363,12 +374,12 @@ def test_a_box_event_where_no_newton_point_is_accepted_still_converges():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: point_vector(3, 2), "point 3 outside 0..2"),
-    (lambda: ConstraintSet(3).extended(2), "cannot shrink the support cap"),
-    (lambda: minimize_relative_entropy([[1.0, 1.0]], ConstraintSet(1)),
-     "reference has shape (1, 2), expected 2 values q(0..K)"),
-    (lambda: minimize_relative_entropy([1.0, 1.0, 1.0], ConstraintSet(1)),
-     "reference has shape (3,), expected 2 values q(0..K)"),
-    (lambda: minimize_relative_entropy([1.0, 0.0], ConstraintSet(1)),
+    (lambda: ConstraintSet(3).arrays(2), "cannot shrink the support cap 3 to 2"),
+    (lambda: minimize_relative_entropy([[0.0, 0.0]], ConstraintSet(1)),
+     "reference has shape (1, 2), expected the values log q(0..L)"),
+    (lambda: minimize_relative_entropy([0.0], ConstraintSet(1)),
+     "cannot shrink the support cap 1 to 0"),
+    (lambda: minimize_relative_entropy([0.0, -math.inf], ConstraintSet(1)),
      "reference law must be strictly positive on 0..K"),
     (lambda: rate_infimum_for_event(0.0, ConstraintSet(1)), "c must be > 0"),
     (lambda: ConstraintSet.from_json_dict({"ge": [{"f": "mean", "r": 1.0}]}),

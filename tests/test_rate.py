@@ -19,6 +19,7 @@ from graphld.rate import (
     ReferenceLaw,
     degree_rate,
     embed_degree_law,
+    poisson_log_pmf,
     poisson_pmf,
     poisson_tail,
     relative_entropy,
@@ -53,6 +54,21 @@ def test_empty_neighborhood_mass():
     # k=0 term of Poisson(2): e^-2
     q = single_type_reference(2.0)
     assert q.pmf("a", CountingMeasure()) == pytest.approx(math.exp(-2.0), rel=1e-12)
+
+
+def test_poisson_log_pmf_is_finite_where_the_pmf_underflows():
+    """One formula, read on an array of degrees: it matches the scalar
+    math.lgamma loop, and its exp is ``poisson_pmf``, which is 0.0 in a
+    double at Poisson(60)'s degree 600."""
+    for c in (0.5, 2.0, 60.0):
+        ks = np.arange(701)
+        loop = np.array([k * math.log(c) - c - math.lgamma(k + 1) for k in ks])
+        # each of the three terms carries a rounding error; their sum may cancel
+        scale = ks * abs(math.log(c)) + c + np.array([math.lgamma(k + 1) for k in ks])
+        assert np.all(np.abs(poisson_log_pmf(c, ks) - loop) <= 1e-14 * scale)
+        assert all(poisson_pmf(c, int(k)) == math.exp(poisson_log_pmf(c, int(k)))
+                   for k in ks[::50])
+    assert poisson_pmf(60.0, 600) == 0.0 and math.isfinite(poisson_log_pmf(60.0, 600))
 
 
 def test_poisson_tail_keeps_deep_tails():
