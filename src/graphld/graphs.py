@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .measures import CountingMeasure, FiniteMeasure, ProbMeasure, _check_label, decode_int
+from .measures import (CountingMeasure, FiniteMeasure, ProbMeasure, _check_label, _label_problem,
+                       decode_int)
 
 Edge = Tuple[int, int]
 
@@ -92,6 +93,9 @@ class TypedGraph:
         types = types_line[len("types="):].split(" ") if n else []
         if len(types) != n:
             raise ValueError(f"expected {n} type labels, got {len(types)}")
+        problem = next(filter(None, map(_label_problem, dict.fromkeys(types))), None)
+        if problem:
+            raise ValueError(f"line {types_lineno}: {problem}")
         edges = set()
         for lineno, line in lines[3:]:
             parts = line.split(" ")

@@ -30,13 +30,12 @@ scipy); infeasible constraint sets raise with the solver's certificate
 message rather than returning +infinity.  If a constraint forces mass onto
 points where q_ref is minuscule the value may be large but finite.
 
-Constraint vectors are ``Functional``s that keep the name they were
-written with: ``mean``, ``pmf@k``, or explicit coefficients.  They extend by
-zero beyond K, except the mean, which stays f(k) = k at every degree; so an
-event written on {0..K} ignores any other degree-law mass above K.  The
-solve reads them on 0..L as float arrays, ``ConstraintSet.arrays(L)`` (from
-JSON by ``measures.degree_values``, and the k of ``pmf@k`` by
-``measures.decode_key``).
+A constraint functional is stored as it was written: the name ``"mean"``
+or ``"pmf@k"`` (k read by ``measures.decode_key``), or the tuple of its
+explicit coefficients (from JSON by ``measures.degree_values``).  It extends
+by zero beyond K, except the mean, which stays f(k) = k at every degree; so
+an event written on {0..K} ignores any other degree-law mass above K.  The
+solve reads the event on 0..L as float arrays, ``ConstraintSet.arrays(L)``.
 Whether a sampled graph's degree law lies in the event is decided by one
 exact rule, on its integer degree counts: ``ConstraintSet.holds_on_counts``
 reads coefficients and thresholds as their shortest decimals, so an
@@ -50,7 +49,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.optimize import linprog
@@ -71,46 +70,30 @@ class InfeasibleConstraintsError(ValueError):
     """No probability vector satisfies the constraint set."""
 
 
-class Functional(tuple):
-    """Coefficients f(0..K) of a linear functional <f, p> of a degree law,
-    with the name it was written with: ``"mean"``, ``"pmf@k"``, or None for
-    explicit coefficients.  It compares equal to the plain tuple of its
-    coefficients, and to another functional only when their names agree too.
-    """
-
-    name: Optional[str]
-
-    def __new__(cls, coefficients: VectorLike, name: Optional[str] = None):
-        self = super().__new__(cls, (float(x) for x in coefficients))
-        self.name = name
-        return self
-
-    def __eq__(self, other):
-        return tuple.__eq__(self, other) and getattr(other, "name", self.name) == self.name
-
-    def __ne__(self, other):
-        return not self == other
-
-    __hash__ = tuple.__hash__
-
-    def label(self) -> str:
-        """The name, or ``f{k:c&...}`` over the nonzero coefficients
-        ('&'-joined so the label stays comma-free, a raw CSV field)."""
-        if self.name is not None:
-            return self.name
-        return "f{" + "&".join(f"{k}:{c!r}" for k, c in enumerate(self) if c) + "}"
+#: A constraint functional as it was written: the name ``"mean"`` or
+#: ``"pmf@k"``, or the explicit coefficients f(0..K).
+Functional = Union[str, Tuple[float, ...]]
 
 
 def mean_vector(support_cap: int) -> Functional:
-    """Coefficients of the mean functional: f(k) = k."""
-    return Functional(range(support_cap + 1), "mean")
+    """The mean functional f(k) = k, by name."""
+    return "mean"
 
 
 def point_vector(k: int, support_cap: int) -> Functional:
-    """Coefficients of the point evaluation p(k)."""
+    """The point evaluation p(k), by name."""
     if not 0 <= k <= support_cap:
         raise ValueError(f"point {k} outside 0..{support_cap}")
-    return Functional((1.0 if j == k else 0.0 for j in range(support_cap + 1)), f"pmf@{k}")
+    return f"pmf@{k}"
+
+
+def _checked_name(spec: object, support_cap: int) -> str:
+    """``spec`` as a canonical name on 0..K ("pmf@01" is "pmf@1"), or ValueError."""
+    if spec == "mean":
+        return spec
+    if isinstance(spec, str) and spec.startswith("pmf@"):
+        return point_vector(decode_key(spec[4:], "degree"), support_cap)
+    raise ValueError(f"unsupported constraint vector spec {spec!r}")
 
 
 @dataclass(frozen=True)
@@ -118,9 +101,8 @@ class ConstraintSet:
     """Linear constraints on a degree law supported on {0..support_cap}.
 
     ``equalities`` are pairs (f, r) meaning <f, p> = r, ``inequalities`` mean
-    <f, p> >= r; each f has length support_cap + 1 and is kept as a
-    :class:`Functional`, named when it came from ``mean_vector`` or
-    ``point_vector`` and explicit otherwise.
+    <f, p> >= r; each f is kept as written: the name ``"mean"`` or ``"pmf@k"``
+    (k in 0..K), or the tuple of its support_cap + 1 float coefficients.
     """
 
     support_cap: int
@@ -128,16 +110,16 @@ class ConstraintSet:
     inequalities: Tuple[Tuple[Functional, float], ...] = ()
 
     def __init__(self, support_cap: int,
-                 equalities: Sequence[Tuple[VectorLike, float]] = (),
-                 inequalities: Sequence[Tuple[VectorLike, float]] = ()):
+                 equalities: Sequence[Tuple[Union[str, VectorLike], float]] = (),
+                 inequalities: Sequence[Tuple[Union[str, VectorLike], float]] = ()):
         if support_cap < 1:
             raise ValueError("support_cap must be >= 1")
 
         def freeze(cons):
             out = []
             for f, r in cons:
-                f = f if isinstance(f, Functional) else Functional(f)
-                if len(f) != support_cap + 1:
+                f = _checked_name(f, support_cap) if isinstance(f, str) else tuple(map(float, f))
+                if isinstance(f, tuple) and len(f) != support_cap + 1:
                     raise ValueError(
                         f"constraint vector has length {len(f)}, expected {support_cap + 1}")
                 out.append((f, float(r)))
@@ -147,18 +129,27 @@ class ConstraintSet:
         object.__setattr__(self, "equalities", freeze(equalities))
         object.__setattr__(self, "inequalities", freeze(inequalities))
 
+    def _coefficients(self, f: Functional, cap: int) -> np.ndarray:
+        """f(0..cap), cap >= K: zero beyond K, except the mean, f(k) = k."""
+        if f == "mean":
+            return np.arange(cap + 1.0)
+        row = np.zeros(cap + 1)
+        if isinstance(f, str):
+            row[int(f[4:])] = 1.0
+        else:
+            row[:self.support_cap + 1] = f
+        return row
+
     def arrays(self, cap: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The constraints on 0..cap (cap >= K) as ``(F_eq, r_eq, F_ge, r_ge)``,
-        one row a functional: zero beyond K, except the mean, which stays
-        f(k) = k."""
+        one row a functional."""
         if cap < self.support_cap:
             raise ValueError(f"cannot shrink the support cap {self.support_cap} to {cap}")
         out = []
         for cons in (self.equalities, self.inequalities):
             f = np.zeros((len(cons), cap + 1))
             for row, (g, _) in zip(f, cons):
-                row[:] = np.arange(cap + 1) if g.name == "mean" else np.pad(
-                    g, (0, cap - self.support_cap))
+                row[:] = self._coefficients(g, cap)
             out += [f, np.array([r for _, r in cons], dtype=float)]
         return tuple(out)
 
@@ -171,10 +162,11 @@ class ConstraintSet:
         form = []
         for equal, cons in ((True, self.equalities), (False, self.inequalities)):
             for f, r in cons:
-                if f.name == "mean":
+                if f == "mean":
                     form.append((None, Fraction(repr(r)), equal))
                     continue
-                coefs = [Fraction(repr(x)) for x in f]
+                coefs = [Fraction(repr(x))
+                         for x in self._coefficients(f, self.support_cap).tolist()]
                 scale = math.lcm(*(c.denominator for c in coefs))
                 form.append((tuple(int(c * scale) for c in coefs),
                              Fraction(repr(r)) * scale, equal))
@@ -209,12 +201,18 @@ class ConstraintSet:
         return ok
 
     def describe(self) -> str:
-        """Stable compact identifier, e.g. ``K30;eq[mean=2.0];ge[pmf@0>=0.4]``."""
+        """Stable compact identifier, e.g. ``K30;eq[mean=2.0];ge[pmf@0>=0.4]``;
+        explicit coefficients read ``f{k:c&...}``, '&'-joined to stay a CSV field."""
+        def label(f: Functional) -> str:
+            if isinstance(f, str):
+                return f
+            return "f{" + "&".join(f"{k}:{c!r}" for k, c in enumerate(f) if c) + "}"
+
         parts = [f"K{self.support_cap}"]
         for tag, relation, cons in (("eq", "=", self.equalities),
                                     ("ge", ">=", self.inequalities)):
             if cons:
-                body = "&".join(f"{f.label()}{relation}{r!r}" for f, r in cons)
+                body = "&".join(f"{label(f)}{relation}{r!r}" for f, r in cons)
                 parts.append(f"{tag}[{body}]")
         return ";".join(parts)
 
@@ -229,13 +227,9 @@ class ConstraintSet:
             raise ValueError("constraint object missing field 'K'") from None
 
         def parse_vector(spec) -> Functional:
-            if spec == "mean":
-                return mean_vector(cap)
-            if isinstance(spec, str) and spec.startswith("pmf@"):
-                return point_vector(decode_key(spec[4:], "degree"), cap)
             if isinstance(spec, Mapping):
-                return Functional(degree_values(spec, cap, "coefficient"))
-            raise ValueError(f"unsupported constraint vector spec {spec!r}")
+                return tuple(degree_values(spec, cap, "coefficient"))
+            return _checked_name(spec, cap)
 
         def parse_block(name):
             items = obj.get(name, [])
@@ -245,7 +239,7 @@ class ConstraintSet:
 
     def to_json_dict(self) -> Dict[str, object]:
         def dump_vector(f: Functional):
-            return f.name or {str(k): c for k, c in enumerate(f) if c}
+            return f if isinstance(f, str) else {str(k): c for k, c in enumerate(f) if c}
 
         return {
             "K": self.support_cap,
@@ -426,8 +420,10 @@ def rate_infimum_for_event(c: float, cons: ConstraintSet,
         raise ValueError("c must be > 0")
     if support_cap is None:
         support_cap = max(50, math.ceil(10 * c), cons.support_cap)
-    with_mean = ConstraintSet(cons.support_cap,
-                              cons.equalities + ((mean_vector(cons.support_cap), float(c)),),
+    elif support_cap < cons.support_cap:
+        raise ValueError(f"reference cap K = {support_cap} is below the event's "
+                         f"K = {cons.support_cap}")
+    with_mean = ConstraintSet(cons.support_cap, cons.equalities + (("mean", float(c)),),
                               cons.inequalities)
     optimum = minimize_relative_entropy(poisson_log_pmf(c, np.arange(support_cap + 1)),
                                         with_mean)

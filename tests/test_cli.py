@@ -690,7 +690,7 @@ def test_main_measure_refuses_an_invalid_label_in_a_graph_file(tmp_path, capsys)
     graph.write_text("typedgraph v1\nn=3\ntypes=a b! a\ne 1 2\n")
     assert run_main(tmp_path, "measure", {"graph": str(graph)}) == (1, None)
     assert capsys.readouterr().err == \
-        "error: invalid type label 'b!' (allowed: [A-Za-z0-9_.-]+)\n"
+        "error: line 3: invalid type label 'b!' (allowed: [A-Za-z0-9_.-]+)\n"
 
 
 @pytest.mark.parametrize("text, message", [
@@ -772,6 +772,20 @@ def test_malformed_configs_exit_1_with_one_error_line(tmp_path, capsys, command,
         assert run_main(tmp_path, command, config) == (1, None)
     assert capsys.readouterr().err == f"error: {message}\n"
     os.fstat(1)  # stdout is still open
+
+
+@pytest.mark.parametrize("command, config", [
+    ("optimize", {"c": 2.0, "K": 20,
+                  "constraints": {"K": 30, "ge": [{"f": "pmf@0", "r": 0.4}]}}),
+    ("decay", {"c": 2.0, "K": 20, "n_list": [10], "samples": 10,
+               "event": {"K": 30, "ge": [{"f": "pmf@0", "r": 0.4}]}}),
+], ids=["optimize", "decay"])
+def test_a_reference_cap_below_the_event_cap_exits_1_naming_both(tmp_path, capsys, command,
+                                                                 config):
+    """Both said ``cannot shrink the support cap 30 to 20``, naming neither
+    config field."""
+    assert run_main(tmp_path, command, config, "--seed", "1") == (1, None)
+    assert capsys.readouterr().err == "error: reference cap K = 20 is below the event's K = 30\n"
 
 
 def test_output_goes_to_stdout_without_out(tmp_path, capsys):

@@ -143,11 +143,13 @@ def test_text_format_errors():
     ("typedgraph v1\n\nn=x\ntypes=a a a\n", "line 3 must be 'n=<int>'"),
     ("typedgraph v1\n\nn=-1\ntypes=a a a\n", "line 3 must be 'n=<int>'"),
     ("typedgraph v1\n\nn=3\ntypes=a  a\ta\n", "invalid type label ''"),
+    ("typedgraph v1\nn=3\ntypes=a  a\ta\n", "line 3: invalid type label ''"),
 ])
 def test_text_format_header_line_errors(text, error):
     """``int`` read ``n=0_3`` as 3, ``n=x`` failed with no line named, and
     ``n=-1`` ended in "expected -1 type labels".  Labels are split on single
-    spaces, as ``to_text`` writes them: ``a  a<TAB>a`` loaded as three."""
+    spaces, as ``to_text`` writes them: ``a  a<TAB>a`` loaded as three.  A
+    bad label names its line, as the other header errors do."""
     with pytest.raises(ValueError, match=re.escape(error)):
         TypedGraph.from_text(text)
 

@@ -1,5 +1,6 @@
 """Entropy projection: constraint handling, oracle agreement, KKT certificates."""
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -68,8 +69,8 @@ def test_arrays_preserve_the_mean_functional():
     cons = ConstraintSet(3, equalities=[(mean_vector(3), 2.0)],
                          inequalities=[(point_vector(0, 3), 0.4)])
     feq, req, fge, rge = cons.arrays(6)
-    assert feq.tolist() == [list(mean_vector(6))] and req.tolist() == [2.0]
-    assert fge.tolist() == [list(point_vector(0, 6))] and rge.tolist() == [0.4]
+    assert feq.tolist() == [[0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]] and req.tolist() == [2.0]
+    assert fge.tolist() == [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]] and rge.tolist() == [0.4]
 
 
 def test_json_round_trip_keeps_every_functional_name():
@@ -83,11 +84,32 @@ def test_json_round_trip_keeps_every_functional_name():
     assert ConstraintSet.from_json_dict(cons.to_json_dict()) == cons
     assert cons.describe() == "K1;eq[pmf@1=0.2];ge[mean>=1.0&f{1:1.0}>=0.1]"
     [(pmf, _)], [(mean, _), (explicit, _)] = cons.equalities, cons.inequalities
-    assert all(f == (0.0, 1.0) for f in (pmf, mean, explicit))
     assert pmf != mean and mean != explicit and explicit != pmf
     feq, _, fge, _ = cons.arrays(3)
     assert feq.tolist() + fge.tolist() == \
         [[0.0, 1.0, 0.0, 0.0], [0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 0.0, 0.0]]
+
+
+def test_three_functionals_alike_on_0_to_k_are_three_set_members():
+    """Equality of functionals is transitive: a set of the mean, (0.0, 1.0)
+    and pmf@1 at K = 1 has three members in every insertion order (it had 1
+    or 2 while a named functional compared equal to its coefficients)."""
+    functionals = [mean_vector(1), (0.0, 1.0), point_vector(1, 1)]
+    assert [len(set(order)) for order in itertools.permutations(functionals)] == [3] * 6
+
+
+def test_names_written_in_python_equal_those_read_from_json():
+    """``pmf@01`` is read as its canonical name ``pmf@1``."""
+    written = ConstraintSet(3, equalities=[(mean_vector(3), 2.0)],
+                            inequalities=[(point_vector(1, 3), 0.25), ((0.0, 0.5, 0.0, 1.0), 0.1)])
+    read = ConstraintSet.from_json_dict(
+        {"K": 3, "eq": [{"f": "mean", "r": 2.0}],
+         "ge": [{"f": "pmf@01", "r": 0.25}, {"f": {"1": 0.5, "3": 1.0}, "r": 0.1}]})
+    assert written == read
+    assert written.describe() == read.describe() == \
+        "K3;eq[mean=2.0];ge[pmf@1>=0.25&f{1:0.5&3:1.0}>=0.1]"
+    assert ConstraintSet(3, inequalities=[("pmf@01", 0.25)]) == \
+        ConstraintSet(3, inequalities=[(point_vector(1, 3), 0.25)])
 
 
 def counts_with_isolated(n, isolated):
@@ -388,9 +410,19 @@ def test_a_box_event_where_no_newton_point_is_accepted_still_converges():
      "coefficient index 2 outside 0..1"),
     (lambda: ConstraintSet.from_json_dict({"K": 1, "ge": [{"f": "median", "r": 1.0}]}),
      "unsupported constraint vector spec 'median'"),
+    (lambda: ConstraintSet(1, inequalities=[("median", 1.0)]),
+     "unsupported constraint vector spec 'median'"),
+    (lambda: ConstraintSet(1, inequalities=[("pmf@x", 0.1)]),
+     "invalid degree key 'x' (allowed: -?[0-9]+)"),
+    (lambda: ConstraintSet(1, equalities=[("pmf@2", 0.1)]), "point 2 outside 0..1"),
+    (lambda: ConstraintSet.from_json_dict({"K": 1, "ge": [{"f": [0.0, 1.0], "r": 0.1}]}),
+     "unsupported constraint vector spec [0.0, 1.0]"),
+    (lambda: rate_infimum_for_event(2.0, ConstraintSet(30), support_cap=20),
+     "reference cap K = 20 is below the event's K = 30"),
 ], ids=["point-outside-cap", "shrink", "reference-matrix", "reference-length",
         "reference-zero", "c-not-positive", "json-without-K", "json-coefficient-outside-cap",
-        "json-unknown-functional"])
+        "json-unknown-functional", "unknown-name", "point-name-not-an-integer",
+        "point-name-outside-cap", "json-list-functional", "reference-cap-below-event"])
 def test_bad_inputs_raise_naming_the_problem(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
