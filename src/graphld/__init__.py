@@ -59,7 +59,7 @@ from .sampler import (
     sample_erdos_renyi,
 )
 
-__version__ = "0.2.2"
+__version__ = "0.3.0"
 
 __all__ = [
     "CountingMeasure", "FiniteMeasure", "ProbMeasure", "dirac",

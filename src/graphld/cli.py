@@ -136,8 +136,7 @@ def _count_event_hits(n: int, m: int, samples: int, event: ConstraintSet,
 
 
 def run_decay_study(c: float, n_list: Sequence[int], samples: int,
-                    event: ConstraintSet, seed: int,
-                    support_cap: Optional[int] = None) -> List[ExperimentRecord]:
+                    event: ConstraintSet, seed: int) -> List[ExperimentRecord]:
     """Estimate -(1/n) log P{degree law in event} for G(n, nc/2) across
     ``n_list`` and pair each estimate with the optimizer's predicted rate.
 
@@ -158,7 +157,7 @@ def run_decay_study(c: float, n_list: Sequence[int], samples: int,
             continue
         _erdos_renyi_sampler(n, m)  # the one check of G(n, m)
         sizes.append((n, m))
-    optimum = rate_infimum_for_event(c, event, support_cap)
+    optimum = rate_infimum_for_event(c, event)
     event_id = event.describe()
     if not optimum.converged:
         warnings.warn(f"the predicted rate of {event_id} did not converge "
@@ -199,10 +198,6 @@ def matching_measure() -> ProbMeasure:
     })
 
 
-def lldp_rows_to_csv(rows: Sequence[Tuple[int, float]]) -> str:
-    return _table_text(_LLDP_COLUMNS, [dict(zip(_LLDP_COLUMNS, row)) for row in rows], "csv")
-
-
 def run_measure(graph: TypedGraph) -> Dict[str, object]:
     """All four empirical distributions of a graph, as JSON-ready dicts."""
     return {
@@ -236,21 +231,20 @@ def run_rate(config: Dict[str, object]) -> Dict[str, object]:
 def run_optimize(config: Dict[str, object]) -> Dict[str, object]:
     """Entropy projection from a config object.
 
-    Event form:     {"c": num, "constraints": {...}, "K": int?} -- predicted
-                    decay rate (mean-c equality appended).
+    Event form:     {"c": num, "constraints": {...}} -- predicted decay
+                    rate on all of the degrees (mean-c equality appended).
     Reference form: {"q": {degree: weight}, "constraints": {...}} -- plain
                     projection onto the constraints; q weighs each
-                    degree 0..K, and no other.
+                    degree 0..K, and no other (a weight of 0 forces p to 0
+                    there).
 
     Raises NotConvergedError when the solve did not meet its tolerances.
     """
     cons = ConstraintSet.from_json_dict(config["constraints"])
     if "c" in config:
-        cap = config.get("K")
-        optimum = rate_infimum_for_event(config_float(config["c"], "c"), cons,
-                                         None if cap is None else config_int(cap, "K"))
+        optimum = rate_infimum_for_event(config_float(config["c"], "c"), cons)
     else:
-        with np.errstate(divide="ignore", invalid="ignore"):  # the solver refuses q <= 0
+        with np.errstate(divide="ignore", invalid="ignore"):  # the solver refuses q < 0
             log_q = np.log(degree_values(config["q"], cons.support_cap, "q"))
         optimum = minimize_relative_entropy(log_q, cons)
     if not optimum.converged:
@@ -343,7 +337,6 @@ def _cmd_decay(config, seed, fmt) -> str:
         samples=config_int(config["samples"], "samples"),
         event=ConstraintSet.from_json_dict(config["event"]),
         seed=seed,
-        support_cap=config_int(config["K"], "K") if "K" in config else None,
     )
     return _table_text(_DECAY_COLUMNS, [rec.to_json_dict() for rec in records], fmt)
 

@@ -1,11 +1,12 @@
 """Entropy projection onto linearly constrained degree laws.
 
 Minimizes H(p || q_ref) over probability vectors p on {0..L} (q_ref given by
-its finite logs log q(0..L), L >= K, so no underflow refuses a large c)
-subject to linear equalities <f, p> = r and inequalities <f, p> >= r (the
-simplex constraint is implicit and always active).  This is the machinery
-behind predicted decay rates for degree-law events: the infimum of the
-mean-c Poisson rate function over an event set.
+its logs log q(0..L), L >= K, so no underflow refuses a large c), or on all
+of {0, 1, ...} when q_ref goes on as a Poisson law, subject to linear
+equalities <f, p> = r and inequalities <f, p> >= r (the simplex constraint
+is implicit and always active).  This is the machinery behind predicted
+decay rates for degree-law events: the infimum of the mean-c Poisson rate
+function over an event set.
 
 Algorithm: for fixed dual multipliers the minimizer is q_ref tilted by the
 multiplier-weighted constraint vectors, normalized on the simplex.  So, with
@@ -25,10 +26,17 @@ trial points (read at each call), and a solve that stops short of the
 tolerances reports ``converged = False``.  Problems here are tiny (K of
 order 100, a handful of constraints), so robustness beats sophistication.
 
+A Poisson(c) tail beyond L is one more atom.  There every functional is 0
+but the mean, so the tilted law is q(k) e^{theta k}, theta the sum of the
+mean rows' multipliers, of mass e^{c(e^theta - 1)} P{Poisson(c e^theta) > L};
+its first and factorial second moments take the same form at L - 1 and
+L - 2 (``rate.poisson_tail``), and the Hessian gets its variance.
+
 Feasibility is established up front by a phase-1 linear program (HiGHS via
-scipy); infeasible constraint sets raise with the solver's certificate
-message rather than returning +infinity.  If a constraint forces mass onto
-points where q_ref is minuscule the value may be large but finite.
+scipy; a tail is its mass t and first moment s >= (L + 1) t, and t = 0 < s,
+mass escaping to infinity, is no law): infeasible sets raise with the
+solver's message rather than returning +infinity.  If a constraint forces
+mass onto points where q_ref is minuscule the value may be large but finite.
 
 A constraint functional is stored as it was written: the name ``"mean"``
 or ``"pmf@k"`` (k read by ``measures.decode_key``), or the tuple of its
@@ -44,17 +52,16 @@ equality holds only on lattice points.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .measures import ProbMeasure, config_float, config_int, decode_key, degree_values
+from .measures import FiniteMeasure, config_float, config_int, decode_key, degree_values
 from .rate import poisson_log_pmf, poisson_tail
 
 KKT_TOL = 1e-6
@@ -73,11 +80,6 @@ class InfeasibleConstraintsError(ValueError):
 #: A constraint functional as it was written: the name ``"mean"`` or
 #: ``"pmf@k"``, or the explicit coefficients f(0..K).
 Functional = Union[str, Tuple[float, ...]]
-
-
-def mean_vector(support_cap: int) -> Functional:
-    """The mean functional f(k) = k, by name."""
-    return "mean"
 
 
 def point_vector(k: int, support_cap: int) -> Functional:
@@ -252,6 +254,8 @@ class ConstraintSet:
 class Optimum:
     """Result of an entropy projection.
 
+    ``minimizer`` is the law on 0..L; with a Poisson tail beyond L it has
+    mass 1 - ``tail_mass``, and the rest is Poisson(``tail_mean``) beyond L.
     ``dual_eq`` / ``dual_ge`` are the multipliers certifying stationarity (the
     minimizer is q_ref tilted by their constraint combination), and
     ``kkt_residual`` the worst primal/complementarity defect at exit.
@@ -261,56 +265,60 @@ class Optimum:
     last iterate, not the projection.
     ``iterations`` counts the dual trial points the solve evaluated, line-
     search trials included.
-    ``reference_tail`` reports the mass of the untruncated reference beyond
-    the support cap, when the reference came from one.
     """
 
-    minimizer: ProbMeasure
+    minimizer: FiniteMeasure
     value: float
     dual_eq: Tuple[float, ...]
     dual_ge: Tuple[float, ...]
     kkt_residual: float
     iterations: int
     converged: bool
-    reference_tail: float = 0.0
+    tail_mass: float
+    tail_mean: float
 
     def to_json_dict(self) -> Dict[str, object]:
-        return {
-            "minimizer": self.minimizer.to_json_dict(),
-            "value": self.value,
-            "dual_eq": list(self.dual_eq),
-            "dual_ge": list(self.dual_ge),
-            "kkt_residual": self.kkt_residual,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "reference_tail": self.reference_tail,
-        }
+        out = {field.name: getattr(self, field.name) for field in fields(self)}
+        return {**out, "minimizer": self.minimizer.to_json_dict(),
+                "dual_eq": list(self.dual_eq), "dual_ge": list(self.dual_ge)}
 
 
-def check_feasible(feq: np.ndarray, req: np.ndarray, fge: np.ndarray, rge: np.ndarray) -> None:
+def check_feasible(feq: np.ndarray, req: np.ndarray, fge: np.ndarray, rge: np.ndarray,
+                   upper: np.ndarray, tail: Optional[np.ndarray] = None) -> None:
     """Phase-1 linear feasibility check of the constraint arrays
-    (``ConstraintSet.arrays``); raises InfeasibleConstraintsError."""
-    cap = feq.shape[1] - 1
-    a_eq = np.vstack([np.ones((1, cap + 1)), feq])
-    b_eq = np.concatenate([[1.0], req])
-    a_ub = -fge if fge.shape[0] else None
-    b_ub = -rge if fge.shape[0] else None
-    res = linprog(np.zeros(cap + 1), A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=(0.0, 1.0), method="highs")
+    (``ConstraintSet.arrays``), each p(k) in [0, upper[k]]; raises
+    InfeasibleConstraintsError.  With ``tail`` (0/1 marks of the mean rows,
+    equalities first) the law may put mass t beyond L, of first moment
+    s >= (L + 1) t in the mean rows; where no feasible t is > 0, s = 0 too."""
+    cap, n_eq = feq.shape[1] - 1, feq.shape[0]
+    marks = np.zeros(n_eq + fge.shape[0]) if tail is None else tail
+    # variables p(0..L), t and s; the objective maximises t
+    a_eq = np.c_[np.r_[np.ones((1, cap + 1)), feq], np.r_[1.0, 0 * req], np.r_[0.0, marks[:n_eq]]]
+    a_ub = np.r_[np.c_[-fge, 0 * rge, -marks[n_eq:]], [np.r_[np.zeros(cap + 1), cap + 1.0, -1.0]]]
+    moment = (0.0, None if tail is not None else 0.0)
+    lp = dict(c=np.r_[np.zeros(cap + 1), -1.0, 0.0], A_ub=a_ub, b_ub=np.r_[-rge, 0.0], A_eq=a_eq,
+              b_eq=np.r_[1.0, req], bounds=[(0.0, u) for u in upper] + [moment, moment])
+    res = linprog(**lp, method="highs")
+    if tail is not None and res.status == 0 and not res.x[-2] > 0:
+        lp["bounds"][-1] = (0.0, 0.0)  # mass escaping to infinity (t = 0 < s) is no law
+        res = linprog(**lp, method="highs")
     if res.status != 0:
         raise InfeasibleConstraintsError(
-            f"no degree law on 0..{cap} satisfies the constraints "
-            f"(phase-1 LP: {res.message})")
+            f"no degree law on {'0, 1, ...' if tail is not None else f'0..{cap}'} satisfies "
+            f"the constraints (phase-1 LP: {res.message})")
 
 
-def minimize_relative_entropy(log_q: VectorLike, cons: ConstraintSet) -> Optimum:
-    """Minimize H(p || q_ref) over the constraint polytope on 0..L.
+def minimize_relative_entropy(log_q: VectorLike, cons: ConstraintSet,
+                              tail_mean: float = 0.0) -> Optimum:
+    """Minimize H(p || q_ref) over the constraint polytope on 0..L, and on
+    the degrees beyond L where the reference goes on as Poisson(``tail_mean``).
 
-    ``log_q`` holds the finite logs log q(0..L) of the reference (a sequence
-    or an array), L >= K; ``cons`` is read on 0..L by
-    ``ConstraintSet.arrays``.  The reference need not be normalized -- for a
-    sub-probability reference the value includes the -log(mass) offset, which
-    is how truncated reference laws report their honest rate.
+    ``log_q`` holds the logs log q(0..L) of the reference (a sequence or an
+    array), L >= K: finite, or -inf where q is 0, which forces p to 0 there;
+    ``cons`` is read on 0..L by ``ConstraintSet.arrays``.  The reference need
+    not be normalized -- for a sub-probability reference the value includes
+    the -log(mass) offset, which is how truncated reference laws report
+    their honest rate.
 
     The objective is strictly convex on the simplex, so the minimizer is
     unique.  See the module docstring for the algorithm.
@@ -319,29 +327,41 @@ def minimize_relative_entropy(log_q: VectorLike, cons: ConstraintSet) -> Optimum
     if log_q.ndim != 1:
         raise ValueError(f"reference has shape {log_q.shape}, expected the values "
                          f"log q(0..L)")
-    if not np.all(np.isfinite(log_q)):
-        raise ValueError("reference law must be strictly positive on 0..K")
-    feq, req, fge, rge = cons.arrays(len(log_q) - 1)
-    check_feasible(feq, req, fge, rge)
-    n_eq, n_ge = feq.shape[0], fge.shape[0]
+    if np.any(np.isnan(log_q) | (log_q == np.inf)) or np.all(log_q == -np.inf):
+        raise ValueError("reference law must be finite and non-negative on 0..L, "
+                         "and positive somewhere")
+    cap = len(log_q) - 1
+    feq, req, fge, rge = cons.arrays(cap)
+    means = np.array([f == "mean" for f, _ in cons.equalities + cons.inequalities], dtype=float)
+    check_feasible(feq, req, fge, rge, np.isfinite(log_q) * 1.0, means if tail_mean > 0 else None)
+    n_eq = feq.shape[0]
     a = np.vstack([feq, fge])            # (J, L+1)
     targets = np.concatenate([req, rge])  # (J,)
 
-    def tilt(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, float]:
-        """Multiplicative update: q_ref reweighted by the dual combination of
-        constraint vectors, normalized on the simplex; also returns the dual
-        value x . targets - log Z(x)."""
-        logits = log_q + a.T @ x
+    def dual_at(x: np.ndarray):
+        """The dual at x: its value x . targets - log Z(x), its gradient (the
+        constraint residuals) and the mask of free multipliers (every
+        equality, and each inequality except one held at 0 by a residual that
+        pushes it below 0); then q_ref tilted by the dual combination of
+        constraint vectors, normalized on the simplex, as p on the atoms 0..L
+        and the tail, the atoms' constraint values (one column an atom) and
+        the tail's own variance of k times its mass."""
+        # the tail sum_{k>L} q(k) e^{theta k} is Poisson(c e^theta) beyond L; theta is
+        # clipped at 300, where log Z > c e^299 refuses the trial and c^2 e^600 is finite
+        poisson = tail_mean * math.exp(min(float(means @ x), 300.0))
+        upper = [poisson_tail(poisson, cap - j) for j in range(3)]
+        logits, mean, variance = np.append(log_q + a.T @ x, -math.inf), 0.0, 0.0
+        if upper[0] > 0:  # a tail whose mass does not underflow
+            mean = poisson * upper[1] / upper[0]
+            variance = max(poisson ** 2 * upper[2] / upper[0] + mean - mean ** 2, 0.0)
+            logits[-1] = poisson - tail_mean + math.log(upper[0])
         peak = np.max(logits)
         lse = peak + math.log(np.sum(np.exp(logits - peak)))
-        return np.exp(logits - lse), logits - lse, float(x @ targets) - lse
-
-    def free_gradient(x: np.ndarray, p: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The dual gradient (the constraint residuals) and the mask of free
-        multipliers: every equality, and each inequality except one held at
-        0 by a residual that pushes it below 0."""
-        g = targets - a @ p
-        return g, np.concatenate([np.ones(n_eq, dtype=bool), (x[n_eq:] > 0) | (g[n_eq:] > 0)])
+        p = np.exp(logits - lse)
+        atoms = np.hstack([a, mean * means[:, None]])
+        g = targets - atoms @ p
+        free = np.concatenate([np.ones(n_eq, dtype=bool), (x[n_eq:] > 0) | (g[n_eq:] > 0)])
+        return float(x @ targets) - lse, g, free, p, atoms, p[-1] * variance
 
     # Projected Newton on the dual (Bertsekas 1982): Newton steps on the free
     # multipliers -- the dual Hessian is the tiny J x J covariance of the
@@ -356,31 +376,30 @@ def minimize_relative_entropy(log_q: VectorLike, cons: ConstraintSet) -> Optimum
     def line_search(direction: np.ndarray):
         """The first accepted point of x + s direction, s = 1, 1/2, ... (at
         most 40 trials, within the budget), projected onto mu >= 0, as
-        (x, p, log p, dual, g, free); None when no trial point is accepted."""
+        (x, dual_at(x)); None when no trial point is accepted."""
         nonlocal iterations
         for scale in 0.5 ** np.arange(min(40, MAX_ITERATIONS - iterations)):
             trial = x + scale * direction
             trial[n_eq:] = np.maximum(trial[n_eq:], 0.0)
-            p_try, log_p_try, dual_try = tilt(trial)
-            g_try, free_try = free_gradient(trial, p_try)
+            at = dual_at(trial)
             iterations += 1
-            if (np.linalg.norm(g_try[free_try]) < size if size <= KKT_TOL
-                    else dual_try >= dual + 1e-4 * float(g @ (trial - x))):
-                return trial, p_try, log_p_try, dual_try, g_try, free_try
+            if (np.linalg.norm(at[1][at[2]]) < size if size <= KKT_TOL
+                    else at[0] >= dual + 1e-4 * float(g @ (trial - x))):
+                return trial, at
         return None
 
     inner_tol = 0.5 * min(FEASIBILITY_TOL, KKT_TOL)
-    x = np.zeros(n_eq + n_ge)
-    p, log_p, dual = tilt(x)
-    g, free = free_gradient(x, p)
+    x = np.zeros(len(targets))
+    dual, g, free, p, atoms, spread = dual_at(x)
     iterations = 0
     while iterations < MAX_ITERATIONS:
         size = float(np.linalg.norm(g[free]))
         if size <= inner_tol:
             break
-        a_free = a[free]
+        a_free = atoms[free]
         mean = a_free @ p
-        hess = (a_free * p) @ a_free.T - np.outer(mean, mean)
+        hess = ((a_free * p) @ a_free.T - np.outer(mean, mean)
+                + spread * np.outer(means[free], means[free]))
         hess[np.diag_indices_from(hess)] += 1e-13
         direction = np.zeros_like(x)
         try:
@@ -390,7 +409,7 @@ def minimize_relative_entropy(log_q: VectorLike, cons: ConstraintSet) -> Optimum
         step = line_search(direction) or line_search(np.where(free, g, 0.0))
         if step is None:
             break  # no trial point makes progress
-        x, p, log_p, dual, g, free = step
+        x, (dual, g, free, p, atoms, spread) = step
 
     # primal violation and complementary-slackness defect, read off the residuals
     primal_res = max(float(np.max(np.abs(g[:n_eq]), initial=0.0)),
@@ -398,33 +417,26 @@ def minimize_relative_entropy(log_q: VectorLike, cons: ConstraintSet) -> Optimum
     comp_res = float(np.max(np.abs(x[n_eq:] * g[n_eq:]), initial=0.0))
     residual = max(primal_res, comp_res)
     converged = primal_res <= FEASIBILITY_TOL and comp_res <= KKT_TOL
-    value = float(p @ (log_p - log_q))
-    minimizer = ProbMeasure({k: float(w) for k, w in enumerate(p) if w > 0})
+    value = float(dual - x @ g)  # sum_k p_k log(p_k / q_k), the tail's degrees included
+    minimizer = FiniteMeasure({k: float(w) for k, w in enumerate(p[:cap + 1]) if w > 0})
     return Optimum(minimizer, max(value, 0.0) if value > -1e-12 else value,
-                   tuple(x[:n_eq]), tuple(x[n_eq:]), residual, iterations, converged)
+                   tuple(x[:n_eq]), tuple(x[n_eq:]), residual, iterations, converged,
+                   float(p[-1]), tail_mean * math.exp(float(means @ x)))
 
 
-def rate_infimum_for_event(c: float, cons: ConstraintSet,
-                           support_cap: Optional[int] = None) -> Optimum:
+def rate_infimum_for_event(c: float, cons: ConstraintSet) -> Optimum:
     """Predicted decay rate of a degree-law event at mean degree ``c``:
 
-        inf H(p || Poisson(c))   over the event set, with mean(p) = c
-                                 always appended (degree laws of fixed-edge-
-                                 count graphs have mean exactly c).
+        inf H(p || Poisson(c))   over the event set on {0, 1, ...}, with
+                                 mean(p) = c always appended (degree laws of
+                                 fixed-edge-count graphs have mean exactly c).
 
-    The Poisson reference is truncated at ``support_cap`` (default
-    max(50, ceil(10 c), event cap)) and passed as its logs, finite at any c;
-    its tail mass is reported alongside the value as ``reference_tail``.
+    The reference is Poisson(c) as its logs on 0..K, finite at any c, and a
+    Poisson(c) tail beyond K.
     """
     if c <= 0:
         raise ValueError("c must be > 0")
-    if support_cap is None:
-        support_cap = max(50, math.ceil(10 * c), cons.support_cap)
-    elif support_cap < cons.support_cap:
-        raise ValueError(f"reference cap K = {support_cap} is below the event's "
-                         f"K = {cons.support_cap}")
     with_mean = ConstraintSet(cons.support_cap, cons.equalities + (("mean", float(c)),),
                               cons.inequalities)
-    optimum = minimize_relative_entropy(poisson_log_pmf(c, np.arange(support_cap + 1)),
-                                        with_mean)
-    return dataclasses.replace(optimum, reference_tail=poisson_tail(c, support_cap))
+    return minimize_relative_entropy(poisson_log_pmf(c, np.arange(cons.support_cap + 1)),
+                                     with_mean, tail_mean=float(c))

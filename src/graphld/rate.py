@@ -8,10 +8,10 @@ Given a type law ``eta`` (positive on every type) and a symmetric link law
 
 i.e. type ``a`` with probability ``eta(a)`` and then independent Poisson
 neighbor counts, one per type ``b``.  Its support is countably infinite, so it
-is exposed as a pointwise evaluator (:class:`ReferenceLaw`) and never
-materialized; consumers either evaluate it on the finite support of some
-measure or sum it over a truncation ball ``{e : total(e) <= K}`` whose missing
-mass is the Poisson tail of the row sums.
+is a pointwise evaluator (:class:`ReferenceLaw`), never materialized, summed
+only over a truncation ball ``{e : total(e) <= K}``.  Its one-type case is
+Poisson(c), whose upper tail ``poisson_tail`` gives the mass and moments of
+the optimizer's one atom for all degrees beyond an event's K.
 
 The rate functions are relative-entropy functionals (natural log; all rates
 are per-node exponents in base e):
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from numbers import Rational
 from typing import Callable, Dict, Iterator, Tuple, Union
 
@@ -214,12 +214,7 @@ class RateResult:
     subconsistency_violation: float
 
     def to_json_dict(self) -> Dict[str, Union[str, float, bool]]:
-        return {
-            "value": self.value if math.isfinite(self.value) else "inf",
-            "feasible": self.feasible,
-            "tv_marginal": self.tv_marginal,
-            "subconsistency_violation": self.subconsistency_violation,
-        }
+        return {**asdict(self), "value": self.value if math.isfinite(self.value) else "inf"}
 
 
 def _default_tol(*inputs) -> Scalar:

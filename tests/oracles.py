@@ -6,7 +6,8 @@ explores the primal polytope directly through an orthonormal basis of its
 affine hull, the theta-scan oracle walks the one-parameter tilted family that
 KKT stationarity forces on reduced problems (``pinned_zero_rate`` solves for
 its theta by root search, in log space from ``math.lgamma``, so a Poisson
-mass that underflows a double keeps its weight), and the isolated-node oracle
+mass that underflows a double keeps its weight; ``pinned_zero_rate_on_naturals``
+sums it on a support wide enough to stand for all of the degrees), and the isolated-node oracle
 counts graphs exactly in big-integer arithmetic.  The class census has two
 slow references: ``lexsort_row_ids`` numbers distinct rows with
 ``np.lexsort``, and ``class_measure`` rebuilds a class's exact locality
@@ -143,6 +144,23 @@ def pinned_zero_rate(c: float, cap: int, r: float) -> float:
     theta = brentq(lambda t: pinned_zero_tilt(c, cap, r, t)[1] - c, -10.0, 10.0,
                    xtol=1e-14)
     return entropy_objective(pinned_zero_tilt(c, cap, r, theta)[0], poisson_log_law(c, cap))
+
+
+def pinned_zero_rate_on_naturals(c: float, r: float) -> float:
+    """inf H(p || Poisson(c)) over {mean = c, p(0) >= r} on all of the degrees
+    {0, 1, ...} when the bound binds: p(0) = r and the rest the tilt of
+    Poisson(c) on {1, 2, ...} whose mean is c / (1 - r).  The sum stops at a
+    cap at least twice the tilted Poisson mean c e^theta, where each later
+    term is at most half the one before, and where the last term is below
+    1e-16; so the omitted mass is below 1e-15."""
+    cap = 2 * math.ceil(c / (1.0 - r)) + 64  # above the mean of the tilt
+    while True:
+        theta = brentq(lambda t: pinned_zero_tilt(c, cap, r, t)[1] - c, -10.0, 10.0,
+                       xtol=1e-14)
+        p, _ = pinned_zero_tilt(c, cap, r, theta)
+        if cap >= 2 * c * math.exp(theta) and p[-1] <= 1e-16:
+            return entropy_objective(p, poisson_log_law(c, cap))
+        cap *= 2
 
 
 def theta_scan_value(c: float, cap: int, p_zero: float, mean_target: float,

@@ -20,7 +20,6 @@ from graphld.cli import (
     _json_text,
     decay_records_to_csv,
     fit_decay_slope,
-    lldp_rows_to_csv,
     main,
     matching_measure,
     run_decay_study,
@@ -30,7 +29,7 @@ from graphld.cli import (
 )
 from graphld.graphs import TypedGraph
 from graphld.measures import FiniteMeasure, ProbMeasure
-from graphld.optimizer import (ConstraintSet, mean_vector, minimize_relative_entropy,
+from graphld.optimizer import (ConstraintSet, minimize_relative_entropy,
                                point_vector, rate_infimum_for_event)
 from graphld.oracle import lldp_exponent_gap, type_class_counts
 from graphld.rate import degree_rate, typed_rate
@@ -94,7 +93,7 @@ def test_decay_mean_event_always_holds():
         ConstraintSet.from_json_dict({"K": 19, "eq": [{"f": "mean", "r": 2.0}]}),
         # K below it: the mean is still the mean of the whole degree law, as
         # the rate predictor reads it (predicted rate 0)
-        ConstraintSet(2, inequalities=[(mean_vector(2), 1.9)]),
+        ConstraintSet(2, inequalities=[("mean", 1.9)]),
     ]
     for event in events:
         records = run_decay_study(2.0, [10, 20], samples=2000, event=event, seed=6)
@@ -203,10 +202,9 @@ def test_decay_slope_tracks_predicted_rate_on_feasible_event():
     assert all(gaps[i + 1] <= gaps[i] + noise[i + 1] for i in range(len(gaps) - 1))
 
 
-def test_lldp_study_csv():
-    rows = lldp_exponent_gap([binary_cross_spec(4), binary_cross_spec(6)],
-                             matching_measure())
-    text = lldp_rows_to_csv(rows)
+def test_lldp_study_csv(tmp_path):
+    code, text = run_main(tmp_path, "lldp", {"family": "binary-cross", "n_list": [4, 6]})
+    assert code == 0
     lines = text.splitlines()
     assert lines[0] == "n,gap"
     assert lines[1].startswith("4,0.725346927")
@@ -359,7 +357,12 @@ def test_optimize_reads_pmf_at_one_on_cap_one_as_a_point_evaluation():
     constraints = {"K": 1, "eq": [{"f": "pmf@1", "r": 0.2}]}
     assert ConstraintSet.from_json_dict(constraints).describe() == "K1;eq[pmf@1=0.2]"
     out = run_optimize({"c": 2.0, "constraints": constraints})
-    assert out == run_optimize({"c": 2.0, "constraints": {**constraints, "K": 2}})
+    wide = run_optimize({"c": 2.0, "constraints": {**constraints, "K": 2}})
+    assert out["value"] == pytest.approx(wide["value"], abs=1e-14)
+    assert out["dual_eq"] == pytest.approx(wide["dual_eq"], abs=1e-12)
+    # the K = 2 law's p(2) is part of the K = 1 law's tail
+    assert out["tail_mass"] == pytest.approx(wide["minimizer"]["2"] + wide["tail_mass"],
+                                             abs=1e-14)
     assert out["value"] == pytest.approx(0.016111532840765642, rel=1e-12)
 
 
@@ -536,8 +539,8 @@ def test_impossible_erdos_renyi_exits_2_from_decay_and_sample(tmp_path, capsys, 
 
 SPEC4 = {"n": 4, "eta": {"a": 0.5, "b": 0.5}, "pi": {"a,b": 0.5, "b,a": 0.5}}
 DECAY_EVENT = {"K": 1, "ge": [{"f": "pmf@0", "r": 0.3}]}
-DECAY_CONFIG = {"c": 2.0, "n_list": [10], "samples": 200, "K": 50, "event": DECAY_EVENT}
-OPTIMIZE_CONFIG = {"c": 2.0, "K": 50, "constraints": DECAY_EVENT}
+DECAY_CONFIG = {"c": 2.0, "n_list": [10], "samples": 200, "event": DECAY_EVENT}
+OPTIMIZE_CONFIG = {"c": 2.0, "constraints": DECAY_EVENT}
 
 
 @pytest.mark.parametrize("command, config, path, name, extra", [
@@ -547,16 +550,14 @@ OPTIMIZE_CONFIG = {"c": 2.0, "K": 50, "constraints": DECAY_EVENT}
     ("sample", {"er": {"n": 6, "m": 4}}, ("er", "m"), "er.m", ("--seed", "5")),
     ("decay", DECAY_CONFIG, ("n_list", 0), "n_list", ("--seed", "5")),
     ("decay", DECAY_CONFIG, ("samples",), "samples", ("--seed", "5")),
-    ("decay", DECAY_CONFIG, ("K",), "K", ("--seed", "5")),
     ("decay", DECAY_CONFIG, ("event", "K"), "K", ("--seed", "5")),
     ("lldp", {"family": "binary-cross", "n_list": [4]}, ("n_list", 0), "n_list", ()),
     ("lldp", {"specs": [SPEC4], "target": {"a|b:1": 0.5, "b|a:1": 0.5}},
      ("specs", 0, "n"), "n", ()),
-    ("optimize", OPTIMIZE_CONFIG, ("K",), "K", ()),
     ("optimize", OPTIMIZE_CONFIG, ("constraints", "K"), "K", ()),
 ], ids=["sample.spec.n", "enumerate.spec.n", "sample.er.n", "sample.er.m", "decay.n_list",
-        "decay.samples", "decay.K", "decay.event.K", "lldp.n_list", "lldp.specs.n",
-        "optimize.K", "optimize.constraints.K"])
+        "decay.samples", "decay.event.K", "lldp.n_list", "lldp.specs.n",
+        "optimize.constraints.K"])
 def test_integer_config_fields_read_integral_floats_and_refuse_the_rest(
         tmp_path, capsys, command, config, path, name, extra):
     """An int and the float of the same value give the same bytes; a
@@ -643,7 +644,7 @@ def test_malformed_spec_laws_exit_2_from_sample(tmp_path, capsys, spec, message)
 
 HUGE = 10**400  # standard JSON, but beyond the float range
 RATE_CONFIG = {"c": 2.0, "p": {"2": 1.0}, "tol": 1.0}
-EXPLICIT_CONFIG = {"c": 2.0, "K": 50, "constraints": {"K": 1, "ge": [{"f": {"0": 1.0}, "r": 0.3}]}}
+EXPLICIT_CONFIG = {"c": 2.0, "constraints": {"K": 1, "ge": [{"f": {"0": 1.0}, "r": 0.3}]}}
 REFERENCE_CONFIG = {"q": {"0": 1.0, "1": 2.0, "2": 1.0},
                     "constraints": {"K": 2, "ge": [{"f": "pmf@0", "r": 0.5}]}}
 
@@ -775,17 +776,70 @@ def test_malformed_configs_exit_1_with_one_error_line(tmp_path, capsys, command,
 
 
 @pytest.mark.parametrize("command, config", [
-    ("optimize", {"c": 2.0, "K": 20,
-                  "constraints": {"K": 30, "ge": [{"f": "pmf@0", "r": 0.4}]}}),
-    ("decay", {"c": 2.0, "K": 20, "n_list": [10], "samples": 10,
+    ("optimize", {"c": 2.0, "constraints": {"K": 30, "ge": [{"f": "pmf@0", "r": 0.4}]}}),
+    ("decay", {"c": 2.0, "n_list": [10], "samples": 10,
                "event": {"K": 30, "ge": [{"f": "pmf@0", "r": 0.4}]}}),
 ], ids=["optimize", "decay"])
-def test_a_reference_cap_below_the_event_cap_exits_1_naming_both(tmp_path, capsys, command,
-                                                                 config):
-    """Both said ``cannot shrink the support cap 30 to 20``, naming neither
-    config field."""
-    assert run_main(tmp_path, command, config, "--seed", "1") == (1, None)
-    assert capsys.readouterr().err == "error: reference cap K = 20 is below the event's K = 30\n"
+def test_a_top_level_k_is_not_read(tmp_path, command, config):
+    """The event is solved on all of the degrees, so no reference cap is
+    read: a top-level "K", even below the event's, changes no byte."""
+    code, text = run_main(tmp_path, command, config, "--seed", "1")
+    assert code == 0
+    assert run_main(tmp_path, command, {**config, "K": 20}, "--seed", "1") == (0, text)
+
+
+P0_98 = {"c": 2.0, "constraints": {"K": 1, "ge": [{"f": "pmf@0", "r": 0.98}]}}
+
+
+def test_optimize_solves_an_event_met_only_beyond_the_former_default_cap(tmp_path):
+    """2 % of the mass must carry mean 2, which no law on 0..50 does; on all
+    of the degrees the tail carries it, as Poisson(2) tilted to mean 100."""
+    code, text = run_main(tmp_path, "optimize", P0_98)
+    assert code == 0
+    out = json.loads(text)
+    assert out["converged"] is True
+    assert out["value"] == pytest.approx(7.726006897580, abs=1e-9)
+    assert set(out["minimizer"]) == {"0", "1"}
+    assert out["tail_mass"] == pytest.approx(0.02, abs=1e-8)
+    assert out["tail_mean"] == pytest.approx(100.0, rel=1e-6)
+
+
+def test_optimize_refuses_an_event_met_only_by_mass_escaping_to_infinity(tmp_path, capsys):
+    config = {**P0_98, "constraints": {"K": 1, "ge": [{"f": "pmf@0", "r": 1.0}]}}
+    assert run_main(tmp_path, "optimize", config) == (2, None)
+    assert capsys.readouterr().err.startswith(
+        "error: no degree law on 0, 1, ... satisfies the constraints")
+
+
+ZERO_WEIGHT_Q = {"0": 1.0, "1": 1.0}
+
+
+def test_a_zero_reference_weight_drops_its_degree(tmp_path):
+    """q(2) = 0 forces p(2) = 0: the event on 0..2 solves as it does on 0..1."""
+    ge = [{"f": "pmf@0", "r": 0.6}]
+    code, text = run_main(tmp_path, "optimize",
+                          {"q": ZERO_WEIGHT_Q, "constraints": {"K": 2, "ge": ge}})
+    assert code == 0
+    assert run_main(tmp_path, "optimize",
+                    {"q": ZERO_WEIGHT_Q, "constraints": {"K": 1, "ge": ge}}) == (0, text)
+    # p = (0.6, 0.4) against q = (1, 1): the value is minus its entropy
+    assert json.loads(text)["value"] == pytest.approx(0.6 * math.log(0.6) + 0.4 * math.log(0.4),
+                                                      abs=1e-9)
+
+
+def test_an_event_on_a_zero_weight_degree_is_infeasible(tmp_path, capsys):
+    config = {"q": ZERO_WEIGHT_Q, "constraints": {"K": 2, "ge": [{"f": "pmf@2", "r": 0.1}]}}
+    assert run_main(tmp_path, "optimize", config) == (2, None)
+    assert "no degree law on 0..2 satisfies the constraints" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q", [{"0": 1.0, "1": -1.0}, {"0": 0.0}, {}],
+                         ids=["negative", "zero", "empty"])
+def test_a_negative_or_all_zero_reference_is_refused(tmp_path, capsys, q):
+    config = {"q": q, "constraints": {"K": 1, "ge": [{"f": "pmf@0", "r": 0.5}]}}
+    assert run_main(tmp_path, "optimize", config) == (1, None)
+    assert capsys.readouterr().err == ("error: reference law must be finite and non-negative "
+                                       "on 0..L, and positive somewhere\n")
 
 
 def test_output_goes_to_stdout_without_out(tmp_path, capsys):

@@ -12,13 +12,13 @@ from graphld import optimizer
 from graphld.optimizer import (
     ConstraintSet,
     InfeasibleConstraintsError,
-    mean_vector,
     minimize_relative_entropy,
     point_vector,
     rate_infimum_for_event,
 )
-from graphld.rate import poisson_pmf, poisson_tail, truncated_poisson
-from oracles import grid_search_value, pinned_zero_rate, theta_scan_value
+from graphld.rate import poisson_log_pmf, poisson_pmf, truncated_poisson
+from oracles import (grid_search_value, pinned_zero_rate, pinned_zero_rate_on_naturals,
+                     theta_scan_value)
 
 #: inf H(p || Poisson(2)) over {mean = 2, p(0) >= 0.4}; the constraint binds
 #: because Poisson(2)(0) = e^-2 ~ 0.135.  Derived twice before the build:
@@ -53,20 +53,20 @@ def test_constraint_json_round_trip():
     obj = {"K": 4, "eq": [{"f": "mean", "r": 2.0}],
            "ge": [{"f": "pmf@0", "r": 0.4}, {"f": {"1": 1.0, "3": -2.0}, "r": 0.1}]}
     cons = ConstraintSet.from_json_dict(obj)
-    assert cons.equalities[0][0] == mean_vector(4)
+    assert cons.equalities[0][0] == "mean"
     assert cons.inequalities[0][0] == point_vector(0, 4)
     assert ConstraintSet.from_json_dict(cons.to_json_dict()) == cons
 
 
 def test_describe_is_stable_and_comma_free():
-    cons = ConstraintSet(30, equalities=[(mean_vector(30), 2.0)],
+    cons = ConstraintSet(30, equalities=[("mean", 2.0)],
                          inequalities=[(point_vector(0, 30), 0.4)])
     assert cons.describe() == "K30;eq[mean=2.0];ge[pmf@0>=0.4]"
     assert "," not in cons.describe()
 
 
 def test_arrays_preserve_the_mean_functional():
-    cons = ConstraintSet(3, equalities=[(mean_vector(3), 2.0)],
+    cons = ConstraintSet(3, equalities=[("mean", 2.0)],
                          inequalities=[(point_vector(0, 3), 0.4)])
     feq, req, fge, rge = cons.arrays(6)
     assert feq.tolist() == [[0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]] and req.tolist() == [2.0]
@@ -94,13 +94,13 @@ def test_three_functionals_alike_on_0_to_k_are_three_set_members():
     """Equality of functionals is transitive: a set of the mean, (0.0, 1.0)
     and pmf@1 at K = 1 has three members in every insertion order (it had 1
     or 2 while a named functional compared equal to its coefficients)."""
-    functionals = [mean_vector(1), (0.0, 1.0), point_vector(1, 1)]
+    functionals = ["mean", (0.0, 1.0), point_vector(1, 1)]
     assert [len(set(order)) for order in itertools.permutations(functionals)] == [3] * 6
 
 
 def test_names_written_in_python_equal_those_read_from_json():
     """``pmf@01`` is read as its canonical name ``pmf@1``."""
-    written = ConstraintSet(3, equalities=[(mean_vector(3), 2.0)],
+    written = ConstraintSet(3, equalities=[("mean", 2.0)],
                             inequalities=[(point_vector(1, 3), 0.25), ((0.0, 0.5, 0.0, 1.0), 0.1)])
     read = ConstraintSet.from_json_dict(
         {"K": 3, "eq": [{"f": "mean", "r": 2.0}],
@@ -144,9 +144,9 @@ def test_holds_on_counts_equalities_hold_only_on_lattice_points():
 
 def test_holds_on_counts_reads_the_mean_as_2m_and_only_columns_up_to_k():
     counts = np.array([[2, 0, 0, 0, 2], [0, 0, 4, 0, 0]], dtype=np.int64)  # n = 4, m = 4
-    mean = ConstraintSet(1, equalities=[(mean_vector(1), 2.0)])
+    mean = ConstraintSet(1, equalities=[("mean", 2.0)])
     assert mean.holds_on_counts(counts, 4, 4).tolist() == [True, True]
-    assert not ConstraintSet(1, inequalities=[(mean_vector(1), 2.25)]).holds_on_counts(
+    assert not ConstraintSet(1, inequalities=[("mean", 2.25)]).holds_on_counts(
         counts, 4, 4).any()
     # p(4) is beyond K = 3, so the explicit f(k) = k reads only degrees 0..3
     below = ConstraintSet.from_json_dict(
@@ -168,7 +168,7 @@ def test_holds_on_counts_refuses_a_sum_that_could_overflow_int64():
 
 def test_mean_only_projection_recovers_the_reference():
     cap = 60
-    cons = ConstraintSet(cap, equalities=[(mean_vector(cap), 2.0)])
+    cons = ConstraintSet(cap, equalities=[("mean", 2.0)])
     opt = minimize_relative_entropy(np.log(poisson_vector(2.0, cap)), cons)
     assert opt.value <= 1e-8
     trunc = truncated_poisson(2.0, cap)
@@ -177,7 +177,7 @@ def test_mean_only_projection_recovers_the_reference():
 
 def test_pinned_zero_projection_matches_independent_oracles():
     cap = 30
-    cons = ConstraintSet(cap, equalities=[(mean_vector(cap), 1.0),
+    cons = ConstraintSet(cap, equalities=[("mean", 1.0),
                                           (point_vector(0, cap), 0.5)])
     opt = minimize_relative_entropy(np.log(poisson_vector(1.0, cap)), cons)
     assert opt.value == pytest.approx(VALUE_K30, abs=1e-8)
@@ -202,9 +202,13 @@ def test_inactive_inequality_leaves_value_zero():
 
 
 def test_empty_constraints_value_zero():
+    """With no event the projection is Poisson(2) itself: mass 3 e^-2 on
+    0..1, and the rest a Poisson(2) tail."""
     opt = rate_infimum_for_event(2.0, ConstraintSet(1))
     assert opt.value <= 1e-8
-    assert opt.reference_tail == pytest.approx(poisson_tail(2.0, 50), abs=1e-15)
+    assert opt.minimizer.total_mass() == pytest.approx(3 * math.exp(-2.0), abs=1e-12)
+    assert opt.tail_mass == pytest.approx(1 - 3 * math.exp(-2.0), abs=1e-12)
+    assert opt.tail_mean == pytest.approx(2.0, abs=1e-12)
 
 
 def test_infeasible_constraints_raise_with_certificate():
@@ -212,7 +216,7 @@ def test_infeasible_constraints_raise_with_certificate():
                                           (point_vector(1, 5), 0.6)])
     with pytest.raises(InfeasibleConstraintsError, match="phase-1"):
         minimize_relative_entropy(np.log(poisson_vector(1.0, 5)), cons)
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match="positive somewhere"):
         minimize_relative_entropy(np.full(6, -np.inf), ConstraintSet(5))
 
 
@@ -303,41 +307,54 @@ def test_grid_oracle_agreement_small_problems():
 
 
 def test_rate_infimum_support_cap_default():
+    """There is no default cap: the law is solved on 0..K and a Poisson tail
+    beyond K, and on criterion 5's event that agrees with solves on the
+    former default cap 50 and on 0..80."""
     cons = ConstraintSet(1, inequalities=[(point_vector(0, 1), 0.4)])
     opt = rate_infimum_for_event(2.0, cons)
-    # default cap max(50, 20, 1) = 50
-    assert max(opt.minimizer.keys()) <= 50
-    assert opt.reference_tail == pytest.approx(poisson_tail(2.0, 50), abs=1e-15)
-    wide = rate_infimum_for_event(2.0, cons, support_cap=80)
-    assert abs(wide.value - opt.value) <= 1e-9
+    assert set(opt.minimizer.keys()) == {0, 1}
+    assert opt.minimizer.total_mass() + opt.tail_mass == pytest.approx(1.0, abs=1e-12)
+    with_mean = ConstraintSet(1, equalities=[("mean", 2.0)],
+                              inequalities=cons.inequalities)
+    for cap in (50, 80):
+        capped = minimize_relative_entropy(poisson_log_pmf(2.0, np.arange(cap + 1)), with_mean)
+        assert abs(capped.value - opt.value) <= 1e-12
 
 
 @pytest.mark.parametrize("r", [0.4, 0.6, 0.8, 0.9, 0.95, 0.959])
 def test_pinned_zero_sweep_matches_the_root_search_oracle(r):
     """{p(0) >= r} at mean 2 binds for every r here, so the projection is the
-    pinned-p(0) tilt of Poisson(2) whose mean is 2."""
+    pinned-p(0) tilt of Poisson(2) whose mean is 2, on all of the degrees."""
     opt = rate_infimum_for_event(2.0, ConstraintSet(1, inequalities=[(point_vector(0, 1), r)]))
     assert opt.converged
-    assert opt.value == pytest.approx(pinned_zero_rate(2.0, 50, r), abs=1e-7)
+    assert opt.value == pytest.approx(pinned_zero_rate_on_naturals(2.0, r), abs=1e-7)
 
 
 @pytest.mark.parametrize("c", [53.0, 60.0])
 def test_a_large_mean_solves_at_its_default_cap(c):
-    """Poisson(c) underflows a double below k = 10 c, inside the default cap
-    max(50, ceil(10 c)), from c = 53 on; a reference taken as q, not log q,
-    was refused there as not strictly positive."""
+    """Poisson(c) underflows a double below k = 10 c, inside the former
+    default cap ceil(10 c), from c = 53 on; a reference taken as q, not
+    log q, was refused there as not strictly positive.  The solve on all of
+    the degrees and the solve on 0..10c both converge to the oracle's value
+    on 0..10c."""
     cap = math.ceil(10 * c)
     assert poisson_pmf(c, cap) == 0.0
-    opt = rate_infimum_for_event(c, ConstraintSet(1, inequalities=[(point_vector(0, 1), 0.01)]))
-    assert opt.converged
-    assert max(opt.minimizer.keys()) <= cap
-    assert opt.value == pytest.approx(pinned_zero_rate(c, cap, 0.01), abs=1e-9)
+    event = ConstraintSet(1, inequalities=[(point_vector(0, 1), 0.01)])
+    opt = rate_infimum_for_event(c, event)
+    capped = minimize_relative_entropy(
+        poisson_log_pmf(c, np.arange(cap + 1)),
+        ConstraintSet(1, equalities=[("mean", c)], inequalities=event.inequalities))
+    for solve in (opt, capped):
+        assert solve.converged
+        assert solve.value == pytest.approx(pinned_zero_rate(c, cap, 0.01), abs=1e-9)
 
 
 def test_a_one_point_event_reaches_its_closed_form_value():
     """{p(0) >= 0.96} at mean 2 on {0..50} holds for one law only, p(0) = 0.96
     and p(50) = 0.04; no finite tilt reaches it, the dual runs off to infinity."""
-    opt = rate_infimum_for_event(2.0, ConstraintSet(1, inequalities=[(point_vector(0, 1), 0.96)]))
+    event = ConstraintSet(1, equalities=[("mean", 2.0)],
+                          inequalities=[(point_vector(0, 1), 0.96)])
+    opt = minimize_relative_entropy(poisson_log_pmf(2.0, np.arange(51)), event)
     closed_form = 0.96 * math.log(0.96 * math.e ** 2) + 0.04 * math.log(0.04 / poisson_pmf(2.0, 50))
     assert opt.converged
     assert opt.value == pytest.approx(closed_form, abs=1e-7)
@@ -347,7 +364,7 @@ def test_a_stalled_solve_reports_that_it_did_not_converge(monkeypatch):
     """One trial point does not solve criterion 5's event: the result says
     so instead of passing for the projection."""
     cap = 50
-    cons = ConstraintSet(cap, equalities=[(mean_vector(cap), 2.0)],
+    cons = ConstraintSet(cap, equalities=[("mean", 2.0)],
                          inequalities=[(point_vector(0, cap), 0.4)])
     monkeypatch.setattr(optimizer, "MAX_ITERATIONS", 1)
     opt = minimize_relative_entropy(np.log(poisson_vector(2.0, cap)), cons)
@@ -401,8 +418,8 @@ def test_a_box_event_where_no_newton_point_is_accepted_still_converges():
      "reference has shape (1, 2), expected the values log q(0..L)"),
     (lambda: minimize_relative_entropy([0.0], ConstraintSet(1)),
      "cannot shrink the support cap 1 to 0"),
-    (lambda: minimize_relative_entropy([0.0, -math.inf], ConstraintSet(1)),
-     "reference law must be strictly positive on 0..K"),
+    (lambda: minimize_relative_entropy([-math.inf, -math.inf], ConstraintSet(1)),
+     "reference law must be finite and non-negative on 0..L, and positive somewhere"),
     (lambda: rate_infimum_for_event(0.0, ConstraintSet(1)), "c must be > 0"),
     (lambda: ConstraintSet.from_json_dict({"ge": [{"f": "mean", "r": 1.0}]}),
      "constraint object missing field 'K'"),
@@ -417,12 +434,88 @@ def test_a_box_event_where_no_newton_point_is_accepted_still_converges():
     (lambda: ConstraintSet(1, equalities=[("pmf@2", 0.1)]), "point 2 outside 0..1"),
     (lambda: ConstraintSet.from_json_dict({"K": 1, "ge": [{"f": [0.0, 1.0], "r": 0.1}]}),
      "unsupported constraint vector spec [0.0, 1.0]"),
-    (lambda: rate_infimum_for_event(2.0, ConstraintSet(30), support_cap=20),
-     "reference cap K = 20 is below the event's K = 30"),
 ], ids=["point-outside-cap", "shrink", "reference-matrix", "reference-length",
         "reference-zero", "c-not-positive", "json-without-K", "json-coefficient-outside-cap",
         "json-unknown-functional", "unknown-name", "point-name-not-an-integer",
-        "point-name-outside-cap", "json-list-functional", "reference-cap-below-event"])
+        "point-name-outside-cap", "json-list-functional"])
 def test_bad_inputs_raise_naming_the_problem(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+def test_an_event_met_only_beyond_the_former_cap_solves_on_all_degrees():
+    """{p(0) >= 0.98} at mean 2 has no law on 0..50 (2 % of the mass cannot
+    carry mean 2 there), but it has one on all of the degrees: p(0) = 0.98 and
+    the rest Poisson(2) tilted to mean 2 / 0.02 = 100."""
+    opt = rate_infimum_for_event(2.0, ConstraintSet(1, inequalities=[(point_vector(0, 1), 0.98)]))
+    assert opt.converged
+    assert opt.value == pytest.approx(pinned_zero_rate_on_naturals(2.0, 0.98), abs=1e-9)
+    assert opt.value == pytest.approx(7.726006897580, abs=1e-9)
+    assert opt.tail_mass == pytest.approx(0.02, abs=1e-8)
+    with pytest.raises(InfeasibleConstraintsError, match="no degree law on 0..50"):
+        minimize_relative_entropy(
+            poisson_log_pmf(2.0, np.arange(51)),
+            ConstraintSet(1, equalities=[("mean", 2.0)],
+                          inequalities=[(point_vector(0, 1), 0.98)]))
+
+
+def test_a_tail_of_mean_five_thousand_solves():
+    """{p(0) >= 0.999} at mean 5 leaves mass 0.001 to a tail of mean 5000.  A
+    Newton trial point on the way once overflowed the tail's squared mean."""
+    opt = rate_infimum_for_event(5.0, ConstraintSet(1, inequalities=[(point_vector(0, 1), 0.999)]))
+    assert opt.converged
+    assert opt.value == pytest.approx(pinned_zero_rate_on_naturals(5.0, 0.999), abs=1e-7)
+
+
+def test_mass_escaping_to_infinity_is_not_a_law():
+    """{p(0) >= 1} at mean 2 leaves no mass to carry the mean; only a tail of
+    mass 0 and first moment 2 meets the constraints, so it is refused."""
+    with pytest.raises(InfeasibleConstraintsError, match=re.escape("no degree law on 0, 1, ...")):
+        rate_infimum_for_event(2.0, ConstraintSet(1, inequalities=[(point_vector(0, 1), 1.0)]))
+
+
+def rate_sweep_events():
+    """The optimize events of the benchmark's rate sweep: at each c, a slack
+    and two binding p(0) floors, a p(1) equality and a redundant mean
+    equality (each event on K = its point + 1), and criterion 5's event."""
+    binding = {0.5: (0.7, 0.9), 1.0: (0.5, 0.7), 2.0: (0.3, 0.4), 4.0: (0.1, 0.3),
+               8.0: (0.01, 0.05)}
+    events = []
+    for c, floors in binding.items():
+        for r in (0.5 * math.exp(-c), *floors):
+            events.append((c, ConstraintSet(1, inequalities=[(point_vector(0, 1), r)])))
+        events.append((c, ConstraintSet(2, equalities=[(point_vector(1, 2), 0.2)])))
+        events.append((c, ConstraintSet(1, equalities=[("mean", c)])))
+    events.append((2.0, ConstraintSet(1, inequalities=[(point_vector(0, 1), 0.4)])))
+    return events
+
+
+def optimizer_test_events():
+    """The (c, event) pairs this module solves with ``rate_infimum_for_event``."""
+    at_least = [0.4, math.exp(-2.0), 0.6, 0.8, 0.9, 0.95, 0.959, 0.96, 0.98]
+    events = [(2.0, ConstraintSet(1, inequalities=[(point_vector(0, 1), r)])) for r in at_least]
+    events += [(2.0, ConstraintSet(1))]
+    events += [(c, ConstraintSet(1, inequalities=[(point_vector(0, 1), 0.01)]))
+               for c in (53.0, 60.0)]
+    events += [(1.0, box_event(60, (0.5, 0.25, 0.25), delta)) for delta in (0.004, 0.005, 0.006)]
+    return events
+
+
+BRACKETED_EVENTS = rate_sweep_events() + optimizer_test_events()
+
+
+@pytest.mark.parametrize("c, event", BRACKETED_EVENTS,
+                         ids=[f"c={c}:{event.describe()}" for c, event in BRACKETED_EVENTS])
+def test_the_solve_on_all_degrees_is_bracketed_by_a_wide_cap(c, event):
+    """The infimum on all of the degrees is at most the one on 0..400, and
+    where no law needs degrees above 400, equal to it; so is the mass the
+    minimizer puts beyond K."""
+    opt = rate_infimum_for_event(c, event)
+    with_mean = ConstraintSet(event.support_cap, event.equalities + (("mean", c),),
+                              event.inequalities)
+    capped = minimize_relative_entropy(poisson_log_pmf(c, np.arange(401)), with_mean)
+    assert opt.converged and capped.converged
+    assert opt.value <= capped.value + 1e-12
+    assert capped.value - opt.value <= 1e-9
+    beyond = sum(w for k, w in capped.minimizer.items() if k > event.support_cap)
+    assert opt.tail_mass == pytest.approx(beyond, abs=1e-7)
