@@ -53,13 +53,12 @@ from .rate import (
 from .sampler import (
     ConditionSpec,
     InadmissibleSpecError,
-    admissible,
     binary_cross_spec,
     sample_conditional_graph,
     sample_erdos_renyi,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "CountingMeasure", "FiniteMeasure", "ProbMeasure", "dirac",
@@ -69,11 +68,10 @@ __all__ = [
     "empirical_locality_measure", "empirical_type_measure",
     "RateResult", "ReferenceLaw", "degree_rate",
     "relative_entropy", "truncated_poisson", "typed_rate",
-    "ConditionSpec", "InadmissibleSpecError", "admissible",
+    "ConditionSpec", "InadmissibleSpecError",
     "binary_cross_spec", "sample_conditional_graph", "sample_erdos_renyi",
     "EnumerationGuardError", "EnumerationReport", "entropy_neighborhood",
-    "enumerate_support", "exact_event_probability", "lldp_exponent_gap",
-    "type_class_counts",
+    "enumerate_support", "exact_event_probability", "lldp_exponent_gap", "type_class_counts",
     "ConstraintSet", "InfeasibleConstraintsError", "Optimum",
     "minimize_relative_entropy", "rate_infimum_for_event",
 ]

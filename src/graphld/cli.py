@@ -114,10 +114,6 @@ def _table_text(columns: Sequence[str], rows: List[Dict[str, object]], fmt: str)
     return "\n".join(lines) + "\n"
 
 
-def decay_records_to_csv(records: Sequence[ExperimentRecord]) -> str:
-    return _table_text(_DECAY_COLUMNS, [rec.to_json_dict() for rec in records], "csv")
-
-
 def _count_event_hits(n: int, m: int, samples: int, event: ConstraintSet,
                       seed: int) -> int:
     """Hits of a degree-law event over ``samples`` G(n, m) draws, sharded.
@@ -140,14 +136,21 @@ def run_decay_study(c: float, n_list: Sequence[int], samples: int,
     """Estimate -(1/n) log P{degree law in event} for G(n, nc/2) across
     ``n_list`` and pair each estimate with the optimizer's predicted rate.
 
-    Sizes where n*c/2 is not an integer (``sampler._as_count``) are skipped
-    with a warning; an impossible G(n, m) raises before the first draw.
-    Deterministic given ``seed`` (see the module docstring).
+    The predicted rate is solved first, so its refusals (c <= 0, an
+    infeasible event) come before any size's.  Sizes where n*c/2 is not an
+    integer (``sampler._as_count``) are skipped with a warning; an
+    impossible G(n, m) raises before the first draw.  Deterministic given
+    ``seed`` (see the module docstring).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if list(n_list) != sorted(set(n_list)):
         raise ValueError("n_list must be strictly increasing")
+    optimum = rate_infimum_for_event(c, event)
+    event_id = event.describe()
+    if not optimum.converged:
+        warnings.warn(f"the predicted rate of {event_id} did not converge "
+                      f"(KKT residual {optimum.kkt_residual!r})")
     sizes = []
     for n in n_list:
         try:
@@ -157,11 +160,6 @@ def run_decay_study(c: float, n_list: Sequence[int], samples: int,
             continue
         _erdos_renyi_sampler(n, m)  # the one check of G(n, m)
         sizes.append((n, m))
-    optimum = rate_infimum_for_event(c, event)
-    event_id = event.describe()
-    if not optimum.converged:
-        warnings.warn(f"the predicted rate of {event_id} did not converge "
-                      f"(KKT residual {optimum.kkt_residual!r})")
     records = []
     for n, m in sizes:
         hits = _count_event_hits(n, m, samples, event, seed)
@@ -175,17 +173,6 @@ def run_decay_study(c: float, n_list: Sequence[int], samples: int,
         records.append(ExperimentRecord(n, event_id, estimate, stderr,
                                         optimum.value, samples, hits))
     return records
-
-
-def fit_decay_slope(records: Sequence[ExperimentRecord]) -> float:
-    """Least-squares slope of -log(P-hat) against n over the hit-bearing
-    records; this is the Monte Carlo estimate of the decay rate."""
-    pts = [(r.n, r.estimate * r.n) for r in records if r.estimate is not None]
-    if len(pts) < 2:
-        raise ValueError("need at least two records with hits to fit a slope")
-    xs = np.array([x for x, _ in pts])
-    ys = np.array([y for _, y in pts])
-    return float(np.polyfit(xs, ys, 1)[0])
 
 
 def matching_measure() -> ProbMeasure:
@@ -288,9 +275,17 @@ def _json_text(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def _n_list(config: Dict[str, object]) -> List[int]:
+    """The graph sizes of a ``decay`` or ``lldp`` config: a JSON list of integers."""
+    n_list = config["n_list"]
+    if not isinstance(n_list, list):
+        raise ValueError(f"n_list = {n_list!r} is not a list")
+    return [config_int(n, "n_list") for n in n_list]
+
+
 def _specs_from_config(config: Dict[str, object]) -> Tuple[List[ConditionSpec], ProbMeasure]:
     if config.get("family") == "binary-cross":
-        specs = [binary_cross_spec(config_int(n, "n_list")) for n in config["n_list"]]
+        specs = [binary_cross_spec(n) for n in _n_list(config)]
         return specs, matching_measure()
     specs = [ConditionSpec.from_json_dict(obj) for obj in config["specs"]]
     target = ProbMeasure.from_json_dict(config["target"], "locality")
@@ -333,7 +328,7 @@ def _cmd_optimize(config, seed, fmt) -> str:
 def _cmd_decay(config, seed, fmt) -> str:
     records = run_decay_study(
         c=config_float(config["c"], "c"),
-        n_list=[config_int(n, "n_list") for n in config["n_list"]],
+        n_list=_n_list(config),
         samples=config_int(config["samples"], "samples"),
         event=ConstraintSet.from_json_dict(config["event"]),
         seed=seed,
@@ -403,7 +398,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             NotConvergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (KeyError, ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except KeyError as exc:  # a config object without one of its fields
+        print(f"error: missing field {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

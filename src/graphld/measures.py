@@ -45,7 +45,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
+from numbers import Rational, Real
 from typing import (Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Tuple,
                     Union)
 
@@ -238,6 +238,8 @@ class FiniteMeasure:
                 raise TypeError(f"mixed key kinds in one measure: {kind} and {k}")
             if isinstance(value, bool):
                 raise TypeError(f"bool weight {value!r} at key {key!r}")
+            if not isinstance(value, Real):
+                raise TypeError(f"weight {value!r} at key {key!r} is not a number")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"non-finite weight {value!r} at key {key!r}")
             if value < 0:

@@ -239,16 +239,6 @@ class ConstraintSet:
 
         return cls(cap, parse_block("eq"), parse_block("ge"))
 
-    def to_json_dict(self) -> Dict[str, object]:
-        def dump_vector(f: Functional):
-            return f if isinstance(f, str) else {str(k): c for k, c in enumerate(f) if c}
-
-        return {
-            "K": self.support_cap,
-            "eq": [{"f": dump_vector(f), "r": r} for f, r in self.equalities],
-            "ge": [{"f": dump_vector(f), "r": r} for f, r in self.inequalities],
-        }
-
 
 @dataclass(frozen=True)
 class Optimum:

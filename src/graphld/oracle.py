@@ -50,19 +50,9 @@ class EnumerationGuardError(ValueError):
     """Raised when a spec's support is too large to enumerate."""
 
 
-def _support_size(sampler: ConditionalSampler) -> int:
-    return math.prod(math.comb(block.capacity, block.edge_count) for block in sampler.blocks)
-
-
-def support_size(spec: ConditionSpec) -> int:
-    """Exact number of admissible graphs: the product over pair blocks of
-    C(capacity, edge_count)."""
-    return _support_size(ConditionalSampler(spec))
-
-
 def _guard(spec: ConditionSpec) -> ConditionalSampler:
     sampler = ConditionalSampler(spec)
-    size = _support_size(sampler)
+    size = math.prod(math.comb(block.capacity, block.edge_count) for block in sampler.blocks)
     if size > ENUMERATION_GUARD:
         raise EnumerationGuardError(
             f"support has {size} graphs, more than the enumeration guard "

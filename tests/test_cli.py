@@ -18,8 +18,6 @@ import graphld.optimizer
 from graphld.cli import (
     ExperimentRecord,
     _json_text,
-    decay_records_to_csv,
-    fit_decay_slope,
     main,
     matching_measure,
     run_decay_study,
@@ -34,7 +32,7 @@ from graphld.optimizer import (ConstraintSet, minimize_relative_entropy,
 from graphld.oracle import lldp_exponent_gap, type_class_counts
 from graphld.rate import degree_rate, typed_rate
 from graphld.sampler import binary_cross_spec, iter_er_degree_histograms
-from helpers import three_type_spec5
+from helpers import fit_decay_slope, three_type_spec5
 from oracles import isolated_tail_probability
 
 
@@ -101,15 +99,18 @@ def test_decay_mean_event_always_holds():
             assert rec.hits == rec.samples and rec.estimate == 0.0
 
 
-def test_decay_no_hit_records_absence():
+def test_decay_no_hit_records_absence(tmp_path):
     # 18 of 20 nodes isolated cannot carry 20 links
     records = run_decay_study(2.0, [20], samples=5000,
                               event=event_p0_at_least(0.9), seed=7)
     [rec] = records
     assert rec.hits == 0
     assert rec.estimate is None and rec.stderr is None
-    csv_text = decay_records_to_csv(records)
-    line = csv_text.splitlines()[1]
+    config = {"c": 2.0, "n_list": [20], "samples": 5000,
+              "event": {"K": 1, "ge": [{"f": "pmf@0", "r": 0.9}]}}
+    code, text = run_main(tmp_path, "decay", config, "--seed", "7")
+    assert code == 0
+    line = text.splitlines()[1]
     assert line.startswith("20,K1;ge[pmf@0>=0.9],,,")  # empty estimate fields
     assert json.loads(json.dumps(rec.to_json_dict()))["estimate"] is None
 
@@ -125,10 +126,8 @@ def test_decay_study_is_deterministic():
     kwargs = dict(c=2.0, n_list=[10, 20], samples=30_000,
                   event=event_p0_at_least(0.3), seed=99)
     first = run_decay_study(**kwargs)
-    second = run_decay_study(**kwargs)
-    assert decay_records_to_csv(first) == decay_records_to_csv(second)
-    other = run_decay_study(**{**kwargs, "seed": 100})
-    assert decay_records_to_csv(other) != decay_records_to_csv(first)
+    assert run_decay_study(**kwargs) == first
+    assert run_decay_study(**{**kwargs, "seed": 100}) != first
 
 
 def test_decay_validates_inputs():
@@ -528,12 +527,38 @@ def test_main_lldp_target_weight_that_is_no_count_exits_2(tmp_path, capsys):
 ], ids=["G(5,25)", "G(5,-1)", "G(0,0)"])
 def test_impossible_erdos_renyi_exits_2_from_decay_and_sample(tmp_path, capsys, c, n, message):
     """``decay`` refuses an impossible G(n, nc/2) as ``sample`` refuses it, by
-    the one G(n, m) check, before any draw."""
+    the one G(n, m) check, before any draw.  A c <= 0 is refused first, by
+    the solve of the predicted rate, as ``optimize`` refuses it."""
     m = round(n * c / 2)
     assert run_main(tmp_path, "sample", {"er": {"n": n, "m": m}}, "--seed", "1")[0] == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     decay = {"c": c, "n_list": [n], "samples": 100, "event": {"K": 1}}
-    assert run_main(tmp_path, "decay", decay, "--seed", "1")[0] == 2
+    code, err = (2, message) if c > 0 else (1, "c must be > 0")
+    assert run_main(tmp_path, "decay", decay, "--seed", "1")[0] == code
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("optimize", {"c": 2.0, "constraints": {"K": 1, "ge": [{"f": "pmf@0"}]}},
+     "missing field 'r'"),
+    ("sample", {"er": {"n": 4}}, "missing field 'm'"),
+    ("decay", {"c": 2.0, "n_list": "10", "samples": 100, "event": {"K": 1}},
+     "n_list = '10' is not a list"),
+    ("lldp", {"family": "binary-cross", "n_list": 4}, "n_list = 4 is not a list"),
+    ("enumerate", {"spec": {"n": 4, "eta": {"a": 1}, "pi": {"a,a": "x"}}},
+     "weight 'x' at key ('a', 'a') is not a number"),
+    ("optimize", {"c": -2.0, "constraints": {"K": 1}}, "c must be > 0"),
+    ("decay", {"c": -2.0, "n_list": [10], "samples": 100, "event": {"K": 1}}, "c must be > 0"),
+], ids=["optimize.r", "sample.er.m", "decay.n_list", "lldp.n_list", "enumerate.pi-string",
+        "optimize.c", "decay.c"])
+def test_config_errors_exit_1_naming_the_field(tmp_path, capsys, command, config, message):
+    """These printed the bare ``KeyError`` (``'r'``), read a string n_list
+    digit by digit (``n_list = '1' is not an integer``), printed a Python
+    message (``'int' object is not iterable``, ``'<' not supported between
+    instances of 'str' and 'int'``), or, for ``decay`` at c = -2, named the
+    G(10, -10) it makes and exited 2: the predicted rate is now solved
+    before the sizes are checked."""
+    assert run_main(tmp_path, command, config, "--seed", "1") == (1, None)
     assert capsys.readouterr().err == f"error: {message}\n"
 
 

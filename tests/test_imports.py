@@ -2,7 +2,8 @@
 imports.
 
 A stdlib ``ast`` scan, so the check needs no linter.  The package's
-``__init__.py`` is skipped: its imports are the package's re-exports.
+``__init__.py`` is skipped: its imports are the package's re-exports, which
+must be exactly ``graphld.__all__``.
 """
 
 import ast
@@ -10,6 +11,8 @@ from pathlib import Path
 from typing import List
 
 import pytest
+
+import graphld
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "graphld"
@@ -62,3 +65,14 @@ def test_the_scan_sees_unused_and_quoted_names():
         "    return np.size(x)\n"
     )
     assert unused_imports(source) == ["os", "List", "Edge"]
+
+
+def test_all_is_exactly_what_the_package_imports():
+    """A name dropped from a module cannot linger in ``__all__``, nor an
+    import of ``__init__.py`` go unexported."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(graphld.__all__) == sorted(imported)
+    assert len(set(imported)) == len(imported)
+    assert [name for name in graphld.__all__ if not hasattr(graphld, name)] == []

@@ -85,6 +85,19 @@ def test_bool_weights_are_refused():
         ProbMeasure({A: True})
 
 
+def test_weights_that_are_not_numbers_are_refused_naming_their_key():
+    """A string weight used to fail on ``value < 0`` with Python's own
+    comparison message, naming no key."""
+    for weight in ("x", "1", None, [1], 1j):
+        with pytest.raises(TypeError, match=re.escape(f"weight {weight!r} at key ('a', 'b') "
+                                                      "is not a number")):
+            FiniteMeasure({(A, B): weight})
+    # every real number passes, and a JSON int stays exact
+    for weight in (np.float64(0.5), np.int64(2), Fraction(1, 3), 2):
+        assert FiniteMeasure({(A, B): weight})((A, B)) == weight
+    assert FiniteMeasure({(A, B): 2}).is_exact()
+
+
 def test_non_finite_weights_are_refused():
     """An infinite weight has no exact fraction for ``encode_measure``."""
     for weight in (float("nan"), float("inf")):

@@ -49,13 +49,12 @@ def test_constraint_set_validation():
         ConstraintSet(3, equalities=[((1.0, 2.0), 1.0)])  # wrong length
 
 
-def test_constraint_json_round_trip():
+def test_constraint_json_reads_each_functional_kind():
     obj = {"K": 4, "eq": [{"f": "mean", "r": 2.0}],
            "ge": [{"f": "pmf@0", "r": 0.4}, {"f": {"1": 1.0, "3": -2.0}, "r": 0.1}]}
     cons = ConstraintSet.from_json_dict(obj)
-    assert cons.equalities[0][0] == "mean"
-    assert cons.inequalities[0][0] == point_vector(0, 4)
-    assert ConstraintSet.from_json_dict(cons.to_json_dict()) == cons
+    assert cons.equalities == (("mean", 2.0),)
+    assert cons.inequalities == ((point_vector(0, 4), 0.4), ((0.0, 1.0, 0.0, -2.0, 0.0), 0.1))
 
 
 def test_describe_is_stable_and_comma_free():
@@ -73,17 +72,16 @@ def test_arrays_preserve_the_mean_functional():
     assert fge.tolist() == [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]] and rge.tolist() == [0.4]
 
 
-def test_json_round_trip_keeps_every_functional_name():
+def test_json_read_keeps_every_functional_name():
     """At K = 1 the mean, pmf@1 and the explicit {"1": 1.0} are all the
     vector (0, 1); each keeps the name it was written with, also on a larger
     support, where only the mean grows."""
     obj = {"K": 1, "eq": [{"f": "pmf@1", "r": 0.2}],
            "ge": [{"f": "mean", "r": 1.0}, {"f": {"1": 1.0}, "r": 0.1}]}
     cons = ConstraintSet.from_json_dict(obj)
-    assert cons.to_json_dict() == obj
-    assert ConstraintSet.from_json_dict(cons.to_json_dict()) == cons
     assert cons.describe() == "K1;eq[pmf@1=0.2];ge[mean>=1.0&f{1:1.0}>=0.1]"
     [(pmf, _)], [(mean, _), (explicit, _)] = cons.equalities, cons.inequalities
+    assert (pmf, mean, explicit) == ("pmf@1", "mean", (0.0, 1.0))
     assert pmf != mean and mean != explicit and explicit != pmf
     feq, _, fge, _ = cons.arrays(3)
     assert feq.tolist() + fge.tolist() == \

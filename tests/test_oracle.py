@@ -27,7 +27,6 @@ from graphld.oracle import (
     exact_event_probability,
     lldp_exponent_gap,
     sampled_class_counts,
-    support_size,
     type_class_counts,
 )
 from graphld.rate import ReferenceLaw, relative_entropy
@@ -86,7 +85,7 @@ def test_enumeration_guard():
 
 def test_support_size_matches_enumeration():
     for spec in (binary_cross_spec(4), binary_cross_spec(6), single_type_spec(4, 3)):
-        assert support_size(spec) == len(list(enumerate_support(spec)))
+        assert type_class_counts(spec).support_size == len(list(enumerate_support(spec)))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from graphld.rate import (
     typed_rate,
 )
 from helpers import random_degree_law, random_locality_measure
+from oracles import truncation_mass
 
 
 def atom(a, counts):
@@ -116,7 +117,7 @@ def test_truncation_mass_matches_enumeration():
     q = ReferenceLaw(eta, pi)
     for cap in (3, 6, 10):
         brute = math.fsum(mass for _, mass in q.iter_atoms(cap))
-        assert brute == pytest.approx(q.truncation_mass(cap), abs=1e-14)
+        assert brute == pytest.approx(truncation_mass(q, cap), abs=1e-14)
 
 
 def test_link_marginal_of_reference_reproduces_link_law():
@@ -205,7 +206,7 @@ def test_typed_rate_zero_at_truncated_reference():
         result = typed_rate(eta, pi, p, tol=1e-6)
         assert result.feasible, (cap, result)
         # independent series oracle: H(trunc q || q) = -log(truncated mass)
-        assert result.value == pytest.approx(-math.log(q.truncation_mass(cap)),
+        assert result.value == pytest.approx(-math.log(truncation_mass(q, cap)),
                                              abs=1e-12)
         values.append(result.value)
     assert values[0] > values[1] > values[2]

@@ -24,7 +24,6 @@ from graphld.sampler import (
     InadmissibleSpecError,
     _subset_rows,
     _unrank_pairs_np,
-    admissible,
     binary_cross_spec,
     iter_er_degree_histograms,
     sample_conditional_graph,
@@ -36,16 +35,14 @@ from oracles import unrank_pair
 
 
 def test_binary_cross_spec_is_admissible():
-    report = admissible(binary_cross_spec(4))
-    assert report and report.reason is None
+    assert ConditionalSampler(binary_cross_spec(4)).types == ("a", "a", "b", "b")
 
 
 def test_odd_group_size_is_inadmissible():
     # n=3 with uniform eta on two types: 3/2 nodes per type
     spec = ConditionSpec(3, ProbMeasure({"a": 0.5, "b": 0.5}), FiniteMeasure({}))
-    report = admissible(spec)
-    assert not report
-    assert "not an integer" in report.reason
+    with pytest.raises(InadmissibleSpecError, match="not an integer"):
+        ConditionalSampler(spec)
 
 
 def test_block_over_capacity_is_inadmissible():
@@ -55,9 +52,6 @@ def test_block_over_capacity_is_inadmissible():
         ProbMeasure({"a": Fraction(1, 2), "b": Fraction(1, 2)}),
         FiniteMeasure({("a", "b"): Fraction(5, 4), ("b", "a"): Fraction(5, 4)}),
     )
-    report = admissible(spec)
-    assert not report
-    assert "capacity" in report.reason
     with pytest.raises(InadmissibleSpecError, match="capacity"):
         sample_conditional_graph(spec, np.random.default_rng(0))
 
@@ -84,11 +78,9 @@ HALVES = ProbMeasure({"a": Fraction(1, 2), "b": Fraction(1, 2)})
 ], ids=["n=0", "eta-over-pairs", "pi-over-types", "asymmetric", "outside-alphabet", "bad-label",
         "counts-miss-n"])
 def test_spec_analysis_refuses_malformed_laws(spec, reason):
-    report = admissible(spec)
-    assert not report
-    assert report.reason == reason
-    with pytest.raises(InadmissibleSpecError, match=re.escape(reason)):
+    with pytest.raises(InadmissibleSpecError) as refused:
         sample_conditional_graph(spec, np.random.default_rng(0))
+    assert str(refused.value) == reason
 
 
 def test_type_groups_beyond_the_exact_pair_decode_are_inadmissible(monkeypatch, request):
@@ -98,9 +90,8 @@ def test_type_groups_beyond_the_exact_pair_decode_are_inadmissible(monkeypatch, 
     big = 2**24 + 1
     eta = ProbMeasure({"a": Fraction(big, big + 2), "b": Fraction(2, big + 2)})
     inside = FiniteMeasure({("a", "a"): Fraction(2, big + 2)})
-    report = admissible(ConditionSpec(big + 2, eta, inside))
-    assert not report
-    assert str(2**24) in report.reason
+    with pytest.raises(InadmissibleSpecError, match=str(2**24)):
+        ConditionalSampler(ConditionSpec(big + 2, eta, inside))
     with pytest.raises(InadmissibleSpecError, match=str(2**24)):
         sample_erdos_renyi(big, 1, np.random.default_rng(0))
     with pytest.raises(ValueError, match=str(2**24)):
@@ -111,9 +102,10 @@ def test_type_groups_beyond_the_exact_pair_decode_are_inadmissible(monkeypatch, 
     sampler._erdos_renyi_sampler.cache_clear()
     request.addfinalizer(sampler._erdos_renyi_sampler.cache_clear)
     eta = ProbMeasure({"a": 0.5, "b": 0.5})
-    assert "decode limit" in admissible(ConditionSpec(8, eta, FiniteMeasure({("a", "a"): 0.25}))).reason
-    assert admissible(binary_cross_spec(8))
-    assert admissible(ConditionSpec(8, eta, FiniteMeasure({})))
+    with pytest.raises(InadmissibleSpecError, match="decode limit"):
+        ConditionalSampler(ConditionSpec(8, eta, FiniteMeasure({("a", "a"): 0.25})))
+    ConditionalSampler(binary_cross_spec(8))  # admitted: no links inside a group
+    ConditionalSampler(ConditionSpec(8, eta, FiniteMeasure({})))
     with pytest.raises(ValueError, match="decode limit"):
         next(iter_er_degree_histograms(4, 1, 1, np.random.default_rng(0)))
     edgeless = next(iter_er_degree_histograms(4, 0, 1, np.random.default_rng(0)))
