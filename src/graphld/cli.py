@@ -47,8 +47,8 @@ from .graphs import (
     empirical_locality_measure,
     empirical_type_measure,
 )
-from .measures import (CountingMeasure, FiniteMeasure, ProbMeasure, config_float, config_int,
-                       decode_int, degree_values)
+from .measures import (CountingMeasure, FiniteMeasure, ProbMeasure, config_field, config_float,
+                       config_int, decode_int, degree_values)
 from .oracle import EnumerationGuardError, lldp_exponent_gap, type_class_counts
 from .optimizer import (
     ConstraintSet,
@@ -205,12 +205,12 @@ def run_rate(config: Dict[str, object]) -> Dict[str, object]:
     """
     tol = None if config.get("tol") is None else config_float(config["tol"], "tol")
     if "c" in config:
-        p = ProbMeasure.from_json_dict(config["p"], "degree")
+        p = ProbMeasure.from_json_dict(config_field(config, "p"), "degree")
         result = degree_rate(config_float(config["c"], "c"), p, tol)
     else:
-        eta = ProbMeasure.from_json_dict(config["eta"], "type")
-        pi = FiniteMeasure.from_json_dict(config["pi"], "pair")
-        p = ProbMeasure.from_json_dict(config["p"], "locality")
+        eta = ProbMeasure.from_json_dict(config_field(config, "eta"), "type")
+        pi = FiniteMeasure.from_json_dict(config_field(config, "pi"), "pair")
+        p = ProbMeasure.from_json_dict(config_field(config, "p"), "locality")
         result = typed_rate(eta, pi, p, tol)
     return result.to_json_dict()
 
@@ -227,12 +227,12 @@ def run_optimize(config: Dict[str, object]) -> Dict[str, object]:
 
     Raises NotConvergedError when the solve did not meet its tolerances.
     """
-    cons = ConstraintSet.from_json_dict(config["constraints"])
+    cons = ConstraintSet.from_json_dict(config_field(config, "constraints", dict))
     if "c" in config:
         optimum = rate_infimum_for_event(config_float(config["c"], "c"), cons)
     else:
         with np.errstate(divide="ignore", invalid="ignore"):  # the solver refuses q < 0
-            log_q = np.log(degree_values(config["q"], cons.support_cap, "q"))
+            log_q = np.log(degree_values(config_field(config, "q"), cons.support_cap, "q"))
         optimum = minimize_relative_entropy(log_q, cons)
     if not optimum.converged:
         raise NotConvergedError(
@@ -275,39 +275,31 @@ def _json_text(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _n_list(config: Dict[str, object]) -> List[int]:
-    """The graph sizes of a ``decay`` or ``lldp`` config: a JSON list of integers."""
-    n_list = config["n_list"]
-    if not isinstance(n_list, list):
-        raise ValueError(f"n_list = {n_list!r} is not a list")
-    return [config_int(n, "n_list") for n in n_list]
-
-
 def _specs_from_config(config: Dict[str, object]) -> Tuple[List[ConditionSpec], ProbMeasure]:
     if config.get("family") == "binary-cross":
-        specs = [binary_cross_spec(n) for n in _n_list(config)]
+        specs = [binary_cross_spec(config_int(n, "n_list"))
+                 for n in config_field(config, "n_list", list)]
         return specs, matching_measure()
-    specs = [ConditionSpec.from_json_dict(obj) for obj in config["specs"]]
-    target = ProbMeasure.from_json_dict(config["target"], "locality")
+    specs = [ConditionSpec.from_json_dict(obj) for obj in config_field(config, "specs", list)]
+    target = ProbMeasure.from_json_dict(config_field(config, "target"), "locality")
     return specs, target
 
 
 def _cmd_sample(config, seed, fmt) -> str:
     rng = np.random.default_rng(seed)
     if "er" in config:
-        er = config["er"]
-        graph = sample_erdos_renyi(config_int(er["n"], "er.n"), config_int(er["m"], "er.m"), rng)
+        er = config_field(config, "er", dict)
+        graph = sample_erdos_renyi(config_int(config_field(er, "n"), "er.n"),
+                                   config_int(config_field(er, "m"), "er.m"), rng)
     else:
-        spec = ConditionSpec.from_json_dict(config["spec"])
+        spec = ConditionSpec.from_json_dict(config_field(config, "spec", dict))
         graph = sample_conditional_graph(spec, rng)
     return graph.to_text()
 
 
 def _cmd_measure(config, seed, fmt) -> str:
-    path = config["graph"]
-    if not isinstance(path, str):  # open() would take an int for a file descriptor
-        raise ValueError(f"graph = {path!r} is not a file path")
-    with open(path, "r", encoding="utf-8") as fh:
+    # a str, not an int: open() would take an int for a file descriptor
+    with open(config_field(config, "graph", str), "r", encoding="utf-8") as fh:
         graph = TypedGraph.from_text(fh.read())
     return _json_text(run_measure(graph))
 
@@ -317,7 +309,7 @@ def _cmd_rate(config, seed, fmt) -> str:
 
 
 def _cmd_enumerate(config, seed, fmt) -> str:
-    spec = ConditionSpec.from_json_dict(config["spec"])
+    spec = ConditionSpec.from_json_dict(config_field(config, "spec", dict))
     return _json_text(type_class_counts(spec).to_json_dict())
 
 
@@ -327,10 +319,10 @@ def _cmd_optimize(config, seed, fmt) -> str:
 
 def _cmd_decay(config, seed, fmt) -> str:
     records = run_decay_study(
-        c=config_float(config["c"], "c"),
-        n_list=_n_list(config),
-        samples=config_int(config["samples"], "samples"),
-        event=ConstraintSet.from_json_dict(config["event"]),
+        c=config_float(config_field(config, "c"), "c"),
+        n_list=[config_int(n, "n_list") for n in config_field(config, "n_list", list)],
+        samples=config_int(config_field(config, "samples"), "samples"),
+        event=ConstraintSet.from_json_dict(config_field(config, "event", dict)),
         seed=seed,
     )
     return _table_text(_DECAY_COLUMNS, [rec.to_json_dict() for rec in records], fmt)
@@ -398,9 +390,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             NotConvergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except KeyError as exc:  # a config object without one of its fields
-        print(f"error: missing field {exc}", file=sys.stderr)
-        return 1
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -36,7 +36,8 @@ floats.  Empirical measures extracted from graphs are exact; exactness is
 preserved by every operation in this module and only dropped at
 serialization boundaries.  ``PROB_MASS_TOL`` (on mass) and ``INPUT_TOL`` (on
 a written number) forgive float error only: exact inputs must be exact.  JSON
-config numbers are read by ``config_int`` and ``config_float``.
+config fields are read by ``config_field``, the one field reader, and numbers
+by ``config_int`` and ``config_float``; each refuses a bad field naming it.
 """
 
 from __future__ import annotations
@@ -431,6 +432,19 @@ def encode_atom_counts(n: int, atom_counts: Iterable[Tuple[Tuple[str, Tuple], in
     from the counts without building the measure: the text of a type class."""
     return "; ".join(f"{a}|{text}={_fraction_text(count, n)}" for a, text, count in
                      sorted((a, _counting_text(e), count) for (a, e), count in atom_counts))
+
+
+def config_field(obj: object, name: str, kind: Optional[type] = None) -> object:
+    """Field ``name`` of a JSON config object, of JSON kind ``kind`` (dict, list, or str
+    for a file path) if one is given; anything else raises ValueError naming the field."""
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"expected a JSON object with field {name!r}, not {obj!r}")
+    if name not in obj:
+        raise ValueError(f"missing field {name!r}")
+    if kind is not None and not isinstance(obj[name], kind):
+        what = {dict: "a JSON object", list: "a list", str: "a file path"}[kind]
+        raise ValueError(f"{name} = {obj[name]!r} is not {what}")
+    return obj[name]
 
 
 def config_int(value: object, field: str) -> int:

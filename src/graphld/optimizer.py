@@ -61,7 +61,8 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy.optimize import linprog
 
-from .measures import FiniteMeasure, config_float, config_int, decode_key, degree_values
+from .measures import (FiniteMeasure, config_field, config_float, config_int, decode_key,
+                       degree_values)
 from .rate import poisson_log_pmf, poisson_tail
 
 KKT_TOL = 1e-6
@@ -223,10 +224,7 @@ class ConstraintSet:
     def from_json_dict(cls, obj: Mapping[str, object]) -> "ConstraintSet":
         """Parse {"K": int, "eq": [{"f": ..., "r": num}], "ge": [...]};
         ``f`` is "mean", "pmf@k", or an object {"k": coefficient}."""
-        try:
-            cap = config_int(obj["K"], "K")
-        except KeyError:
-            raise ValueError("constraint object missing field 'K'") from None
+        cap = config_int(config_field(obj, "K"), "K")
 
         def parse_vector(spec) -> Functional:
             if isinstance(spec, Mapping):
@@ -234,8 +232,9 @@ class ConstraintSet:
             return _checked_name(spec, cap)
 
         def parse_block(name):
-            items = obj.get(name, [])
-            return [(parse_vector(item["f"]), config_float(item["r"], "r")) for item in items]
+            items = config_field(obj, name, list) if name in obj else []
+            return [(parse_vector(config_field(item, "f")),
+                     config_float(config_field(item, "r"), "r")) for item in items]
 
         return cls(cap, parse_block("eq"), parse_block("ge"))
 

@@ -48,8 +48,8 @@ from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .graphs import Edge, TypedGraph
-from .measures import (INPUT_TOL, FiniteMeasure, ProbMeasure, Scalar, config_int, dirac,
-                       law_pair_problem)
+from .measures import (INPUT_TOL, FiniteMeasure, ProbMeasure, Scalar, config_field, config_int,
+                       dirac, law_pair_problem)
 
 #: Largest type group with within-type links: ``_unrank_pairs_np`` is exact up to here.
 MAX_GROUP_SIZE = 2**24
@@ -82,12 +82,9 @@ class ConditionSpec:
 
     @classmethod
     def from_json_dict(cls, obj: Mapping[str, object]) -> "ConditionSpec":
-        try:
-            n = config_int(obj["n"], "n")
-            eta = ProbMeasure.from_json_dict(obj["eta"], "type")  # type: ignore[arg-type]
-            pi = FiniteMeasure.from_json_dict(obj["pi"], "pair")  # type: ignore[arg-type]
-        except KeyError as exc:
-            raise ValueError(f"spec object missing field {exc}") from None
+        n = config_int(config_field(obj, "n"), "n")
+        eta = ProbMeasure.from_json_dict(config_field(obj, "eta"), "type")  # type: ignore[arg-type]
+        pi = FiniteMeasure.from_json_dict(config_field(obj, "pi"), "pair")  # type: ignore[arg-type]
         return cls(n, eta, pi)
 
 

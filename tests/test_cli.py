@@ -538,6 +538,9 @@ def test_impossible_erdos_renyi_exits_2_from_decay_and_sample(tmp_path, capsys, 
     assert capsys.readouterr().err == f"error: {err}\n"
 
 
+LLDP_TARGET = {"a|b:1": 0.5, "b|a:1": 0.5}
+
+
 @pytest.mark.parametrize("command, config, message", [
     ("optimize", {"c": 2.0, "constraints": {"K": 1, "ge": [{"f": "pmf@0"}]}},
      "missing field 'r'"),
@@ -549,17 +552,40 @@ def test_impossible_erdos_renyi_exits_2_from_decay_and_sample(tmp_path, capsys, 
      "weight 'x' at key ('a', 'a') is not a number"),
     ("optimize", {"c": -2.0, "constraints": {"K": 1}}, "c must be > 0"),
     ("decay", {"c": -2.0, "n_list": [10], "samples": 100, "event": {"K": 1}}, "c must be > 0"),
+    ("lldp", {"specs": "ab", "target": LLDP_TARGET}, "specs = 'ab' is not a list"),
+    ("lldp", {"specs": [3], "target": LLDP_TARGET},
+     "expected a JSON object with field 'n', not 3"),
+    ("decay", {"c": 2.0, "n_list": [10], "samples": 100, "event": [1]},
+     "event = [1] is not a JSON object"),
+    ("sample", {"er": [4, 4]}, "er = [4, 4] is not a JSON object"),
+    ("optimize", {"c": 2.0, "constraints": {"K": 1, "ge": [1]}},
+     "expected a JSON object with field 'f', not 1"),
+    ("optimize", {"c": 2.0, "constraints": {"K": 1, "eq": 5}}, "eq = 5 is not a list"),
 ], ids=["optimize.r", "sample.er.m", "decay.n_list", "lldp.n_list", "enumerate.pi-string",
-        "optimize.c", "decay.c"])
+        "optimize.c", "decay.c", "lldp.specs-string", "lldp.specs-item", "decay.event-list",
+        "sample.er-list", "optimize.ge-item", "optimize.eq-int"])
 def test_config_errors_exit_1_naming_the_field(tmp_path, capsys, command, config, message):
     """These printed the bare ``KeyError`` (``'r'``), read a string n_list
     digit by digit (``n_list = '1' is not an integer``), printed a Python
     message (``'int' object is not iterable``, ``'<' not supported between
-    instances of 'str' and 'int'``), or, for ``decay`` at c = -2, named the
-    G(10, -10) it makes and exited 2: the predicted rate is now solved
-    before the sizes are checked."""
+    instances of 'str' and 'int'``, ``string indices must be integers``,
+    ``'int' object is not subscriptable``), or, for ``decay`` at c = -2,
+    named the G(10, -10) it makes and exited 2: the predicted rate is now
+    solved before the sizes are checked.  Every field is read by
+    ``measures.config_field``."""
     assert run_main(tmp_path, command, config, "--seed", "1") == (1, None)
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_main_lets_an_internal_key_error_propagate(tmp_path, monkeypatch):
+    """A KeyError raised inside the program is a bug, not a missing config
+    field: ``main`` no longer reports it as ``error: missing field 'x'``."""
+    def broken(config):
+        raise KeyError("x")
+
+    monkeypatch.setattr(graphld.cli, "run_rate", broken)
+    with pytest.raises(KeyError, match="'x'"):
+        run_main(tmp_path, "rate", {"c": 2.0, "p": {"2": 1.0}})
 
 
 SPEC4 = {"n": 4, "eta": {"a": 0.5, "b": 0.5}, "pi": {"a,b": 0.5, "b,a": 0.5}}

@@ -420,7 +420,7 @@ def test_a_box_event_where_no_newton_point_is_accepted_still_converges():
      "reference law must be finite and non-negative on 0..L, and positive somewhere"),
     (lambda: rate_infimum_for_event(0.0, ConstraintSet(1)), "c must be > 0"),
     (lambda: ConstraintSet.from_json_dict({"ge": [{"f": "mean", "r": 1.0}]}),
-     "constraint object missing field 'K'"),
+     "missing field 'K'"),
     (lambda: ConstraintSet.from_json_dict({"K": 1, "ge": [{"f": {"2": 1.0}, "r": 0.1}]}),
      "coefficient index 2 outside 0..1"),
     (lambda: ConstraintSet.from_json_dict({"K": 1, "ge": [{"f": "median", "r": 1.0}]}),

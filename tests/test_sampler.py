@@ -537,7 +537,7 @@ def test_sample_batch_returns_fresh_arrays():
                                               FiniteMeasure({}))),
      InadmissibleSpecError, "n*eta(a) = 4/3 is not an integer"),
     (lambda: ConditionSpec.from_json_dict({"n": 4, "eta": {"a": 1}}),
-     ValueError, "spec object missing field 'pi'"),
+     ValueError, "missing field 'pi'"),
     (lambda: binary_cross_spec(5), ValueError, "binary cross family needs even n"),
 ], ids=["exact-count-not-integral", "spec-missing-field", "odd-binary-cross"])
 def test_bad_inputs_raise_naming_the_problem(call, error, message):
