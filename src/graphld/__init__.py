@@ -58,7 +58,7 @@ from .sampler import (
     sample_erdos_renyi,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "CountingMeasure", "FiniteMeasure", "ProbMeasure", "dirac",

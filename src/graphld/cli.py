@@ -1,8 +1,9 @@
 """Experiment runner: sample, measure, rate, enumerate, optimize, and run
 decay-rate / exponent-gap studies from the command line.
 
-Subcommands (``graphld <cmd> --config FILE [--seed U64] [--out PATH]
-[--format csv|json]``):
+Subcommands (``graphld <cmd> --config FILE [--out PATH]``; ``sample`` and
+``decay`` also take ``--seed U64``, ``decay`` and ``lldp`` ``--format
+csv|json``, and any other option is a usage error):
 
 * ``sample``    -- draw a conditional or fixed-edge-count graph, write the
                    ``typedgraph v1`` text format;
@@ -17,8 +18,9 @@ Subcommands (``graphld <cmd> --config FILE [--seed U64] [--out PATH]
 Exit codes: 0 on success (``--help`` included), 1 on usage and parse
 errors, 2 on guard, feasibility and convergence errors (``optimize`` writes
 nothing when its solve did not converge; ``decay`` still writes its table and
-warns on stderr).  Every integer read from text, the graph file's included,
-follows ``measures.decode_int``'s rule, ``-?[0-9]+``; ``--seed`` is ``[0-9]+``.
+warns).  An error or a warning is one ``error:`` or ``warning:`` line on
+stderr.  Every integer read from text, the graph file's included, follows
+``measures.decode_int``'s rule, ``-?[0-9]+``; ``--seed`` is ``[0-9]+``.
 
 Determinism contract: a stochastic run is sharded into fixed-size blocks of
 samples; shard ``i`` for graph size ``n`` consumes the dedicated substream
@@ -36,7 +38,7 @@ import sys
 import warnings
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -98,16 +100,10 @@ class ExperimentRecord:
         return asdict(self)
 
 
-_DECAY_COLUMNS = tuple(field.name for field in fields(ExperimentRecord))
-_LLDP_COLUMNS = ("n", "gap")
-
-
-def _table_text(columns: Sequence[str], rows: List[Dict[str, object]], fmt: str) -> str:
-    """A table as JSON (the list of its row objects) or as CSV: the header
-    always, then one line a row, None an empty field.  Fields are comma-free
-    (event ids are), and str of a float is its repr."""
-    if fmt == "json":
-        return _json_text(rows)
+def _csv_text(columns: Sequence[str], rows: List[Dict[str, object]]) -> str:
+    """A table as CSV: the header always, then one line a row, None an empty
+    field.  Fields are comma-free (event ids are), and str of a float is its
+    repr.  As JSON, a table is the list of its row objects."""
     lines = [",".join(columns)]
     lines += [",".join("" if row[col] is None else str(row[col]) for col in columns)
               for row in rows]
@@ -252,9 +248,7 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _load_config(path: Optional[str]) -> Dict[str, object]:
-    if path is None:
-        raise ValueError("this command requires --config FILE")
+def _load_config(path: str) -> Dict[str, object]:
     with open(path, "r", encoding="utf-8") as fh:
         # standard JSON only: NaN, Infinity and numbers that overflow are refused
         config = json.load(fh, parse_constant=_finite_float, parse_float=_finite_float)
@@ -275,17 +269,14 @@ def _json_text(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _specs_from_config(config: Dict[str, object]) -> Tuple[List[ConditionSpec], ProbMeasure]:
-    if config.get("family") == "binary-cross":
-        specs = [binary_cross_spec(config_int(n, "n_list"))
-                 for n in config_field(config, "n_list", list)]
-        return specs, matching_measure()
-    specs = [ConditionSpec.from_json_dict(obj) for obj in config_field(config, "specs", list)]
-    target = ProbMeasure.from_json_dict(config_field(config, "target"), "locality")
-    return specs, target
+def _seed(text: str) -> int:
+    bad_seed = f"invalid --seed {text!r} (allowed: [0-9]+)"
+    if text.startswith("-"):
+        raise ValueError(bad_seed)
+    return decode_int(text, bad_seed)
 
 
-def _cmd_sample(config, seed, fmt) -> str:
+def _cmd_sample(config, seed) -> str:
     rng = np.random.default_rng(seed)
     if "er" in config:
         er = config_field(config, "er", dict)
@@ -297,27 +288,18 @@ def _cmd_sample(config, seed, fmt) -> str:
     return graph.to_text()
 
 
-def _cmd_measure(config, seed, fmt) -> str:
+def _cmd_measure(config, seed) -> Dict[str, object]:
     # a str, not an int: open() would take an int for a file descriptor
     with open(config_field(config, "graph", str), "r", encoding="utf-8") as fh:
-        graph = TypedGraph.from_text(fh.read())
-    return _json_text(run_measure(graph))
+        return run_measure(TypedGraph.from_text(fh.read()))
 
 
-def _cmd_rate(config, seed, fmt) -> str:
-    return _json_text(run_rate(config))
-
-
-def _cmd_enumerate(config, seed, fmt) -> str:
+def _cmd_enumerate(config, seed) -> Dict[str, object]:
     spec = ConditionSpec.from_json_dict(config_field(config, "spec", dict))
-    return _json_text(type_class_counts(spec).to_json_dict())
+    return type_class_counts(spec).to_json_dict()
 
 
-def _cmd_optimize(config, seed, fmt) -> str:
-    return _json_text(run_optimize(config))
-
-
-def _cmd_decay(config, seed, fmt) -> str:
+def _cmd_decay(config, seed) -> List[Dict[str, object]]:
     records = run_decay_study(
         c=config_float(config_field(config, "c"), "c"),
         n_list=[config_int(n, "n_list") for n in config_field(config, "n_list", list)],
@@ -325,23 +307,41 @@ def _cmd_decay(config, seed, fmt) -> str:
         event=ConstraintSet.from_json_dict(config_field(config, "event", dict)),
         seed=seed,
     )
-    return _table_text(_DECAY_COLUMNS, [rec.to_json_dict() for rec in records], fmt)
+    return [rec.to_json_dict() for rec in records]
 
 
-def _cmd_lldp(config, seed, fmt) -> str:
-    specs, target = _specs_from_config(config)
-    rows = [dict(zip(_LLDP_COLUMNS, row)) for row in lldp_exponent_gap(specs, target)]
-    return _table_text(_LLDP_COLUMNS, rows, fmt)
+def _cmd_lldp(config, seed) -> List[Dict[str, object]]:
+    if config.get("family") == "binary-cross":
+        specs = [binary_cross_spec(config_int(n, "n_list"))
+                 for n in config_field(config, "n_list", list)]
+        target = matching_measure()
+    else:
+        specs = [ConditionSpec.from_json_dict(obj) for obj in config_field(config, "specs", list)]
+        target = ProbMeasure.from_json_dict(config_field(config, "target"), "locality")
+    return [{"n": n, "gap": gap} for n, gap in lldp_exponent_gap(specs, target)]
 
 
+@dataclass(frozen=True)
+class _Command:
+    """A subcommand: its runner ``(config, seed) -> result`` (graph text, a JSON
+    object or table rows), whether it draws (``--seed``), its table columns (``--format``)."""
+
+    run: Callable[[Dict[str, object], Optional[int]], object]
+    draws: bool = False
+    columns: Tuple[str, ...] = ()
+
+
+# Runners look their callees up as module globals at call time, so a wrapped
+# or patched ``cli.run_rate`` or ``cli.type_class_counts`` is the one called.
 _COMMANDS = {
-    "sample": _cmd_sample,
-    "measure": _cmd_measure,
-    "rate": _cmd_rate,
-    "enumerate": _cmd_enumerate,
-    "optimize": _cmd_optimize,
-    "decay": _cmd_decay,
-    "lldp": _cmd_lldp,
+    "sample": _Command(_cmd_sample, draws=True),
+    "measure": _Command(_cmd_measure),
+    "rate": _Command(lambda config, seed: run_rate(config)),
+    "enumerate": _Command(_cmd_enumerate),
+    "optimize": _Command(lambda config, seed: run_optimize(config)),
+    "decay": _Command(_cmd_decay, draws=True,
+                      columns=tuple(field.name for field in fields(ExperimentRecord))),
+    "lldp": _Command(_cmd_lldp, columns=("n", "gap")),
 }
 
 
@@ -353,13 +353,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "decay-rate experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, command in _COMMANDS.items():
         cmd = sub.add_parser(name)
-        cmd.add_argument("--config", help="JSON config file")
-        cmd.add_argument("--seed", default=None,
-                         help="64-bit RNG seed (required for stochastic runs)")
-        cmd.add_argument("--out", default=None, help="output path (default stdout)")
-        cmd.add_argument("--format", choices=("csv", "json"), default=None)
+        cmd.add_argument("--config", required=True, help="JSON config file")
+        cmd.add_argument("--out", help="output path (default stdout)")
+        if command.draws:
+            cmd.add_argument("--seed", required=True, help="64-bit RNG seed")
+        if command.columns:
+            cmd.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 
@@ -372,27 +373,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse wrote usage and error lines, or --help
         return 1 if exc.code else 0
-    fmt = args.format or ("csv" if args.command in ("decay", "lldp") else "json")
-    try:
-        if fmt == "csv" and args.command not in ("decay", "lldp"):
-            raise ValueError(f"{args.command} only supports --format json")
-        bad_seed = f"invalid --seed {args.seed!r} (allowed: [0-9]+)"
-        if args.seed is not None and args.seed.startswith("-"):
-            raise ValueError(bad_seed)
-        seed = None if args.seed is None else decode_int(args.seed, bad_seed)
-        if seed is None and args.command in ("sample", "decay"):
-            raise ValueError("stochastic runs require --seed")
-        config = _load_config(args.config)
-        text = _COMMANDS[args.command](config, seed, fmt)
-        _emit(text, args.out)
-        return 0
-    except (EnumerationGuardError, InadmissibleSpecError, InfeasibleConstraintsError,
-            NotConvergedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    command = _COMMANDS[args.command]
+    with warnings.catch_warnings():  # which restores showwarning on exit
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            seed = _seed(args.seed) if command.draws else None
+            result = command.run(_load_config(args.config), seed)
+            if command.columns and args.format == "csv":
+                result = _csv_text(command.columns, result)
+            _emit(result if isinstance(result, str) else _json_text(result), args.out)
+            return 0
+        except (EnumerationGuardError, InadmissibleSpecError, InfeasibleConstraintsError,
+                NotConvergedError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except (ValueError, TypeError, OSError) as exc:  # json.JSONDecodeError too
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -208,12 +208,14 @@ class RateResult:
         return {**asdict(self), "value": self.value if math.isfinite(self.value) else "inf"}
 
 
-def _default_tol(*inputs) -> Scalar:
-    for x in inputs:
-        exact = x.is_exact() if isinstance(x, FiniteMeasure) else isinstance(x, Rational)
-        if not exact:
-            return INPUT_TOL
-    return 0
+def _default_tol(tol: Union[Scalar, None], *inputs) -> Scalar:
+    """``tol``, or by default 0 when every input is exact and INPUT_TOL if not."""
+    if tol is None:
+        tol = 0 if all(x.is_exact() if isinstance(x, FiniteMeasure) else isinstance(x, Rational)
+                       for x in inputs) else INPUT_TOL
+    if tol < 0:
+        raise ValueError("tol must be >= 0")
+    return tol
 
 
 def typed_rate(type_law: ProbMeasure, link_law: FiniteMeasure, p: ProbMeasure,
@@ -228,8 +230,7 @@ def typed_rate(type_law: ProbMeasure, link_law: FiniteMeasure, p: ProbMeasure,
     ``tol`` defaults to 0 when all inputs are exact rationals, 1e-9 otherwise.
     """
     reference = ReferenceLaw(type_law, link_law)  # validates type_law > 0
-    if tol is None:
-        tol = _default_tol(type_law, link_law, p)
+    tol = _default_tol(tol, type_law, link_law, p)
     sub = is_sub_consistent(link_law, p, tol)
     tv = total_variation(type_marginal(p), type_law)
     feasible = bool(sub) and tv <= tol
@@ -251,8 +252,7 @@ def degree_rate(c: Scalar, p: ProbMeasure, tol: Union[Scalar, None] = None) -> R
     for k in p.keys():
         if k < 0:
             raise ValueError(f"negative degree {k} in support")
-    if tol is None:
-        tol = _default_tol(p, c)
+    tol = _default_tol(tol, p, c)
     mean = sum(k * w for k, w in p.items())
     mismatch = abs(mean - c)
     feasible = mismatch <= tol

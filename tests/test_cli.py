@@ -284,8 +284,9 @@ def test_seed_is_read_by_the_one_integer_rule(tmp_path, capsys):
 def test_usage_errors_exit_1_and_help_exits_0(capsys):
     """Exit 2 means a guard, feasibility or convergence error, on which a
     script may fall back to Monte Carlo; argparse used to exit 2 on a
-    missing or unknown subcommand and on an unknown ``--format``."""
-    for argv in ([], ["frob"], ["rate", "--format", "xml"]):
+    missing or unknown subcommand and on an unknown ``--format``.  A missing
+    ``--config`` is a usage error too."""
+    for argv in ([], ["frob"], ["rate", "--format", "xml"], ["rate"]):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage: graphld") and "error: " in err
@@ -371,15 +372,30 @@ def test_optimize_reports_convergence_of_criterion_5_event():
     assert out["kkt_residual"] <= 1e-6
 
 
-def test_decay_warns_but_writes_when_the_prediction_does_not_converge(tmp_path, monkeypatch):
+def test_decay_warns_but_writes_when_the_prediction_does_not_converge(
+        tmp_path, capsys, monkeypatch):
     stop_after_one_trial_point(monkeypatch)
     cfg = tmp_path / "decay.json"
     cfg.write_text(json.dumps({"c": 2.0, "n_list": [10], "samples": 100,
                                "event": CRITERION_5["constraints"]}))
     out = tmp_path / "decay.csv"
-    with pytest.warns(UserWarning, match="did not converge"):
-        assert main(["decay", "--config", str(cfg), "--seed", "3", "--out", str(out)]) == 0
+    assert main(["decay", "--config", str(cfg), "--seed", "3", "--out", str(out)]) == 0
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("warning: the predicted rate of K1;ge[pmf@0>=0.4] did not converge")
     assert out.read_text().splitlines()[1].startswith("10,K1;ge[pmf@0>=0.4],")
+
+
+@pytest.mark.parametrize("c, n_list, code, err", [
+    (1.0, [5, 6], 0, "warning: skipping n=5: n*c/2 = 2.5 is not an integer\n"),
+    (9.0, [3, 4], 2, "warning: skipping n=3: n*c/2 = 13.5 is not an integer\n"
+                     "error: block (a,a) needs 18 pairs but capacity is 6\n"),
+], ids=["then-writes", "then-fails"])
+def test_decay_prints_each_warning_as_one_line(tmp_path, capsys, c, n_list, code, err):
+    """A skipped size printed Python's warning format: the file, line and
+    category, then the source line of the ``warnings.warn`` call."""
+    config = {"c": c, "n_list": n_list, "samples": 10, "event": {"K": 1}}
+    assert run_main(tmp_path, "decay", config, "--seed", "1")[0] == code
+    assert capsys.readouterr().err == err
 
 
 def test_main_decay_csv_is_byte_deterministic(tmp_path):
@@ -445,6 +461,11 @@ def run_main(tmp_path, command, config, *extra):
     out = tmp_path / f"{command}.out"
     code = main([command, "--config", str(config_file), "--out", str(out), *extra])
     return code, out.read_text() if code == 0 else None
+
+
+def seed_for(command):
+    """``--seed 1`` for the subcommands that draw, which alone take it."""
+    return ("--seed", "1") if command in ("sample", "decay") else ()
 
 
 def json_round_trip(obj):
@@ -561,9 +582,10 @@ LLDP_TARGET = {"a|b:1": 0.5, "b|a:1": 0.5}
     ("optimize", {"c": 2.0, "constraints": {"K": 1, "ge": [1]}},
      "expected a JSON object with field 'f', not 1"),
     ("optimize", {"c": 2.0, "constraints": {"K": 1, "eq": 5}}, "eq = 5 is not a list"),
+    ("rate", {"c": 2.0, "p": {"2": 1.0}, "tol": -1}, "tol must be >= 0"),
 ], ids=["optimize.r", "sample.er.m", "decay.n_list", "lldp.n_list", "enumerate.pi-string",
         "optimize.c", "decay.c", "lldp.specs-string", "lldp.specs-item", "decay.event-list",
-        "sample.er-list", "optimize.ge-item", "optimize.eq-int"])
+        "sample.er-list", "optimize.ge-item", "optimize.eq-int", "rate.tol-negative"])
 def test_config_errors_exit_1_naming_the_field(tmp_path, capsys, command, config, message):
     """These printed the bare ``KeyError`` (``'r'``), read a string n_list
     digit by digit (``n_list = '1' is not an integer``), printed a Python
@@ -572,8 +594,9 @@ def test_config_errors_exit_1_naming_the_field(tmp_path, capsys, command, config
     ``'int' object is not subscriptable``), or, for ``decay`` at c = -2,
     named the G(10, -10) it makes and exited 2: the predicted rate is now
     solved before the sizes are checked.  Every field is read by
-    ``measures.config_field``."""
-    assert run_main(tmp_path, command, config, "--seed", "1") == (1, None)
+    ``measures.config_field``.  The degree form of ``rate`` read a negative
+    ``tol`` as an infeasible measure; the typed form already refused it."""
+    assert run_main(tmp_path, command, config, *seed_for(command)) == (1, None)
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
@@ -592,6 +615,43 @@ SPEC4 = {"n": 4, "eta": {"a": 0.5, "b": 0.5}, "pi": {"a,b": 0.5, "b,a": 0.5}}
 DECAY_EVENT = {"K": 1, "ge": [{"f": "pmf@0", "r": 0.3}]}
 DECAY_CONFIG = {"c": 2.0, "n_list": [10], "samples": 200, "event": DECAY_EVENT}
 OPTIMIZE_CONFIG = {"c": 2.0, "constraints": DECAY_EVENT}
+
+
+#: The options each subcommand takes, true where required.
+OPTIONS = {
+    "sample": {"--config": True, "--out": False, "--seed": True},
+    "measure": {"--config": True, "--out": False},
+    "rate": {"--config": True, "--out": False},
+    "enumerate": {"--config": True, "--out": False},
+    "optimize": {"--config": True, "--out": False},
+    "decay": {"--config": True, "--out": False, "--seed": True, "--format": False},
+    "lldp": {"--config": True, "--out": False, "--format": False},
+}
+
+
+@pytest.mark.parametrize("command", OPTIONS)
+def test_each_subcommand_takes_only_the_options_it_reads(tmp_path, capsys, command):
+    """Every subcommand used to take ``--seed`` and ``--format``, so
+    ``rate --seed 5``, ``lldp --seed 1`` and ``optimize --format json``
+    exited 0 and ignored the option: an option a subcommand does not read is
+    now a usage error, on a config it runs."""
+    assert main([command, "--help"]) == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert {name: not bracket for bracket, name in re.findall(r"(\[?)(--[a-z]+)", usage)} == \
+        OPTIONS[command]
+    graph = tmp_path / "graph.txt"
+    graph.write_text("typedgraph v1\nn=2\ntypes=a a\ne 1 2\n")
+    config = {"sample": {"er": {"n": 4, "m": 2}}, "measure": {"graph": str(graph)},
+              "rate": {"c": 2.0, "p": {"2": 1.0}}, "enumerate": {"spec": SPEC4},
+              "optimize": OPTIMIZE_CONFIG, "decay": DECAY_CONFIG,
+              "lldp": {"family": "binary-cross", "n_list": [4]}}[command]
+    assert run_main(tmp_path, command, config, *seed_for(command))[0] == 0
+    for option in (("--seed", "5"), ("--format", "json")):
+        if option[0] not in OPTIONS[command]:
+            assert run_main(tmp_path, command, config, *seed_for(command), *option) == (1, None)
+            err = capsys.readouterr().err
+            assert err.startswith("usage: graphld")
+            assert err.endswith(f"error: unrecognized arguments: {' '.join(option)}\n")
 
 
 @pytest.mark.parametrize("command, config, path, name, extra", [
@@ -661,7 +721,7 @@ def test_configs_must_be_standard_json(tmp_path, capsys, command, text, error):
     config = tmp_path / "config.json"
     config.write_text(text)
     out = tmp_path / "out"
-    assert main([command, "--config", str(config), "--seed", "1", "--out", str(out)]) == 1
+    assert main([command, "--config", str(config), *seed_for(command), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {error}\n"
     assert not out.exists()
 
@@ -790,7 +850,6 @@ def test_two_spellings_of_one_key_exit_1(tmp_path, capsys, command, config, firs
      "q index -1 outside 0..2"),
     ("measure", {"graph": 1}, "graph = 1 is not a file path"),
     ("measure", {"graph": None}, "graph = None is not a file path"),
-    ("rate", None, "this command requires --config FILE"),
     ("rate", {"c": 10.0, "p": {"1_0": 1.0}}, "invalid degree key '1_0' (allowed: -?[0-9]+)"),
     ("optimize", {**REFERENCE_CONFIG, "q": {" 0": 1.0, "1": 2.0, "2": 1.0}},
      "invalid degree key ' 0' (allowed: -?[0-9]+)"),
@@ -807,7 +866,7 @@ def test_two_spellings_of_one_key_exit_1(tmp_path, capsys, command, config, firs
      "malformed counting-measure entry 'b:1_0'"),
 ], ids=["rate.p-list", "enumerate.eta-list", "optimize.q-list", "rate.config-list",
         "lldp.config-string", "optimize.q-key-7", "optimize.q-key--1", "measure.graph-int",
-        "measure.graph-null", "rate.no-config", "rate.degree-underscore", "optimize.q-space",
+        "measure.graph-null", "rate.degree-underscore", "optimize.q-space",
         "optimize.coefficient-plus", "rate.degree-arabic-indic", "optimize.pmf-underscore",
         "rate.locality-count-underscore", "lldp.target-count-underscore"])
 def test_malformed_configs_exit_1_with_one_error_line(tmp_path, capsys, command, config,
@@ -818,10 +877,7 @@ def test_malformed_configs_exit_1_with_one_error_line(tmp_path, capsys, command,
     descriptor and closed it (here, the process's stdout); and ``int`` read
     the degree keys "1_0" as 10, " 0" as 0, "+1" and the Arabic-Indic one
     as 1, and the locality counts "0_2" as 2 and "1_0" as 10."""
-    if config is None:
-        assert main([command]) == 1
-    else:
-        assert run_main(tmp_path, command, config) == (1, None)
+    assert run_main(tmp_path, command, config) == (1, None)
     assert capsys.readouterr().err == f"error: {message}\n"
     os.fstat(1)  # stdout is still open
 
@@ -834,9 +890,9 @@ def test_malformed_configs_exit_1_with_one_error_line(tmp_path, capsys, command,
 def test_a_top_level_k_is_not_read(tmp_path, command, config):
     """The event is solved on all of the degrees, so no reference cap is
     read: a top-level "K", even below the event's, changes no byte."""
-    code, text = run_main(tmp_path, command, config, "--seed", "1")
+    code, text = run_main(tmp_path, command, config, *seed_for(command))
     assert code == 0
-    assert run_main(tmp_path, command, {**config, "K": 20}, "--seed", "1") == (0, text)
+    assert run_main(tmp_path, command, {**config, "K": 20}, *seed_for(command)) == (0, text)
 
 
 P0_98 = {"c": 2.0, "constraints": {"K": 1, "ge": [{"f": "pmf@0", "r": 0.98}]}}

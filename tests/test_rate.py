@@ -336,8 +336,10 @@ def test_rate_result_json_serializes_infinity():
      ValueError("p must be a measure over non-negative integers")),
     (lambda: degree_rate(1.0, ProbMeasure({-1: 0.5, 3: 0.5})),
      ValueError("negative degree -1 in support")),
+    (lambda: degree_rate(2.0, dirac(2), tol=-1), ValueError("tol must be >= 0")),
 ], ids=["pmf-negative-mean", "pmf-negative-k", "pmf-mean-0-at-0", "pmf-mean-0-at-3",
-        "truncated-negative-cap", "degree-rate-type-keys", "degree-rate-negative-degree"])
+        "truncated-negative-cap", "degree-rate-type-keys", "degree-rate-negative-degree",
+        "degree-rate-negative-tol"])
 def test_poisson_edge_cases_and_degree_rate_refusals(call, expected):
     if isinstance(expected, Exception):
         with pytest.raises(type(expected), match=re.escape(str(expected))):
