@@ -36,7 +36,6 @@ from .optimizer import (
 from .oracle import (
     EnumerationGuardError,
     EnumerationReport,
-    entropy_neighborhood,
     enumerate_support,
     exact_event_probability,
     lldp_exponent_gap,
@@ -58,7 +57,7 @@ from .sampler import (
     sample_erdos_renyi,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "CountingMeasure", "FiniteMeasure", "ProbMeasure", "dirac",
@@ -70,7 +69,7 @@ __all__ = [
     "relative_entropy", "truncated_poisson", "typed_rate",
     "ConditionSpec", "InadmissibleSpecError",
     "binary_cross_spec", "sample_conditional_graph", "sample_erdos_renyi",
-    "EnumerationGuardError", "EnumerationReport", "entropy_neighborhood",
+    "EnumerationGuardError", "EnumerationReport",
     "enumerate_support", "exact_event_probability", "lldp_exponent_gap", "type_class_counts",
     "ConstraintSet", "InfeasibleConstraintsError", "Optimum",
     "minimize_relative_entropy", "rate_infimum_for_event",

@@ -116,10 +116,6 @@ class CountingMeasure:
     def __iter__(self) -> Iterator[Tuple[str, int]]:
         return iter(self.counts)
 
-    def total(self) -> int:
-        """Number of elements counted with multiplicity."""
-        return sum(k for _, k in self.counts)
-
     def encode(self) -> str:
         """Canonical text form, e.g. ``"a:2,b:1"`` (empty multiset -> ``""``)."""
         return _counting_text(self.counts)

@@ -83,19 +83,15 @@ class InfeasibleConstraintsError(ValueError):
 Functional = Union[str, Tuple[float, ...]]
 
 
-def point_vector(k: int, support_cap: int) -> Functional:
-    """The point evaluation p(k), by name."""
-    if not 0 <= k <= support_cap:
-        raise ValueError(f"point {k} outside 0..{support_cap}")
-    return f"pmf@{k}"
-
-
 def _checked_name(spec: object, support_cap: int) -> str:
     """``spec`` as a canonical name on 0..K ("pmf@01" is "pmf@1"), or ValueError."""
     if spec == "mean":
         return spec
     if isinstance(spec, str) and spec.startswith("pmf@"):
-        return point_vector(decode_key(spec[4:], "degree"), support_cap)
+        k = decode_key(spec[4:], "degree")
+        if not 0 <= k <= support_cap:
+            raise ValueError(f"point {k} outside 0..{support_cap}")
+        return f"pmf@{k}"
     raise ValueError(f"unsupported constraint vector spec {spec!r}")
 
 

@@ -13,8 +13,6 @@ enumeration sit:
 * ``exact_event_probability`` -- the exact rational probability of any
   predicate on the locality measure, evaluated once per type class of the
   census pass that ``type_class_counts`` also runs (``_census``);
-* ``entropy_neighborhood`` -- the relative-entropy sublevel neighborhoods
-  used for local event probabilities;
 * ``lldp_exponent_gap`` -- the finite-n gap between the exact per-node decay
   exponent of one target type class and its relative-entropy rate, along a
   spec family.
@@ -188,22 +186,6 @@ def exact_event_probability(spec: ConditionSpec, event: EventPredicate) -> Fract
     hits = sum(count for key, count in counts.items()
                if event(empirical_locality_measure(TypedGraph(sampler.types, firsts[key]))))
     return Fraction(hits, sum(counts.values()))
-
-
-def entropy_neighborhood(p: ProbMeasure, type_law: ProbMeasure, link_law,
-                         eps: float) -> EventPredicate:
-    """Membership test for the entropy neighborhood of ``p``:
-
-        mu in B_p  iff  H(mu || q) > H(p || q) - eps/2,
-
-    with q the product-Poisson reference for (type_law, link_law).  ``p``
-    itself always belongs to its neighborhood.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
-    reference = ReferenceLaw(type_law, link_law)
-    threshold = relative_entropy(p, reference) - eps / 2
-    return lambda mu: relative_entropy(mu, reference) > threshold
 
 
 def lldp_exponent_gap(specs: Sequence[ConditionSpec],

@@ -9,13 +9,15 @@ Given a type law ``eta`` (positive on every type) and a symmetric link law
 i.e. type ``a`` with probability ``eta(a)`` and then independent Poisson
 neighbor counts, one per type ``b``.  Its support is countably infinite, so it
 is a pointwise evaluator (:class:`ReferenceLaw`), never materialized, summed
-only over a truncation ball ``{e : total(e) <= K}``.  Its one-type case is
-Poisson(c), whose upper tail ``poisson_tail`` gives the mass and moments of
-the optimizer's one atom for all degrees beyond an event's K.
+only over a truncation ball ``{e : total(e) <= K}``, and read in logs
+(``log_pmf``).  Its one-type case is Poisson(c): ``poisson_log_pmf`` is the
+one Poisson formula, and its upper tail ``poisson_tail`` gives the mass and
+moments of the optimizer's one atom for all degrees beyond an event's K.
 
 The rate functions are relative-entropy functionals (natural log; all rates
 are per-node exponents in base e):
 
+* ``relative_entropy(p, q)``  = H(p || q) against a :class:`ReferenceLaw` q;
 * ``typed_rate(eta, pi, p)``  = H(p || q) if (pi, p) is sub-consistent and the
   type marginal of p equals eta, else +infinity;
 * ``degree_rate(c, p)``       = H(p || Poisson(c)) if mean(p) = c, else
@@ -35,7 +37,7 @@ import itertools
 import math
 from dataclasses import asdict, dataclass
 from numbers import Rational
-from typing import Callable, Dict, Iterator, Tuple, Union
+from typing import Dict, Iterator, Tuple, Union
 
 from scipy.special import gammaln, pdtrc
 
@@ -43,7 +45,6 @@ from .measures import (
     INPUT_TOL,
     CountingMeasure,
     FiniteMeasure,
-    Key,
     ProbMeasure,
     Scalar,
     dirac,
@@ -66,17 +67,6 @@ def poisson_log_pmf(mean: float, k):
     return k * math.log(mean) - mean - gammaln(k + 1)
 
 
-def poisson_pmf(mean: float, k: int) -> float:
-    """exp(-mean) * mean^k / k!  (mean >= 0; the mean-0 law is the point mass at 0)."""
-    if mean < 0:
-        raise ValueError("mean must be >= 0")
-    if k < 0:
-        return 0.0
-    if mean == 0:
-        return 1.0 if k == 0 else 0.0
-    return math.exp(poisson_log_pmf(mean, k))
-
-
 def poisson_tail(mean: float, k: int) -> float:
     """P(X > k) for X ~ Poisson(mean), from the regularized incomplete gamma
     function, so deep tails keep their relative accuracy (1 - cdf would
@@ -89,10 +79,12 @@ def poisson_tail(mean: float, k: int) -> float:
 
 
 def truncated_poisson(mean: float, support_cap: int) -> ProbMeasure:
-    """Poisson(mean) restricted to {0..support_cap} and renormalized."""
+    """Poisson(mean) restricted to {0..support_cap} and renormalized (mean > 0)."""
     if support_cap < 0:
         raise ValueError("support_cap must be >= 0")
-    w = {k: poisson_pmf(mean, k) for k in range(support_cap + 1)}
+    if mean <= 0:
+        raise ValueError("mean must be > 0")
+    w = {k: math.exp(poisson_log_pmf(mean, k)) for k in range(support_cap + 1)}
     mass = math.fsum(w.values())
     return ProbMeasure({k: v / mass for k, v in w.items() if v > 0})
 
@@ -139,10 +131,6 @@ class ReferenceLaw:
             total += k * math.log(r) - math.lgamma(k + 1)
         return total
 
-    def pmf(self, a: str, e: CountingMeasure) -> float:
-        lp = self.log_pmf(a, e)
-        return math.exp(lp) if lp > -_INF else 0.0
-
     # -- truncation to a finite neighbor-count ball ------------------------------
     def iter_atoms(self, max_total: int) -> Iterator[Tuple[Tuple[str, CountingMeasure], float]]:
         """Yield every atom ``((a, e), q(a, e))`` with ``total(e) <= max_total``."""
@@ -150,7 +138,7 @@ class ReferenceLaw:
             for vec in itertools.product(range(max_total + 1), repeat=len(self.alphabet)):
                 if sum(vec) <= max_total:
                     e = CountingMeasure(tuple(zip(self.alphabet, vec)))
-                    yield (a, e), self.pmf(a, e)
+                    yield (a, e), math.exp(self.log_pmf(a, e))
 
     def truncated(self, max_total: int) -> ProbMeasure:
         """The law restricted to ``total(e) <= max_total`` and renormalized."""
@@ -163,22 +151,16 @@ class ReferenceLaw:
 # Relative entropy and rate results
 # ---------------------------------------------------------------------------
 
-def relative_entropy(p: ProbMeasure, reference: Callable[[Key], Scalar]) -> float:
+def relative_entropy(p: ProbMeasure, reference: ReferenceLaw) -> float:
     """H(p || q) = sum over the support of p of p(x) * log(p(x) / q(x)).
 
-    ``reference`` is any pointwise evaluator (a measure, a
-    :class:`ReferenceLaw`, or a plain callable).  Returns +infinity on an
-    absolute-continuity failure, i.e. q(x) = 0 < p(x).  A ReferenceLaw is
-    read through its ``log_pmf``, so an atom whose q underflows a double
-    keeps its finite term.
+    The reference is read through its ``log_pmf``, so an atom whose q
+    underflows a double keeps its finite term.  Returns +infinity on an
+    absolute-continuity failure, i.e. q(x) = 0 < p(x).
     """
     terms = []
     for key, w in p.items():
-        if isinstance(reference, ReferenceLaw):
-            log_q = reference.log_pmf(*key)
-        else:
-            q = float(reference(key))
-            log_q = math.log(q) if q > 0.0 else -_INF
+        log_q = reference.log_pmf(*key)
         if log_q == -_INF:
             return _INF
         pw = float(w)

@@ -171,7 +171,6 @@ class ConditionalSampler:
     """Prepared sampler for one ConditionSpec; reuse it across many draws."""
 
     def __init__(self, spec: ConditionSpec):
-        self.spec = spec
         self.types, self.blocks = _analyze(spec)  # raises if inadmissible
 
     def sample_edges(self, rng: np.random.Generator) -> List[Edge]:

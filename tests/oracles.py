@@ -17,7 +17,8 @@ measure, whose ``encode_measure`` text is the class's name.  The enumeration
 has two scalar references: ``unrank_pair`` decodes one pair rank by integer
 search (for ``_Block.pairs``), and ``per_graph_event_probability`` tests an
 event on every graph that ``enumerate_support`` yields (for the per-class
-``exact_event_probability``).
+``exact_event_probability``).  ``entropy_neighborhood`` is the
+relative-entropy sublevel test of local event probabilities.
 """
 
 import math
@@ -32,7 +33,7 @@ from graphld.graphs import empirical_locality_measure
 from graphld.measures import CountingMeasure, ProbMeasure
 from graphld.optimizer import ConstraintSet
 from graphld.oracle import enumerate_support
-from graphld.rate import ReferenceLaw
+from graphld.rate import ReferenceLaw, relative_entropy
 from graphld.sampler import ConditionSpec
 
 
@@ -262,3 +263,19 @@ def per_graph_event_probability(spec: ConditionSpec,
         if event(empirical_locality_measure(graph)):
             hits += 1
     return Fraction(hits, total)
+
+
+def entropy_neighborhood(p: ProbMeasure, type_law: ProbMeasure, link_law,
+                         eps: float) -> Callable[[ProbMeasure], bool]:
+    """Membership test for the entropy neighborhood of ``p``:
+
+        mu in B_p  iff  H(mu || q) > H(p || q) - eps/2,
+
+    with q the product-Poisson reference for (type_law, link_law).  ``p``
+    itself always belongs to its neighborhood.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be > 0")
+    reference = ReferenceLaw(type_law, link_law)
+    threshold = relative_entropy(p, reference) - eps / 2
+    return lambda mu: relative_entropy(mu, reference) > threshold

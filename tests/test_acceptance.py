@@ -27,8 +27,7 @@ from graphld.measures import FiniteMeasure, ProbMeasure, dirac, encode_measure, 
     link_marginal, type_marginal
 from graphld.oracle import exact_event_probability, lldp_exponent_gap, \
     sampled_class_counts, type_class_counts
-from graphld.optimizer import ConstraintSet, minimize_relative_entropy, \
-    point_vector, rate_infimum_for_event
+from graphld.optimizer import ConstraintSet, minimize_relative_entropy, rate_infimum_for_event
 from graphld.rate import ReferenceLaw, degree_rate, poisson_tail, truncated_poisson, \
     typed_rate
 from graphld.sampler import ConditionSpec, binary_cross_spec
@@ -210,7 +209,7 @@ HIT_TAIL_LIMIT = 1e-6
 
 
 def _criterion_5_study():
-    event = ConstraintSet(1, inequalities=[(point_vector(0, 1), 0.4)])
+    event = ConstraintSet(1, inequalities=[("pmf@0", 0.4)])
     records = run_decay_study(2.0, [50, 100, 150, 200], samples=1_000_000,
                               event=event, seed=DECAY_SEED)
     return event, records
@@ -225,7 +224,7 @@ def _hit_ceiling(samples: int, p: float) -> int:
 
 
 def test_criterion_5_decay_slope():
-    event = ConstraintSet(1, inequalities=[(point_vector(0, 1), 0.4)])
+    event = ConstraintSet(1, inequalities=[("pmf@0", 0.4)])
     optimum = rate_infimum_for_event(2.0, event)
     scan = theta_scan_value(2.0, 60, 0.4, 2.0, lo=0.0, hi=1.0)
     assert abs(optimum.value - scan) <= 1e-4      # grid-oracle verification

@@ -27,8 +27,7 @@ from graphld.cli import (
 )
 from graphld.graphs import TypedGraph
 from graphld.measures import FiniteMeasure, ProbMeasure
-from graphld.optimizer import (ConstraintSet, minimize_relative_entropy,
-                               point_vector, rate_infimum_for_event)
+from graphld.optimizer import ConstraintSet, minimize_relative_entropy, rate_infimum_for_event
 from graphld.oracle import lldp_exponent_gap, type_class_counts
 from graphld.rate import degree_rate, typed_rate
 from graphld.sampler import binary_cross_spec, iter_er_degree_histograms
@@ -37,7 +36,7 @@ from oracles import isolated_tail_probability
 
 
 def event_p0_at_least(threshold):
-    return ConstraintSet(1, inequalities=[(point_vector(0, 1), threshold)])
+    return ConstraintSet(1, inequalities=[("pmf@0", threshold)])
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +144,7 @@ def test_decay_hits_of_an_equality_event_match_a_direct_integer_count():
     n, m, samples, seed = 6, 3, 5000, 41
     near_third = 0
     for r in (0.5, 0.3333333333333333):
-        event = ConstraintSet(1, equalities=[(point_vector(0, 1), r)])
+        event = ConstraintSet(1, equalities=[("pmf@0", r)])
         [rec] = run_decay_study(1.0, [n], samples, event, seed)
         # samples < SHARD_SIZE, so the study drew one shard, from this stream
         rng = np.random.default_rng([seed, n, 0])

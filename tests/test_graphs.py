@@ -117,7 +117,7 @@ def test_single_type_locality_equals_degree_law():
         assert len(locality) == len(degrees)
         for (label, counts), w in locality.items():
             assert label == "a"
-            assert degrees(counts.total()) == w
+            assert degrees(counts("a")) == w
 
 
 def test_text_format_round_trip():

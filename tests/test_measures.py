@@ -40,7 +40,6 @@ def test_counting_measure_canonical():
     e = CountingMeasure({"b": 1, "a": 2, "c": 0})
     assert e.counts == (("a", 2), ("b", 1))  # sorted, zeros dropped
     assert e("a") == 2 and e("c") == 0
-    assert e.total() == 3
     assert e == CountingMeasure([("a", 2), ("b", 1)])
     assert hash(e) == hash(CountingMeasure({"a": 2, "b": 1}))
     assert e.encode() == "a:2,b:1"

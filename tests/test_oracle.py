@@ -22,7 +22,6 @@ from graphld.measures import (
 from graphld.oracle import (
     EnumerationGuardError,
     _row_ids,
-    entropy_neighborhood,
     enumerate_support,
     exact_event_probability,
     lldp_exponent_gap,
@@ -33,7 +32,8 @@ from graphld.rate import ReferenceLaw, relative_entropy
 from graphld.sampler import ConditionalSampler, ConditionSpec, InadmissibleSpecError, \
     binary_cross_spec
 from helpers import class_keys, prefix_label_spec, single_type_spec4, three_type_spec5
-from oracles import class_measure, lexsort_row_ids, per_graph_event_probability
+from oracles import (class_measure, entropy_neighborhood, lexsort_row_ids,
+                     per_graph_event_probability)
 
 
 def atom(a, counts):
