@@ -311,7 +311,9 @@ def _cmd_decay(config, seed) -> List[Dict[str, object]]:
 
 
 def _cmd_lldp(config, seed) -> List[Dict[str, object]]:
-    if config.get("family") == "binary-cross":
+    if "family" in config:
+        if config["family"] != "binary-cross":
+            raise ValueError(f"unknown family {config['family']!r} (allowed: 'binary-cross')")
         specs = [binary_cross_spec(config_int(n, "n_list"))
                  for n in config_field(config, "n_list", list)]
         target = matching_measure()

@@ -17,8 +17,9 @@ measure, whose ``encode_measure`` text is the class's name.  The enumeration
 has two scalar references: ``unrank_pair`` decodes one pair rank by integer
 search (for ``_Block.pairs``), and ``per_graph_event_probability`` tests an
 event on every graph that ``enumerate_support`` yields (for the per-class
-``exact_event_probability``).  ``entropy_neighborhood`` is the
-relative-entropy sublevel test of local event probabilities.
+``exact_event_probability``).  ``entropy_neighborhood``, built on
+``rate.relative_entropy``, is the relative-entropy sublevel test of local
+event probabilities.
 """
 
 import math

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from setuptools.config.pyprojecttoml import read_configuration
 
 import graphld
 import graphld.optimizer
@@ -437,9 +438,9 @@ def test_main_rejects_csv_for_json_only_commands(capsys):
 
 
 def test_package_version_matches_the_project_metadata():
-    # a regex, not tomllib, which Python 3.10 lacks
-    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
-    assert re.findall(r'^version = "([^"]*)"$', text, flags=re.M) == [graphld.__version__]
+    """``graphld.__version__`` is the one source: pyproject.toml reads it."""
+    config = read_configuration(Path(__file__).resolve().parents[1] / "pyproject.toml")
+    assert config["project"]["version"] == graphld.__version__
 
 
 def test_console_script_is_installed():
@@ -568,6 +569,8 @@ LLDP_TARGET = {"a|b:1": 0.5, "b|a:1": 0.5}
     ("decay", {"c": 2.0, "n_list": "10", "samples": 100, "event": {"K": 1}},
      "n_list = '10' is not a list"),
     ("lldp", {"family": "binary-cross", "n_list": 4}, "n_list = 4 is not a list"),
+    ("lldp", {"family": "binary-crosss", "n_list": [4]},
+     "unknown family 'binary-crosss' (allowed: 'binary-cross')"),
     ("enumerate", {"spec": {"n": 4, "eta": {"a": 1}, "pi": {"a,a": "x"}}},
      "weight 'x' at key ('a', 'a') is not a number"),
     ("optimize", {"c": -2.0, "constraints": {"K": 1}}, "c must be > 0"),
@@ -582,9 +585,10 @@ LLDP_TARGET = {"a|b:1": 0.5, "b|a:1": 0.5}
      "expected a JSON object with field 'f', not 1"),
     ("optimize", {"c": 2.0, "constraints": {"K": 1, "eq": 5}}, "eq = 5 is not a list"),
     ("rate", {"c": 2.0, "p": {"2": 1.0}, "tol": -1}, "tol must be >= 0"),
-], ids=["optimize.r", "sample.er.m", "decay.n_list", "lldp.n_list", "enumerate.pi-string",
-        "optimize.c", "decay.c", "lldp.specs-string", "lldp.specs-item", "decay.event-list",
-        "sample.er-list", "optimize.ge-item", "optimize.eq-int", "rate.tol-negative"])
+], ids=["optimize.r", "sample.er.m", "decay.n_list", "lldp.n_list", "lldp.family",
+        "enumerate.pi-string", "optimize.c", "decay.c", "lldp.specs-string", "lldp.specs-item",
+        "decay.event-list", "sample.er-list", "optimize.ge-item", "optimize.eq-int",
+        "rate.tol-negative"])
 def test_config_errors_exit_1_naming_the_field(tmp_path, capsys, command, config, message):
     """These printed the bare ``KeyError`` (``'r'``), read a string n_list
     digit by digit (``n_list = '1' is not an integer``), printed a Python
@@ -594,7 +598,9 @@ def test_config_errors_exit_1_naming_the_field(tmp_path, capsys, command, config
     named the G(10, -10) it makes and exited 2: the predicted rate is now
     solved before the sizes are checked.  Every field is read by
     ``measures.config_field``.  The degree form of ``rate`` read a negative
-    ``tol`` as an infeasible measure; the typed form already refused it."""
+    ``tol`` as an infeasible measure; the typed form already refused it.  An
+    unknown ``lldp`` family was read as the explicit form, which named the
+    missing ``specs``."""
     assert run_main(tmp_path, command, config, *seed_for(command)) == (1, None)
     assert capsys.readouterr().err == f"error: {message}\n"
 
