@@ -3,8 +3,9 @@ process, gives its recorded exit code, sha256 of stdout and first stderr
 line.  stdout and ``--out`` are written by one function, so the digests pin
 both.
 
-An entry is a subcommand, an inline config, a ``seed`` and ``format`` where
-the subcommand takes them, and extra ``args`` for a usage refusal; a
+An entry is a subcommand, an inline config (or ``config_text``, the file's
+text, for a config that is not standard JSON), a ``seed`` and ``format``
+where the subcommand takes them, and extra ``args`` for a usage refusal; a
 ``graph`` is written to a file whose path becomes the config's ``graph``.
 A change that moves a digest bumps the version and names each moved entry
 and its reason in CHANGES.md.  Seeded digests (``sample``, ``decay``) also
@@ -37,13 +38,16 @@ RECORDED = ("exit", "stdout_sha256", "stderr")
 
 def run_entry(entry, workdir: Path):
     """``main`` on one entry: its exit code, sha256 of stdout and first stderr line."""
-    config = dict(entry["config"])
-    if "graph" in entry:
-        graph = workdir / "graph.txt"
-        graph.write_text(entry["graph"], encoding="utf-8")
-        config["graph"] = str(graph)
     path = workdir / "config.json"
-    path.write_text(json.dumps(config), encoding="utf-8")
+    if "config_text" in entry:  # a config that is not standard JSON, written as is
+        path.write_text(entry["config_text"], encoding="utf-8")
+    else:
+        config = dict(entry["config"])
+        if "graph" in entry:
+            graph = workdir / "graph.txt"
+            graph.write_text(entry["graph"], encoding="utf-8")
+            config["graph"] = str(graph)
+        path.write_text(json.dumps(config), encoding="utf-8")
     argv = [entry["command"], "--config", str(path)]
     if "seed" in entry:
         argv += ["--seed", str(entry["seed"])]
@@ -72,7 +76,7 @@ def test_rate_sweep_references_keep_their_weights():
     """The benchmark's ``rate`` references, rebuilt here, equal the recorded
     configs weight by weight: ``truncated_poisson(c, 45)`` and the typed law's
     ``truncated(16)``."""
-    entries = {e["id"]: e["config"] for e in GOLDEN["entries"]}
+    entries = {e["id"]: e.get("config") for e in GOLDEN["entries"]}
     for c in (0.5, 1.0, 2.0, 4.0):
         assert truncated_poisson(c, 45).to_json_dict() == entries[f"rate.sweep-degree-{c}"]["p"]
     typed = entries["rate.sweep-typed"]
