@@ -8,17 +8,12 @@ predicted exponential decay rates by exact enumeration and Monte Carlo at
 desk scale.
 """
 
-from .graphs import (
-    TypedGraph,
-    degree_distribution,
-    empirical_link_measure,
-    empirical_locality_measure,
-    empirical_type_measure,
-)
+from .graphs import TypedGraph, empirical_locality_measure
 from .measures import (
     CountingMeasure,
     FiniteMeasure,
     ProbMeasure,
+    degree_marginal,
     dirac,
     encode_measure,
     is_sub_consistent,
@@ -57,14 +52,13 @@ from .sampler import (
     sample_erdos_renyi,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
-    "CountingMeasure", "FiniteMeasure", "ProbMeasure", "dirac",
+    "CountingMeasure", "FiniteMeasure", "ProbMeasure", "degree_marginal", "dirac",
     "encode_measure", "is_sub_consistent",
     "link_marginal", "total_variation", "type_marginal",
-    "TypedGraph", "degree_distribution", "empirical_link_measure",
-    "empirical_locality_measure", "empirical_type_measure",
+    "TypedGraph", "empirical_locality_measure",
     "RateResult", "ReferenceLaw", "degree_rate",
     "relative_entropy", "truncated_poisson", "typed_rate",
     "ConditionSpec", "InadmissibleSpecError",

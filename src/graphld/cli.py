@@ -42,15 +42,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graphs import (
-    TypedGraph,
-    degree_distribution,
-    empirical_link_measure,
-    empirical_locality_measure,
-    empirical_type_measure,
-)
+from .graphs import TypedGraph, empirical_locality_measure
 from .measures import (CountingMeasure, FiniteMeasure, ProbMeasure, config_field, config_float,
-                       config_int, decode_int, degree_values)
+                       config_int, decode_int, degree_marginal, degree_values, link_marginal,
+                       type_marginal)
 from .oracle import EnumerationGuardError, lldp_exponent_gap, type_class_counts
 from .optimizer import (
     ConstraintSet,
@@ -182,13 +177,15 @@ def matching_measure() -> ProbMeasure:
 
 
 def run_measure(graph: TypedGraph) -> Dict[str, object]:
-    """All four empirical distributions of a graph, as JSON-ready dicts."""
+    """All four empirical distributions of a graph, as JSON-ready dicts: the
+    locality measure and its type, link and degree marginals."""
+    locality = empirical_locality_measure(graph)
     return {
         "n": graph.n,
-        "type": empirical_type_measure(graph).to_json_dict(),
-        "link": empirical_link_measure(graph).to_json_dict(),
-        "locality": empirical_locality_measure(graph).to_json_dict(),
-        "degree": degree_distribution(graph).to_json_dict(),
+        "type": type_marginal(locality).to_json_dict(),
+        "link": link_marginal(locality).to_json_dict(),
+        "locality": locality.to_json_dict(),
+        "degree": degree_marginal(locality).to_json_dict(),
     }
 
 

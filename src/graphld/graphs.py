@@ -1,16 +1,15 @@
 """Typed simple graphs and their empirical distributions.
 
 A ``TypedGraph`` is a set of labelled nodes ``1..n``, each carrying a type
-label, plus a simple undirected edge set.  From a graph we extract, in exact
-rational arithmetic:
-
-* the empirical type measure    -- fraction of nodes of each type;
-* the empirical link measure    -- (1/n) x ordered count of adjacent type
-  pairs (symmetric, total mass 2|E|/n);
-* the empirical locality measure -- law of (node type, neighbor-type multiset),
-  from the graph's type-class key (``locality_atoms_of``: each distinct atom
-  with its node count), the one per-graph atom counter;
-* the degree distribution       -- law of node degree, mean exactly 2|E|/n.
+label, plus a simple undirected edge set.  A graph is walked in one place,
+``locality_atoms_of``, which gives its type-class key: each distinct locality
+atom (node type, neighbor-type counts) with its node count.  From it comes,
+in exact rational arithmetic, the empirical locality measure -- the law of
+(node type, neighbor-type multiset) -- and the graph's other empirical laws
+are its marginals (``measures.type_marginal``, ``link_marginal`` and
+``degree_marginal``): the fraction of nodes of each type, (1/n) x the
+ordered count of adjacent type pairs (symmetric, total mass 2|E|/n), and the
+law of node degree (mean exactly 2|E|/n).
 
 Exact arithmetic matters: graphs with equal locality measures must land in the
 same equivalence class bit-for-bit, which float weights cannot guarantee.
@@ -19,13 +18,11 @@ Graphs are immutable and the extraction functions are pure.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .measures import (CountingMeasure, FiniteMeasure, ProbMeasure, _check_label, _label_problem,
-                       decode_int)
+from .measures import CountingMeasure, ProbMeasure, _check_label, _label_problem, decode_int
 
 Edge = Tuple[int, int]
 
@@ -117,25 +114,6 @@ class TypedGraph:
 # Empirical distributions
 # ---------------------------------------------------------------------------
 
-def empirical_type_measure(z: TypedGraph) -> ProbMeasure:
-    """out(a) = (1/n) * #{nodes of type a}, exact."""
-    return ProbMeasure({a: Fraction(k, z.n) for a, k in Counter(z.types).items()})
-
-
-def empirical_link_measure(z: TypedGraph) -> FiniteMeasure:
-    """out(a, b) = (1/n) * #{ordered adjacent pairs typed (a, b)}, exact.
-
-    Both orientations of every edge are counted, so the measure is symmetric
-    and its total mass is 2|E|/n.
-    """
-    counts: Dict[Tuple[str, str], int] = {}
-    for u, v in z.edges:
-        a, b = z.types[u - 1], z.types[v - 1]
-        counts[(a, b)] = counts.get((a, b), 0) + 1
-        counts[(b, a)] = counts.get((b, a), 0) + 1
-    return FiniteMeasure({k: Fraction(c, z.n) for k, c in counts.items()})
-
-
 def locality_atoms_of(types: Sequence[str], edges: Iterable[Edge]) -> ClassKey:
     """The type-class key of a bare (types, edges) description: each distinct
     locality atom ``(type, sorted neighbor-type counts)`` with the number of
@@ -162,12 +140,3 @@ def empirical_locality_measure(z: TypedGraph) -> ProbMeasure:
     ``(type(v), neighbor-type counts of v)``, exact."""
     return ProbMeasure({(a, CountingMeasure(e)): Fraction(k, z.n)
                         for (a, e), k in locality_atoms_of(z.types, z.edges)})
-
-
-def degree_distribution(z: TypedGraph) -> ProbMeasure:
-    """out(k) = (1/n) * #{nodes of degree k}, exact; mean is 2|E|/n."""
-    deg = [0] * z.n
-    for u, v in z.edges:
-        deg[u - 1] += 1
-        deg[v - 1] += 1
-    return ProbMeasure({k: Fraction(c, z.n) for k, c in Counter(deg).items()})

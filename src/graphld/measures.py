@@ -11,7 +11,11 @@ The building blocks are:
 On top of these sit the marginal maps: ``type_marginal`` collapses a locality
 measure to its type law, ``link_marginal`` to its pair law
 
-    link_marginal(p)(a, b) = sum_e p(a, e) * e(b).
+    link_marginal(p)(a, b) = sum_e p(a, e) * e(b),
+
+and ``degree_marginal`` to its degree law.  Of a graph's empirical locality
+measure these are its empirical type, link and degree laws (the paper's
+contraction), so a graph is walked once, by ``graphs.locality_atoms_of``.
 
 ``is_sub_consistent``, the one consistency check, reports whether a pair law
 dominates the link marginal of a locality measure (the paper's condition for
@@ -341,6 +345,17 @@ def link_marginal(p: ProbMeasure) -> FiniteMeasure:
             key = (a, b)
             out[key] = out.get(key, 0) + w * k
     return FiniteMeasure(out)
+
+
+def degree_marginal(p: ProbMeasure) -> ProbMeasure:
+    """Degree law carried by a locality measure: out(k) = sum of p(a, e) over
+    the atoms whose neighbour count sum_b e(b) is k.  The left inverse of
+    ``rate.embed_degree_law``."""
+    out: Dict[Key, Scalar] = {}
+    for (_a, e), w in p.items():
+        k = sum(count for _b, count in e)
+        out[k] = out.get(k, 0) + w
+    return ProbMeasure(out)
 
 
 def law_pair_problem(type_law: FiniteMeasure, link_law: FiniteMeasure) -> Optional[str]:

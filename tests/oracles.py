@@ -19,19 +19,22 @@ search (for ``_Block.pairs``), and ``per_graph_event_probability`` tests an
 event on every graph that ``enumerate_support`` yields (for the per-class
 ``exact_event_probability``).  ``entropy_neighborhood``, built on
 ``rate.relative_entropy``, is the relative-entropy sublevel test of local
-event probabilities.
+event probabilities.  ``empirical_type_measure``, ``empirical_link_measure``
+and ``degree_distribution`` walk a graph's nodes and edges directly: the
+references for the type, link and degree marginals of its locality measure.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
-from typing import Callable, Tuple, Union
+from typing import Callable, Dict, Tuple, Union
 
 import numpy as np
 from scipy.optimize import brentq, linprog
 from scipy.special import logsumexp, pdtr
 
-from graphld.graphs import empirical_locality_measure
-from graphld.measures import CountingMeasure, ProbMeasure
+from graphld.graphs import TypedGraph, empirical_locality_measure
+from graphld.measures import CountingMeasure, FiniteMeasure, ProbMeasure
 from graphld.optimizer import ConstraintSet
 from graphld.oracle import enumerate_support
 from graphld.rate import ReferenceLaw, relative_entropy
@@ -280,3 +283,31 @@ def entropy_neighborhood(p: ProbMeasure, type_law: ProbMeasure, link_law,
     reference = ReferenceLaw(type_law, link_law)
     threshold = relative_entropy(p, reference) - eps / 2
     return lambda mu: relative_entropy(mu, reference) > threshold
+
+
+def empirical_type_measure(z: TypedGraph) -> ProbMeasure:
+    """out(a) = (1/n) * #{nodes of type a}, exact."""
+    return ProbMeasure({a: Fraction(k, z.n) for a, k in Counter(z.types).items()})
+
+
+def empirical_link_measure(z: TypedGraph) -> FiniteMeasure:
+    """out(a, b) = (1/n) * #{ordered adjacent pairs typed (a, b)}, exact.
+
+    Both orientations of every edge are counted, so the measure is symmetric
+    and its total mass is 2|E|/n.
+    """
+    counts: Dict[Tuple[str, str], int] = {}
+    for u, v in z.edges:
+        a, b = z.types[u - 1], z.types[v - 1]
+        counts[(a, b)] = counts.get((a, b), 0) + 1
+        counts[(b, a)] = counts.get((b, a), 0) + 1
+    return FiniteMeasure({k: Fraction(c, z.n) for k, c in counts.items()})
+
+
+def degree_distribution(z: TypedGraph) -> ProbMeasure:
+    """out(k) = (1/n) * #{nodes of degree k}, exact; mean is 2|E|/n."""
+    deg = [0] * z.n
+    for u, v in z.edges:
+        deg[u - 1] += 1
+        deg[v - 1] += 1
+    return ProbMeasure({k: Fraction(c, z.n) for k, c in Counter(deg).items()})

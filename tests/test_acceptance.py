@@ -21,8 +21,7 @@ import pytest
 from scipy.stats import binom
 
 from graphld.cli import matching_measure, run_decay_study
-from graphld.graphs import empirical_link_measure, empirical_locality_measure, \
-    empirical_type_measure
+from graphld.graphs import empirical_locality_measure
 from graphld.measures import FiniteMeasure, ProbMeasure, dirac, encode_measure, \
     link_marginal, type_marginal
 from graphld.oracle import exact_event_probability, lldp_exponent_gap, \
@@ -32,8 +31,8 @@ from graphld.rate import ReferenceLaw, degree_rate, poisson_tail, truncated_pois
     typed_rate
 from graphld.sampler import ConditionSpec, binary_cross_spec
 from helpers import fit_decay_slope, random_typed_graph
-from oracles import grid_search_value, isolated_tail_probability, theta_scan_value, \
-    truncation_mass
+from oracles import empirical_link_measure, empirical_type_measure, grid_search_value, \
+    isolated_tail_probability, theta_scan_value, truncation_mass
 
 #: Analytic value of inf H(p || Poisson(2)) over {mean=2, p(0) >= 0.4},
 #: pre-derived by two independent routes (KKT reduction, SLSQP).

@@ -6,16 +6,23 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from graphld.graphs import (
-    TypedGraph,
-    degree_distribution,
-    empirical_link_measure,
-    empirical_locality_measure,
-    empirical_type_measure,
-)
-from graphld.measures import (CountingMeasure, FiniteMeasure, ProbMeasure, dirac, link_marginal,
-                              type_marginal)
+from graphld.graphs import TypedGraph, empirical_locality_measure
+from graphld.measures import (CountingMeasure, FiniteMeasure, ProbMeasure, degree_marginal, dirac,
+                              link_marginal, type_marginal)
 from helpers import random_typed_graph
+from oracles import degree_distribution, empirical_link_measure, empirical_type_measure
+
+
+def type_law(z):
+    return type_marginal(empirical_locality_measure(z))
+
+
+def link_law(z):
+    return link_marginal(empirical_locality_measure(z))
+
+
+def degree_law(z):
+    return degree_marginal(empirical_locality_measure(z))
 
 
 def atom(a, counts):
@@ -44,20 +51,20 @@ def test_graph_refuses_an_invalid_label_at_any_node(node):
 
 def test_empirical_type_measure():
     z = TypedGraph(["a", "a", "b", "b"], [(1, 3), (2, 4)])
-    assert empirical_type_measure(z) == ProbMeasure({"a": Fraction(1, 2), "b": Fraction(1, 2)})
-    assert empirical_type_measure(TypedGraph(["a"] * 3, [])) == dirac("a")
+    assert type_law(z) == ProbMeasure({"a": Fraction(1, 2), "b": Fraction(1, 2)})
+    assert type_law(TypedGraph(["a"] * 3, [])) == dirac("a")
     z3 = TypedGraph(["a", "b", "b"], [])
-    assert empirical_type_measure(z3) == ProbMeasure({"a": Fraction(1, 3), "b": Fraction(2, 3)})
+    assert type_law(z3) == ProbMeasure({"a": Fraction(1, 3), "b": Fraction(2, 3)})
 
 
 def test_empirical_link_measure():
     z = TypedGraph(["a", "a", "b", "b"], [(1, 3), (2, 4)])
-    assert empirical_link_measure(z) == FiniteMeasure(
+    assert link_law(z) == FiniteMeasure(
         {("a", "b"): Fraction(1, 2), ("b", "a"): Fraction(1, 2)})
-    assert empirical_link_measure(TypedGraph(["a", "b"], [])) == FiniteMeasure({})
+    assert link_law(TypedGraph(["a", "b"], [])) == FiniteMeasure({})
     # ordered-pair convention: a single (a,a) edge on n=2 has total mass 2*1/2 = 1
     z2 = TypedGraph(["a", "a"], [(1, 2)])
-    assert empirical_link_measure(z2) == FiniteMeasure({("a", "a"): 1})
+    assert link_law(z2) == FiniteMeasure({("a", "a"): 1})
 
 
 def test_empirical_locality_measure():
@@ -78,10 +85,10 @@ def test_empirical_locality_measure():
 
 def test_degree_distribution():
     cycle = TypedGraph(["a"] * 4, [(1, 2), (2, 3), (3, 4), (1, 4)])
-    assert degree_distribution(cycle) == dirac(2)
-    assert degree_distribution(TypedGraph(["a"] * 5, [])) == dirac(0)
+    assert degree_law(cycle) == dirac(2)
+    assert degree_law(TypedGraph(["a"] * 5, [])) == dirac(0)
     path = TypedGraph(["a"] * 3, [(1, 2), (2, 3)])
-    dist = degree_distribution(path)
+    dist = degree_law(path)
     assert dist == ProbMeasure({1: Fraction(2, 3), 2: Fraction(1, 3)})
     # mean identity: mean = 4/3 = 2|E|/n
     mean = sum(k * w for k, w in dist.items())
@@ -92,19 +99,30 @@ def test_degree_mean_identity_random():
     rng = np.random.default_rng(7)
     for _ in range(50):
         z = random_typed_graph(rng, max_n=30)
-        dist = degree_distribution(z)
+        dist = degree_law(z)
         assert sum(k * w for k, w in dist.items()) == Fraction(2 * len(z.edges), z.n)
 
 
 def test_marginals_of_locality_measure_match_empirical_pair():
-    """The marginal pair of the locality measure is exactly the
-    (type, link) empirical pair, in rational arithmetic."""
+    """The type, link and degree marginals of the locality measure are
+    exactly the laws that walking the graph's nodes and edges gives, in
+    rational arithmetic: equal values, class, key order and JSON.  Edgeless
+    graphs and graphs with isolated nodes included."""
     rng = np.random.default_rng(11)
-    for _ in range(100):
-        z = random_typed_graph(rng)
+    graphs = [random_typed_graph(rng, max_n=12, max_types=3, edge_prob=float(rng.random()))
+              for _ in range(300)]
+    graphs += [TypedGraph(["a", "b", "c"], []),
+               TypedGraph(["a", "a", "b", "b", "c", "c"], [(1, 2), (1, 3), (2, 5), (3, 4)])]
+    assert any(not z.edges for z in graphs[:-2])
+    for z in graphs:
         locality = empirical_locality_measure(z)
-        assert (type_marginal(locality), link_marginal(locality)) == \
-            (empirical_type_measure(z), empirical_link_measure(z))
+        pairs = [(type_marginal(locality), empirical_type_measure(z)),
+                 (link_marginal(locality), empirical_link_measure(z)),
+                 (degree_marginal(locality), degree_distribution(z))]
+        for marginal, walked in pairs:
+            assert marginal == walked and type(marginal) is type(walked)
+            assert marginal.items() == walked.items()
+            assert list(marginal.to_json_dict().items()) == list(walked.to_json_dict().items())
 
 
 def test_single_type_locality_equals_degree_law():

@@ -17,6 +17,7 @@ from graphld.measures import (
     dirac,
     encode_key,
     decode_key,
+    degree_marginal,
     encode_measure,
     is_sub_consistent,
     link_marginal,
@@ -134,6 +135,18 @@ def test_type_marginal_point_masses():
         atom(B, {A: 1}): Fraction(1, 2),
     })
     assert type_marginal(three) == ProbMeasure({A: Fraction(1, 2), B: Fraction(1, 2)})
+
+
+def test_degree_marginal_point_masses():
+    # an atom's degree is its total neighbour count, whatever the types
+    assert degree_marginal(dirac(atom(A, {}))) == dirac(0)
+    assert degree_marginal(dirac(atom(A, {A: 2, B: 1}))) == dirac(3)
+    mixed = ProbMeasure({
+        atom(A, {B: 2}): Fraction(1, 4),
+        atom(B, {A: 1, B: 1}): Fraction(1, 4),
+        atom(B, {A: 1}): Fraction(1, 2),
+    })
+    assert degree_marginal(mixed) == ProbMeasure({1: Fraction(1, 2), 2: Fraction(1, 2)})
 
 
 def test_type_marginal_total_mass_random():

@@ -12,6 +12,7 @@ from graphld.measures import (
     CountingMeasure,
     FiniteMeasure,
     ProbMeasure,
+    degree_marginal,
     dirac,
 )
 from graphld.rate import (
@@ -302,6 +303,17 @@ def test_degree_rate_mean_mismatch():
 def test_degree_rate_validates_c():
     with pytest.raises(ValueError):
         degree_rate(0.0, dirac(0))
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_degree_marginal_inverts_the_embedding(exact):
+    """``degree_marginal`` is the left inverse of ``embed_degree_law``: the
+    same law back, weight for weight, in the same key order."""
+    rng = np.random.default_rng(37)
+    for _ in range(25):
+        p = random_degree_law(rng, exact=exact)
+        back = degree_marginal(embed_degree_law(p))
+        assert back == p and back.items() == p.items()
 
 
 def test_degree_rate_equals_typed_rate_on_embedding():

@@ -13,8 +13,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
 from graphld import sampler
-from graphld.graphs import TypedGraph, empirical_link_measure, empirical_locality_measure, \
-    empirical_type_measure, locality_atoms_of
+from graphld.graphs import TypedGraph, empirical_locality_measure, locality_atoms_of
 from graphld.measures import FiniteMeasure, ProbMeasure, dirac, total_variation
 from graphld.oracle import enumerate_support
 from graphld.rate import ReferenceLaw
@@ -31,7 +30,7 @@ from graphld.sampler import (
 )
 from helpers import (class_keys, prefix_label_spec, random_condition_spec, single_type_spec4,
                      three_type_spec5)
-from oracles import unrank_pair
+from oracles import empirical_link_measure, empirical_type_measure, unrank_pair
 
 
 def test_binary_cross_spec_is_admissible():
