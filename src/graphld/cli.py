@@ -354,6 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
         cmd = sub.add_parser(name)
+        cmd.set_defaults(parser=cmd)  # refuses what the subcommand does not read
         cmd.add_argument("--config", required=True, help="JSON config file")
         cmd.add_argument("--out", help="output path (default stdout)")
         if command.draws:
@@ -363,13 +364,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: Built once: ``parse_args`` leaves the parser as it was.
+#: Built once: parsing leaves the parser as it was.
 _PARSER = build_parser()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args, extra = _PARSER.parse_known_args(argv)
+        if extra:  # with the subcommand's usage, which names the options it takes
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:  # argparse wrote usage and error lines, or --help
         return 1 if exc.code else 0
     command = _COMMANDS[args.command]

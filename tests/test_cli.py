@@ -639,7 +639,7 @@ def test_each_subcommand_takes_only_the_options_it_reads(tmp_path, capsys, comma
     """Every subcommand used to take ``--seed`` and ``--format``, so
     ``rate --seed 5``, ``lldp --seed 1`` and ``optimize --format json``
     exited 0 and ignored the option: an option a subcommand does not read is
-    now a usage error, on a config it runs."""
+    now a usage error, on a config it runs, with the subcommand's own usage."""
     assert main([command, "--help"]) == 0
     usage = capsys.readouterr().out.split("\n\n")[0]
     assert {name: not bracket for bracket, name in re.findall(r"(\[?)(--[a-z]+)", usage)} == \
@@ -655,7 +655,7 @@ def test_each_subcommand_takes_only_the_options_it_reads(tmp_path, capsys, comma
         if option[0] not in OPTIONS[command]:
             assert run_main(tmp_path, command, config, *seed_for(command), *option) == (1, None)
             err = capsys.readouterr().err
-            assert err.startswith("usage: graphld")
+            assert err.startswith(f"usage: graphld {command} ")
             assert err.endswith(f"error: unrecognized arguments: {' '.join(option)}\n")
 
 
