@@ -241,6 +241,9 @@ class Optimum:
 
     ``minimizer`` is the law on 0..L; with a Poisson tail beyond L it has
     mass 1 - ``tail_mass``, and the rest is Poisson(``tail_mean``) beyond L.
+    ``value`` is the dual value at exit, a lower bound by weak duality whose
+    error is second order in the primal defect (the minimizer's own entropy
+    errs to first order).
     ``dual_eq`` / ``dual_ge`` are the multipliers certifying stationarity (the
     minimizer is q_ref tilted by their constraint combination), and
     ``kkt_residual`` the worst primal/complementarity defect at exit.
@@ -402,7 +405,7 @@ def minimize_relative_entropy(log_q: VectorLike, cons: ConstraintSet,
     comp_res = float(np.max(np.abs(x[n_eq:] * g[n_eq:]), initial=0.0))
     residual = max(primal_res, comp_res)
     converged = primal_res <= FEASIBILITY_TOL and comp_res <= KKT_TOL
-    value = float(dual - x @ g)  # sum_k p_k log(p_k / q_k), the tail's degrees included
+    value = float(dual)  # the dual at exit: a lower bound whose error is second order
     minimizer = FiniteMeasure({k: float(w) for k, w in enumerate(p[:cap + 1]) if w > 0})
     return Optimum(minimizer, max(value, 0.0) if value > -1e-12 else value,
                    tuple(x[:n_eq]), tuple(x[n_eq:]), residual, iterations, converged,

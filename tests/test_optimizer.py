@@ -327,6 +327,17 @@ def test_pinned_zero_sweep_matches_the_root_search_oracle(r):
     assert opt.value == pytest.approx(pinned_zero_rate_on_naturals(2.0, r), abs=1e-7)
 
 
+@pytest.mark.parametrize("r", [0.9, 0.959, 0.9999])
+def test_the_reported_value_is_the_dual_value(r):
+    """The value is the dual at exit, whose error is second order in the
+    primal defect (up to 1e-8): it meets the oracle on all of the degrees to
+    1e-10 relative.  The primal value at that iterate sat about 7e-10
+    relative above it."""
+    opt = rate_infimum_for_event(2.0, ConstraintSet(1, inequalities=[("pmf@0", r)]))
+    assert opt.converged
+    assert opt.value == pytest.approx(pinned_zero_rate_on_naturals(2.0, r), rel=1e-10)
+
+
 @pytest.mark.parametrize("c", [53.0, 60.0])
 def test_a_large_mean_solves_at_its_default_cap(c):
     """Poisson(c) underflows a double below k = 10 c, inside the former
