@@ -1,15 +1,14 @@
 """Typed simple graphs and their empirical distributions.
 
 A ``TypedGraph`` is a set of labelled nodes ``1..n``, each carrying a type
-label, plus a simple undirected edge set.  A graph is walked in one place,
-``locality_atoms_of``, which gives its type-class key: each distinct locality
-atom (node type, neighbor-type counts) with its node count.  From it comes,
-in exact rational arithmetic, the empirical locality measure -- the law of
-(node type, neighbor-type multiset) -- and the graph's other empirical laws
-are its marginals (``measures.type_marginal``, ``link_marginal`` and
-``degree_marginal``): the fraction of nodes of each type, (1/n) x the
-ordered count of adjacent type pairs (symmetric, total mass 2|E|/n), and the
-law of node degree (mean exactly 2|E|/n).
+label, plus a simple undirected edge set.  ``locality_atoms_of`` is the one
+walk of a graph: it gives the type-class key (each distinct locality atom
+with its node count), from which ``empirical_locality_measure`` builds the
+law of (node type, neighbor-type multiset) in exact rational arithmetic.
+The graph's type, link and degree laws are marginals of that measure
+(``measures.type_marginal``, ``link_marginal``, ``degree_marginal``): the
+fraction of nodes of each type, (1/n) x the ordered count of adjacent type
+pairs (symmetric, mass 2|E|/n), and the law of node degree (mean 2|E|/n).
 
 Exact arithmetic matters: graphs with equal locality measures must land in the
 same equivalence class bit-for-bit, which float weights cannot guarantee.
