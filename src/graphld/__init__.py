@@ -52,7 +52,7 @@ from .sampler import (
     sample_erdos_renyi,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "CountingMeasure", "FiniteMeasure", "ProbMeasure", "degree_marginal", "dirac",

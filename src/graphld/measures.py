@@ -470,9 +470,11 @@ def config_int(value: object, field: str) -> int:
 def config_float(value: object, field: str) -> float:
     """A real field of a JSON config: an int or a float, not a bool, that is
     finite as a float; anything else raises ValueError naming the field."""
-    try:
-        if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
-            return float(value)
-    except OverflowError:  # an int beyond the float range
-        pass
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an int beyond the float range: its length, not its digits
+            raise ValueError(f"{field} is an integer of {len(str(abs(value)))} digits, "
+                             f"beyond the float range") from None
     raise ValueError(f"{field} = {value!r} is not a finite number")

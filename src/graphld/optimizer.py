@@ -20,11 +20,14 @@ which is smooth and concave with bounds as its only constraints (Csiszar,
 Ann. Probab. 1975).  Projected Newton solves it (Bertsekas, SIAM J. Control
 Optim. 1982): Newton steps on the free multipliers, projected back onto
 mu >= 0, and a step along their gradient where no Newton trial point is
-accepted.  Iteration stops at KKT residual 1e-6 -- with constraint
-satisfaction tightened to 1e-8 -- or after ``MAX_ITERATIONS`` = 1e5 dual
-trial points (read at each call), and a solve that stops short of the
-tolerances reports ``converged = False``.  Problems here are tiny (K of
-order 100, a handful of constraints), so robustness beats sophistication.
+accepted.  Iteration stops at free-gradient norm 5e-9, when no trial
+point makes progress, or after ``MAX_ITERATIONS`` = 1e5 dual trial points
+(read at each call).  The solve has converged when its constraints hold to
+1e-8 and each complementarity product |mu_i g_i| is at most 1e-6 max(1,
+|value|): relative to the value, as a floor held by a multiplier of 2e5 at
+value 23 cannot reach 1e-6 absolute in double precision.  Otherwise it
+reports ``converged = False``.  Problems here are tiny (K of order 100, a
+handful of constraints), so robustness beats sophistication.
 
 A Poisson(c) tail beyond L is one more atom.  There every functional is 0
 but the mean, so the tilted law is q(k) e^{theta k}, theta the sum of the
@@ -32,11 +35,13 @@ mean rows' multipliers, of mass e^{c(e^theta - 1)} P{Poisson(c e^theta) > L};
 its first and factorial second moments take the same form at L - 1 and
 L - 2 (``rate.poisson_tail``), and the Hessian gets its variance.
 
-Feasibility is established up front by a phase-1 linear program (HiGHS via
-scipy; a tail is its mass t and first moment s >= (L + 1) t, and t = 0 < s,
-mass escaping to infinity, is no law): infeasible sets raise with the
-solver's message rather than returning +infinity.  If a constraint forces
-mass onto points where q_ref is minuscule the value may be large but finite.
+Feasibility is established up front by a phase-1 linear program (HiGHS
+through ``scipy.optimize.milp`` with no integer variables, whose wrapper
+costs less than ``linprog``'s; a tail is its mass t and first moment
+s >= (L + 1) t, and t = 0 < s, mass escaping to infinity, is no law):
+infeasible sets raise with the solver's message rather than returning
++infinity.  If a constraint forces mass onto points where q_ref is
+minuscule the value may be large but finite.
 
 A constraint functional is stored as it was written: the name ``"mean"``
 or ``"pmf@k"`` (k read by ``measures.decode_key``), or the tuple of its
@@ -59,7 +64,7 @@ from fractions import Fraction
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .measures import (FiniteMeasure, config_field, config_float, config_int, decode_key,
                        degree_values)
@@ -249,8 +254,8 @@ class Optimum:
     ``kkt_residual`` the worst primal/complementarity defect at exit.
     ``converged`` says whether the solve met its tolerances: primal defect
     at most the feasibility tolerance and complementarity defect at most
-    the KKT tolerance.  When it is False the minimizer and value are the
-    last iterate, not the projection.
+    the KKT tolerance times max(1, |value|).  When it is False the
+    minimizer and value are the last iterate, not the projection.
     ``iterations`` counts the dual trial points the solve evaluated, line-
     search trials included.
     """
@@ -280,16 +285,19 @@ def check_feasible(feq: np.ndarray, req: np.ndarray, fge: np.ndarray, rge: np.nd
     s >= (L + 1) t in the mean rows; where no feasible t is > 0, s = 0 too."""
     cap, n_eq = feq.shape[1] - 1, feq.shape[0]
     marks = np.zeros(n_eq + fge.shape[0]) if tail is None else tail
-    # variables p(0..L), t and s; the objective maximises t
-    a_eq = np.c_[np.r_[np.ones((1, cap + 1)), feq], np.r_[1.0, 0 * req], np.r_[0.0, marks[:n_eq]]]
-    a_ub = np.r_[np.c_[-fge, 0 * rge, -marks[n_eq:]], [np.r_[np.zeros(cap + 1), cap + 1.0, -1.0]]]
-    moment = (0.0, None if tail is not None else 0.0)
-    lp = dict(c=np.r_[np.zeros(cap + 1), -1.0, 0.0], A_ub=a_ub, b_ub=np.r_[-rge, 0.0], A_eq=a_eq,
-              b_eq=np.r_[1.0, req], bounds=[(0.0, u) for u in upper] + [moment, moment])
-    res = linprog(**lp, method="highs")
+    # variables p(0..L), t and s, maximising t; one two-sided constraint: the
+    # <= rows (-F_ge, then (L + 1) t - s), then the equalities with lower =
+    # upper (the mass first)
+    rows = np.r_[np.c_[-fge, 0 * rge, -marks[n_eq:]], [np.r_[np.zeros(cap + 1), cap + 1.0, -1.0]],
+                 np.c_[np.r_[np.ones((1, cap + 1)), feq], np.r_[1.0, 0 * req], np.r_[0.0, marks[:n_eq]]]]
+    rhs = np.r_[-rge, 0.0, 1.0, req]
+    constraints = LinearConstraint(rows, np.r_[np.full(len(rge) + 1, -np.inf), 1.0, req], rhs)
+    top = np.r_[upper, [np.inf if tail is not None else 0.0] * 2]
+    objective = np.r_[np.zeros(cap + 1), -1.0, 0.0]
+    res = milp(objective, constraints=constraints, bounds=Bounds(0.0, top))
     if tail is not None and res.status == 0 and not res.x[-2] > 0:
-        lp["bounds"][-1] = (0.0, 0.0)  # mass escaping to infinity (t = 0 < s) is no law
-        res = linprog(**lp, method="highs")
+        top[-1] = 0.0  # mass escaping to infinity (t = 0 < s) is no law
+        res = milp(objective, constraints=constraints, bounds=Bounds(0.0, top))
     if res.status != 0:
         raise InfeasibleConstraintsError(
             f"no degree law on {'0, 1, ...' if tail is not None else f'0..{cap}'} satisfies "
@@ -404,8 +412,8 @@ def minimize_relative_entropy(log_q: VectorLike, cons: ConstraintSet,
                      float(np.max(g[n_eq:], initial=0.0)))
     comp_res = float(np.max(np.abs(x[n_eq:] * g[n_eq:]), initial=0.0))
     residual = max(primal_res, comp_res)
-    converged = primal_res <= FEASIBILITY_TOL and comp_res <= KKT_TOL
     value = float(dual)  # the dual at exit: a lower bound whose error is second order
+    converged = primal_res <= FEASIBILITY_TOL and comp_res <= KKT_TOL * max(1.0, abs(value))
     minimizer = FiniteMeasure({k: float(w) for k, w in enumerate(p[:cap + 1]) if w > 0})
     return Optimum(minimizer, max(value, 0.0) if value > -1e-12 else value,
                    tuple(x[:n_eq]), tuple(x[n_eq:]), residual, iterations, converged,

@@ -20,14 +20,17 @@ the vectorized subset kernel ``_subset_rows``, which draws many independent
 subsets of a block at once: a single draw (``sample_edges``) is a batch of
 one, and ``iter_er_degree_histograms`` takes its G(n, m) batches from the
 sampler of the single-type spec that ``_erdos_renyi_sampler`` checks; blocks
-without edges draw nothing.  One closed-form decode, ``_Block.pairs``, turns
-pair indices into node pairs for every draw and ``oracle``'s enumeration.  It is
-exact up to ``MAX_GROUP_SIZE`` = 2**24 nodes, so larger groups with links
-inside are rejected (cross blocks decode exactly at any size).  Key
-widths (a stable sort where no packed int64 key fits, as in G(16e6, 1e5)),
-the decode and the empty-block skip leave the int64 index stream as it is,
-so seeded ``decay``, ``sample`` and ``sampled_class_counts`` output does
-not change with them.
+without edges draw nothing.  One decode, ``_Block.pairs``, turns pair
+indices into node pairs for every draw and ``oracle``'s enumeration.  A
+diagonal block of at most ``PAIR_TABLE_LIMIT`` = 2**16 pairs looks them up
+in a cached table that the closed form ``_unrank_pairs_np`` wrote, so both
+give the same pairs; larger blocks decode in closed form, which is exact
+up to ``MAX_GROUP_SIZE`` = 2**24 nodes, so larger groups with links inside
+are rejected (cross blocks decode exactly at any size).  Key widths (a
+stable sort where no packed int64 key fits, as in G(16e6, 1e5)), the
+decode and the empty-block skip leave the int64 index stream as it is, so
+seeded ``decay``, ``sample`` and ``sampled_class_counts`` output does not
+change with them.
 
 RNG contract: every sampler consumes an explicit ``numpy.random.Generator``
 (PCG64 via ``numpy.random.default_rng``); identical seed + spec produces the
@@ -53,6 +56,9 @@ from .measures import (INPUT_TOL, FiniteMeasure, ProbMeasure, Scalar, config_fie
 
 #: Largest type group with within-type links: ``_unrank_pairs_np`` is exact up to here.
 MAX_GROUP_SIZE = 2**24
+#: Largest diagonal block (in pairs) decoded from a cached table: two int64
+#: arrays of at most 1 MiB together, one for each group size and start.
+PAIR_TABLE_LIMIT = 2**16
 
 
 class InadmissibleSpecError(ValueError):
@@ -104,10 +110,15 @@ class _Block:
     def pairs(self, idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """1-based endpoints ``(u, v)`` of the block's pair indices ``idx``
         (int64, any shape): lexicographic pairs of the a-segment on a diagonal
-        block, (a node, b node) in row-major order on a cross block.  Both
+        block, (a node, b node) in row-major order on a cross block.  A
+        diagonal block of at most ``PAIR_TABLE_LIMIT`` pairs looks them up in
+        ``_pair_table``, a larger one decodes them in closed form.  Both
         arrays are fresh, so the caller may shift them in place."""
         if self.a == self.b:
-            return _unrank_pairs_np(idx, self.a_size, self.a_start)
+            if self.capacity > PAIR_TABLE_LIMIT:
+                return _unrank_pairs_np(idx, self.a_size, self.a_start)
+            u, v = _pair_table(self.a_size, self.a_start)
+            return np.take(u, idx), np.take(v, idx)
         u, v = np.divmod(idx, self.b_size)
         return u + self.a_start, v + self.b_start
 
@@ -193,6 +204,8 @@ class ConditionalSampler:
         """
         pairs = [block.pairs(_subset_rows(rng, block.capacity, block.edge_count, count))
                  for block in self.blocks if block.edge_count]
+        if len(pairs) == 1:  # already fresh: no copy
+            return pairs[0]
         empty = np.empty((count, 0), dtype=np.int64)
         return (np.hstack([empty, *(u for u, _ in pairs)]),
                 np.hstack([empty, *(v for _, v in pairs)]))
@@ -261,6 +274,16 @@ def _unrank_pairs_np(idx: np.ndarray, n: int, start: int = 0) -> Tuple[np.ndarra
     v += idx
     v += n + 1 + start - total
     return np.subtract(n + start, w, out=w), v
+
+
+@functools.lru_cache(maxsize=16)
+def _pair_table(n: int, start: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``_unrank_pairs_np`` of every rank 0..C(n, 2) - 1, read-only: the pair
+    of rank i is ``(u[i], v[i])``, so a lookup is the closed form itself."""
+    table = _unrank_pairs_np(np.arange(n * (n - 1) // 2, dtype=np.int64), n, start)
+    for column in table:
+        column.setflags(write=False)
+    return table
 
 
 @functools.lru_cache(maxsize=256)

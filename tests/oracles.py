@@ -24,6 +24,7 @@ and ``degree_distribution`` walk a graph's nodes and edges directly: the
 references for the type, link and degree marginals of its locality measure.
 """
 
+import functools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -46,9 +47,13 @@ def entropy_objective(p: np.ndarray, log_q: np.ndarray) -> float:
     return float(np.sum(p[mask] * (np.log(p[mask]) - log_q[mask])))
 
 
+@functools.lru_cache(maxsize=8)
 def poisson_log_law(c: float, cap: int) -> np.ndarray:
-    """log Poisson(c)(k) for k = 0..cap."""
-    return np.array([k * math.log(c) - c - math.lgamma(k + 1) for k in range(cap + 1)])
+    """log Poisson(c)(k) for k = 0..cap, read-only: cached, as a root search
+    reads the same law at every step."""
+    law = np.array([k * math.log(c) - c - math.lgamma(k + 1) for k in range(cap + 1)])
+    law.setflags(write=False)
+    return law
 
 
 def _affine_parametrization(cons: ConstraintSet) -> Tuple[np.ndarray, np.ndarray]:
@@ -163,7 +168,7 @@ def pinned_zero_rate_on_naturals(c: float, r: float) -> float:
     1e-16; so the omitted mass is below 1e-15."""
     cap = 2 * math.ceil(c / (1.0 - r)) + 64  # above the mean of the tilt
     while True:
-        theta = brentq(lambda t: pinned_zero_tilt(c, cap, r, t)[1] - c, -10.0, 10.0,
+        theta = brentq(lambda t: pinned_zero_tilt(c, cap, r, t)[1] - c, -10.0, 20.0,
                        xtol=1e-14)
         p, _ = pinned_zero_tilt(c, cap, r, theta)
         if cap >= 2 * c * math.exp(theta) and p[-1] <= 1e-16:

@@ -778,9 +778,10 @@ REFERENCE_CONFIG = {"q": {"0": 1.0, "1": 2.0, "2": 1.0},
 def test_float_config_fields_read_numbers_and_refuse_the_rest(
         tmp_path, capsys, command, config, path, name, extra):
     """An integral float and its int give the same bytes; a bool, a string
-    or an int beyond the float range exits 1, naming the field.  A bool used
-    to read as 0 or 1 (``rate`` at c = 1.0, ``optimize`` at r = 0.0), and a
-    huge int ended in an OverflowError traceback."""
+    or an int beyond the float range exits 1, naming the field; the huge
+    int by its digit count, not its 401 digits.  A bool used to read as 0 or
+    1 (``rate`` at c = 1.0, ``optimize`` at r = 0.0), and a huge int ended in
+    an OverflowError traceback."""
     def with_value(value):
         copy = json.loads(json.dumps(config))
         node = copy
@@ -797,9 +798,13 @@ def test_float_config_fields_read_numbers_and_refuse_the_rest(
     if node.is_integer():
         assert run_main(tmp_path, command, with_value(int(node)), *extra) == (0, text)
     capsys.readouterr()
-    for bad in (True, False, str(node), HUGE, -HUGE):
+    for bad in (True, False, str(node)):
         assert run_main(tmp_path, command, with_value(bad), *extra) == (1, None)
         assert capsys.readouterr().err == f"error: {name} = {bad!r} is not a finite number\n"
+    for bad in (HUGE, -HUGE):
+        assert run_main(tmp_path, command, with_value(bad), *extra) == (1, None)
+        assert capsys.readouterr().err == \
+            f"error: {name} is an integer of 401 digits, beyond the float range\n"
 
 
 def test_main_measure_refuses_an_invalid_label_in_a_graph_file(tmp_path, capsys):

@@ -278,11 +278,19 @@ def test_config_float_reads_finite_numbers(value):
     assert type(config_float(value, "c")) is float
 
 
-@pytest.mark.parametrize("value", [True, False, None, "2.0", [2.0], math.inf, math.nan, 10**400,
-                                   -10**400])
+@pytest.mark.parametrize("value", [True, False, None, "2.0", [2.0], math.inf, math.nan])
 def test_config_float_refuses_the_rest_naming_the_field(value):
     with pytest.raises(ValueError, match=re.escape(f"c = {value!r} is not a finite number")):
         config_float(value, "c")
+
+
+@pytest.mark.parametrize("value, digits", [(10**400, 401), (-10**400, 401), (10**400 - 1, 400),
+                                           (2**1024, 309)])
+def test_config_float_refuses_a_huge_int_by_its_digit_count(value, digits):
+    """An int beyond the float range is named by its length, not written out."""
+    with pytest.raises(ValueError) as caught:
+        config_float(value, "c")
+    assert str(caught.value) == f"c is an integer of {digits} digits, beyond the float range"
 
 
 @pytest.mark.parametrize("call, expected", [

@@ -3,15 +3,18 @@
 import itertools
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from graphld import optimizer
 from graphld.optimizer import (
     ConstraintSet,
     InfeasibleConstraintsError,
+    check_feasible,
     minimize_relative_entropy,
     rate_infimum_for_event,
 )
@@ -327,12 +330,15 @@ def test_pinned_zero_sweep_matches_the_root_search_oracle(r):
     assert opt.value == pytest.approx(pinned_zero_rate_on_naturals(2.0, r), abs=1e-7)
 
 
-@pytest.mark.parametrize("r", [0.9, 0.959, 0.9999])
+@pytest.mark.parametrize("r", [0.9, 0.959, 0.9999, 0.99999])
 def test_the_reported_value_is_the_dual_value(r):
     """The value is the dual at exit, whose error is second order in the
     primal defect (up to 1e-8): it meets the oracle on all of the degrees to
     1e-10 relative.  The primal value at that iterate sat about 7e-10
-    relative above it."""
+    relative above it.  At r = 0.99999 the floor's multiplier is about 2e5,
+    so its complementarity product stays above KKT_TOL while the value is
+    23: the solve converges because that defect is judged relative to the
+    value, |mu g| <= KKT_TOL max(1, |value|)."""
     opt = rate_infimum_for_event(2.0, ConstraintSet(1, inequalities=[("pmf@0", r)]))
     assert opt.converged
     assert opt.value == pytest.approx(pinned_zero_rate_on_naturals(2.0, r), rel=1e-10)
@@ -480,6 +486,61 @@ def test_mass_escaping_to_infinity_is_not_a_law():
     mass 0 and first moment 2 meets the constraints, so it is refused."""
     with pytest.raises(InfeasibleConstraintsError, match=re.escape("no degree law on 0, 1, ...")):
         rate_infimum_for_event(2.0, ConstraintSet(1, inequalities=[("pmf@0", 1.0)]))
+
+
+def linprog_feasible(feq, req, fge, rge, upper, tail):
+    """The phase-1 LP of ``check_feasible`` written for
+    ``linprog(method="highs")``: True when a law meets the constraints."""
+    cap, n_eq = feq.shape[1] - 1, feq.shape[0]
+    marks = np.zeros(n_eq + fge.shape[0]) if tail is None else tail
+    a_eq = np.c_[np.r_[np.ones((1, cap + 1)), feq], np.r_[1.0, 0 * req], np.r_[0.0, marks[:n_eq]]]
+    a_ub = np.r_[np.c_[-fge, 0 * rge, -marks[n_eq:]], [np.r_[np.zeros(cap + 1), cap + 1.0, -1.0]]]
+    moment = (0.0, None if tail is not None else 0.0)
+    lp = dict(c=np.r_[np.zeros(cap + 1), -1.0, 0.0], A_ub=a_ub, b_ub=np.r_[-rge, 0.0], A_eq=a_eq,
+              b_eq=np.r_[1.0, req], bounds=[(0.0, u) for u in upper] + [moment, moment])
+    res = linprog(**lp, method="highs")
+    if tail is not None and res.status == 0 and not res.x[-2] > 0:
+        lp["bounds"][-1] = (0.0, 0.0)
+        res = linprog(**lp, method="highs")
+    return res.status == 0
+
+
+def test_check_feasible_refuses_what_linprog_finds_infeasible():
+    """On 240 random small constraint sets (point masses, means and explicit
+    coefficients, equalities and floors, some degrees barred), with and
+    without the Poisson tail, ``check_feasible`` raises exactly when the
+    ``linprog`` form of its phase-1 LP has no solution."""
+    rng = np.random.default_rng(28)
+    seen = Counter()
+    for trial in range(240):
+        support_cap = int(rng.integers(1, 5))
+
+        def constraint():
+            kind = rng.integers(3)
+            if kind == 0:
+                f, r = f"pmf@{rng.integers(support_cap + 1)}", rng.uniform(0.0, 1.0)
+            elif kind == 1:
+                f, r = "mean", rng.uniform(0.0, 2.0 * support_cap)
+            else:
+                f, r = tuple(rng.uniform(-1.0, 1.0, support_cap + 1)), rng.uniform(-1.0, 1.0)
+            return f, (float(rng.choice([0.0, 0.5, 1.0])) if rng.random() < 0.2 else r)
+
+        cons = ConstraintSet(support_cap, [constraint() for _ in range(rng.integers(3))],
+                             [constraint() for _ in range(rng.integers(4))])
+        cap = support_cap + int(rng.integers(3))
+        upper = (rng.random(cap + 1) < 0.85) * 1.0
+        tail = None
+        if trial % 2:
+            tail = np.array([f == "mean" for f, _ in cons.equalities + cons.inequalities], float)
+        arrays = cons.arrays(cap)
+        try:
+            check_feasible(*arrays, upper, tail)
+            feasible = True
+        except InfeasibleConstraintsError:
+            feasible = False
+        assert feasible == linprog_feasible(*arrays, upper, tail), (cons.describe(), upper, tail)
+        seen[tail is not None, feasible] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 20, seen
 
 
 def rate_sweep_events():

@@ -302,6 +302,33 @@ def test_block_pairs_decode_every_index_of_every_block(spec):
         assert np.array_equal(cu[:, 0], u) and np.array_equal(cv[:, 0], v)
 
 
+@pytest.mark.parametrize("size", [362, 363])
+def test_block_pairs_table_decode_is_the_closed_form(size):
+    """A group of 362 nodes (65,341 pairs, within ``PAIR_TABLE_LIMIT``)
+    decodes from the cached pair table, one of 363 (65,703 pairs) in closed
+    form; both give ``_unrank_pairs_np`` at ranks 0 and capacity - 1 and at
+    random ranks, with a nonzero start.  A caller's in-place shift of one
+    decode leaves the next one as it was, so the cached table is untouched."""
+    start, capacity = 7, size * (size - 1) // 2
+    block = sampler._Block("a", "a", start, size, start, size, capacity, 1)
+    idx = np.r_[0, capacity - 1,
+                np.random.default_rng(size).integers(0, capacity, 98)].reshape(10, 10)
+    expected = _unrank_pairs_np(idx, size, start)
+    lookups = sampler._pair_table.cache_info()
+    u, v = block.pairs(idx)
+    after = sampler._pair_table.cache_info()
+    assert (after.hits + after.misses > lookups.hits + lookups.misses) == (size == 362)
+    assert (capacity <= sampler.PAIR_TABLE_LIMIT) == (size == 362)
+    assert u.shape == v.shape == idx.shape
+    assert np.array_equal(u, expected[0]) and np.array_equal(v, expected[1])
+    assert (u[0, 0], v[0, 0], u[0, 1], v[0, 1]) == (start, start + 1, start + size - 2,
+                                                    start + size - 1)
+    u -= 1  # the degree histograms shift in place
+    v -= 1
+    again = block.pairs(idx)
+    assert np.array_equal(again[0], expected[0]) and np.array_equal(again[1], expected[1])
+
+
 @pytest.mark.parametrize("n", [10**4, 10**5, 10**6, 3 * 10**6])
 def test_vectorized_unranking_at_row_boundaries_of_large_n(n):
     """Every row-start rank, its neighbours and the last rank decode to
