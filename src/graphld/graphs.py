@@ -5,6 +5,9 @@ label, plus a simple undirected edge set.  ``locality_atoms_of`` is the one
 walk of a graph: it gives the type-class key (each distinct locality atom
 with its node count), from which ``empirical_locality_measure`` builds the
 law of (node type, neighbor-type multiset) in exact rational arithmetic.
+The walk costs the graph's edges plus C-level passes over its types (one to
+find the labels, one to count each): only nodes that an edge touches get
+neighbour counts, and the rest are counted by type.
 The graph's type, link and degree laws are marginals of that measure
 (``measures.type_marginal``, ``link_marginal``, ``degree_marginal``): the
 fraction of nodes of each type, (1/n) x the ordered count of adjacent type
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from .measures import CountingMeasure, ProbMeasure, _check_label, _label_problem, decode_int
 
@@ -119,18 +122,38 @@ def locality_atoms_of(types: Sequence[str], edges: Iterable[Edge]) -> ClassKey:
     nodes that carry it, sorted.
 
     The one per-graph atom counter: :func:`empirical_locality_measure` and
-    the enumeration census (``oracle._census``) both read it.
+    the enumeration census (``oracle._census``) both read it.  Only nodes
+    that an edge touches get neighbour counts; the untouched nodes of each
+    type are its node count less its touched ones, all of atom
+    ``(type, ())``, counted over ``types`` in C when some node is untouched.
     """
-    neigh: List[Dict[str, int]] = [{} for _ in types]
+    # 0-based node -> neighbour-type counts, touched nodes only
+    neigh: Dict[int, Dict[str, int]] = {}
     for u, v in edges:
-        a, b = types[u - 1], types[v - 1]
-        nu, nv = neigh[u - 1], neigh[v - 1]
-        nu[b] = nu.get(b, 0) + 1
-        nv[a] = nv.get(a, 0) + 1
+        i, j = u - 1, v - 1
+        a, b = types[i], types[j]
+        ni = neigh.get(i)
+        if ni is None:
+            neigh[i] = {b: 1}
+        else:
+            ni[b] = ni.get(b, 0) + 1
+        nj = neigh.get(j)
+        if nj is None:
+            neigh[j] = {a: 1}
+        else:
+            nj[a] = nj.get(a, 0) + 1
     counts: Dict[Tuple[str, Tuple[Tuple[str, int], ...]], int] = {}
-    for t, counted in zip(types, neigh):
-        atom = (t, tuple(sorted(counted.items())))
+    for i, counted in neigh.items():
+        # one neighbour type (the common case) is already sorted
+        seen = tuple(sorted(counted.items())) if len(counted) > 1 else tuple(counted.items())
+        atom = (types[i], seen)
         counts[atom] = counts.get(atom, 0) + 1
+    if len(neigh) < len(types):
+        touched = list(map(types.__getitem__, neigh))
+        for t in set(types):
+            idle = types.count(t) - touched.count(t)
+            if idle:
+                counts[t, ()] = idle
     return tuple(sorted(counts.items()))
 
 

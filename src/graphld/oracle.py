@@ -153,25 +153,27 @@ class EnumerationReport:
         }
 
 
-def _census(sampler: ConditionalSampler) -> Tuple[Dict[ClassKey, int],
-                                                   Dict[ClassKey, List[Edge]]]:
-    """The one pass over the support: the number of graphs of each type
-    class, and the edge list of each class's first graph, both in the order
-    classes first appear."""
-    counts: Dict[ClassKey, int] = {}
-    firsts: Dict[ClassKey, List[Edge]] = {}
+def _census(sampler: ConditionalSampler) -> Dict[ClassKey, List]:
+    """The one pass over the support: each type class's record ``[count,
+    first edge list]`` (the number of its graphs, and the edges of its first
+    graph), in the order classes first appear.  Each graph's key is looked
+    up once."""
+    classes: Dict[ClassKey, List] = {}
     for edges in _support_edges(sampler):
         key = locality_atoms_of(sampler.types, edges)
-        counts[key] = counts.get(key, 0) + 1
-        firsts.setdefault(key, edges)
-    return counts, firsts
+        record = classes.get(key)
+        if record is None:
+            classes[key] = [1, edges]
+        else:
+            record[0] += 1
+    return classes
 
 
 def type_class_counts(spec: ConditionSpec) -> EnumerationReport:
     """Group the full support by exact empirical locality measure."""
-    counts, _ = _census(_guard(spec))
-    encoded = {encode_atom_counts(spec.n, key): count for key, count in counts.items()}
-    return EnumerationReport(spec, sum(counts.values()), encoded)
+    classes = _census(_guard(spec))
+    encoded = {encode_atom_counts(spec.n, key): count for key, (count, _) in classes.items()}
+    return EnumerationReport(spec, sum(count for count, _ in classes.values()), encoded)
 
 
 def exact_event_probability(spec: ConditionSpec, event: EventPredicate) -> Fraction:
@@ -182,10 +184,10 @@ def exact_event_probability(spec: ConditionSpec, event: EventPredicate) -> Fract
     ``event`` is called once per class, on the measure of the class's first
     graph, and the event's graphs are the sum of its classes' counts."""
     sampler = _guard(spec)
-    counts, firsts = _census(sampler)
-    hits = sum(count for key, count in counts.items()
-               if event(empirical_locality_measure(TypedGraph(sampler.types, firsts[key]))))
-    return Fraction(hits, sum(counts.values()))
+    classes = _census(sampler)
+    hits = sum(count for count, first in classes.values()
+               if event(empirical_locality_measure(TypedGraph(sampler.types, first))))
+    return Fraction(hits, sum(count for count, _ in classes.values()))
 
 
 def lldp_exponent_gap(specs: Sequence[ConditionSpec],

@@ -21,20 +21,23 @@ event on every graph that ``enumerate_support`` yields (for the per-class
 ``rate.relative_entropy``, is the relative-entropy sublevel test of local
 event probabilities.  ``empirical_type_measure``, ``empirical_link_measure``
 and ``degree_distribution`` walk a graph's nodes and edges directly: the
-references for the type, link and degree marginals of its locality measure.
+references for the type, link and degree marginals of its locality measure;
+``per_node_locality_atoms`` gives every node a neighbour count, touched or
+not: the reference for ``graphs.locality_atoms_of``, which counts only the
+nodes an edge touches.
 """
 
 import functools
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, Dict, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.optimize import brentq, linprog
 from scipy.special import logsumexp, pdtr
 
-from graphld.graphs import TypedGraph, empirical_locality_measure
+from graphld.graphs import ClassKey, Edge, TypedGraph, empirical_locality_measure
 from graphld.measures import CountingMeasure, FiniteMeasure, ProbMeasure
 from graphld.optimizer import ConstraintSet
 from graphld.oracle import enumerate_support
@@ -316,3 +319,20 @@ def degree_distribution(z: TypedGraph) -> ProbMeasure:
         deg[u - 1] += 1
         deg[v - 1] += 1
     return ProbMeasure({k: Fraction(c, z.n) for k, c in Counter(deg).items()})
+
+
+def per_node_locality_atoms(types: Sequence[str], edges: Iterable[Edge]) -> ClassKey:
+    """The type-class key of (types, edges) from a neighbour count of every
+    node, touched by an edge or not: each distinct locality atom with the
+    number of nodes that carry it, sorted."""
+    neigh: List[Dict[str, int]] = [{} for _ in types]
+    for u, v in edges:
+        a, b = types[u - 1], types[v - 1]
+        nu, nv = neigh[u - 1], neigh[v - 1]
+        nu[b] = nu.get(b, 0) + 1
+        nv[a] = nv.get(a, 0) + 1
+    counts: Dict[Tuple[str, Tuple[Tuple[str, int], ...]], int] = {}
+    for t, counted in zip(types, neigh):
+        atom = (t, tuple(sorted(counted.items())))
+        counts[atom] = counts.get(atom, 0) + 1
+    return tuple(sorted(counts.items()))

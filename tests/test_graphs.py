@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from graphld.graphs import TypedGraph, empirical_locality_measure
+from graphld.graphs import TypedGraph, empirical_locality_measure, locality_atoms_of
 from graphld.measures import (CountingMeasure, FiniteMeasure, ProbMeasure, degree_marginal, dirac,
                               link_marginal, type_marginal)
-from helpers import random_typed_graph
-from oracles import degree_distribution, empirical_link_measure, empirical_type_measure
+from helpers import LABELS, random_typed_graph
+from oracles import (degree_distribution, empirical_link_measure, empirical_type_measure,
+                     per_node_locality_atoms)
 
 
 def type_law(z):
@@ -123,6 +125,31 @@ def test_marginals_of_locality_measure_match_empirical_pair():
             assert marginal == walked and type(marginal) is type(walked)
             assert marginal.items() == walked.items()
             assert list(marginal.to_json_dict().items()) == list(walked.to_json_dict().items())
+
+
+@settings(max_examples=400, deadline=None)
+@given(n=st.integers(1, 40), num_labels=st.integers(1, 4),
+       density=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       idle=st.sampled_from(["none", "first", "last", "both"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_locality_atoms_of_matches_the_per_node_walk(n, num_labels, density, idle, seed):
+    """The walk over touched nodes gives the key of a neighbour count of
+    every node, from edgeless to complete graphs, with the first or last node
+    kept untouched, edges in any order and orientation, types a list or a
+    tuple."""
+    rng = np.random.default_rng(seed)
+    types = [LABELS[i] for i in rng.integers(0, num_labels, size=n)]
+    untouched = {"none": set(), "first": {1}, "last": {n}, "both": {1, n}}[idle]
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+             if u not in untouched and v not in untouched]
+    kept = rng.random(len(pairs)) < density
+    edges = [(v, u) if flip else (u, v)
+             for (u, v), keep, flip in zip(pairs, kept, rng.random(len(pairs)) < 0.5) if keep]
+    edges = [edges[i] for i in rng.permutation(len(edges))]
+    expected = per_node_locality_atoms(types, edges)
+    assert locality_atoms_of(types, edges) == expected
+    assert locality_atoms_of(tuple(types), iter(edges)) == expected
+    assert sum(count for _, count in expected) == n
 
 
 def test_single_type_locality_equals_degree_law():
