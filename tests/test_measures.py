@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphld.measures import (
     ConsistencyReport,
     CountingMeasure,
     FiniteMeasure,
     ProbMeasure,
+    _sort_key,
     config_float,
     decoded_items,
     dirac,
@@ -259,6 +261,87 @@ def test_encode_measure_writes_float_weights_as_their_exact_fractions():
     assert encode_measure(ProbMeasure({A: 0.5, B: 0.5})) == "a=1/2; b=1/2"
     assert encode_measure(FiniteMeasure({(A, B): 3.0, (B, A): 3})) == "a,b=3; b,a=3"
     assert encode_measure(FiniteMeasure({0: 0.1})) == "0=3602879701896397/36028797018963968"
+
+
+# Labels whose text order differs from their tuple order: "a.b|" sorts
+# before "a|" as text, "10" before "9", "B" before "_" before "a".
+LABELS = st.sampled_from(["a", "a.b", "a-1", "a_", "b", "B", "_", "10", "9"])
+KEYS = {
+    "type": LABELS,
+    "pair": st.tuples(LABELS, LABELS),
+    "degree": st.integers(0, 200),
+    "locality": st.tuples(LABELS, st.dictionaries(LABELS, st.integers(0, 12), max_size=3)
+                          .map(CountingMeasure)),
+}
+WEIGHTS = st.one_of(st.integers(0, 5), st.fractions(0, 3, max_denominator=7),
+                    st.floats(0, 10, allow_nan=False))
+
+
+def _reads(m):
+    """Everything that reads a measure's order, read keys-last."""
+    return m.items(), list(m.to_json_dict().items()), encode_measure(m), m.keys()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_measure_order_depends_on_neither_insertion_nor_reads(data):
+    """The support is ordered once, on first read: measures of one kind
+    built from shuffled dicts, or decoded from a shuffled JSON object, read
+    alike whichever read comes first, and ``keys()`` is the support sorted
+    by ``_sort_key`` (a locality atom by its text)."""
+    kind = data.draw(st.sampled_from(sorted(KEYS)))
+    weights = data.draw(st.dictionaries(KEYS[kind], WEIGHTS, max_size=12))
+    support = [key for key, w in weights.items() if w != 0]
+    measures = [FiniteMeasure(dict(data.draw(st.permutations(list(weights.items())))))
+                for _ in range(3)]
+    json_dict = {encode_key(key): float(w) for key, w in weights.items()}
+    measures.append(FiniteMeasure.from_json_dict(
+        dict(data.draw(st.permutations(list(json_dict.items())))), kind))
+    keys = tuple(sorted(support, key=_sort_key))
+    assert measures[0].keys() == keys  # a first read through keys()
+    assert measures[1].items() == tuple((key, weights[key]) for key in keys)  # through items()
+    assert encode_measure(measures[2]) == encode_measure(measures[0])  # through the encoder
+    assert list(measures[3].to_json_dict().items()) == [(encode_key(key), float(weights[key]))
+                                                        for key in keys]  # decoded
+    for m in measures:
+        assert _reads(m) == _reads(m) and m.keys() == keys  # a second read changes nothing
+    assert _reads(measures[1]) == _reads(measures[2]) == _reads(measures[0])
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("a|b:0_2", "malformed counting-measure entry 'b:0_2'"),
+    ("a|b:x,:1", "malformed counting-measure entry 'b:x'"),
+    ("a|:1,b:x", "malformed counting-measure entry 'b:x'"),
+    ("a|b:1,", "malformed counting-measure entry ''"),
+    ("ab", "locality key 'ab' missing '|' separator"),
+    ("a b|c:1", "invalid type label 'a b' (allowed: [A-Za-z0-9_.-]+)"),
+    ("a|b c:1", "invalid type label 'b c' (allowed: [A-Za-z0-9_.-]+)"),
+    ("|b:1", "invalid type label '' (allowed: [A-Za-z0-9_.-]+)"),
+    ("a|:1", "invalid type label '' (allowed: [A-Za-z0-9_.-]+)"),
+    ("a|b", "malformed counting-measure entry 'b'"),
+    ("a|b:-1", "count for 'b' must be a non-negative int, got -1"),
+], ids=["count-underscore", "bad-count-before-empty-label", "every-count-before-labels",
+        "trailing-comma", "missing-bar", "bad-atom-label", "bad-neighbour-label",
+        "empty-atom-label", "empty-neighbour-label", "count-without-colon", "negative-count"])
+def test_locality_key_reader_refusals(text, expected):
+    """The messages of the locality-key reader (``from_json_dict`` through
+    ``decode_key`` and ``CountingMeasure.decode``) for each malformed key,
+    as the CLI prints them after ``error:``; a key with two faults names the
+    first count that fails, before any label."""
+    with pytest.raises(ValueError) as caught:
+        ProbMeasure.from_json_dict({"b|a:1": 0.5, text: 0.5}, "locality")
+    assert str(caught.value) == expected
+
+
+def test_locality_key_reader_merges_and_refuses_spellings():
+    """A repeated neighbour label adds up and a zero count drops, as in
+    ``CountingMeasure``; two spellings of one atom are refused."""
+    read = ProbMeasure.from_json_dict({"a|b:1,b:2": 0.5, "a|c:0,a:01": 0.5}, "locality")
+    assert read.keys() == (atom(A, {A: 1}), atom(A, {B: 3}))
+    assert encode_measure(read) == "a|a:1=1/2; a|b:3=1/2"
+    with pytest.raises(ValueError) as caught:
+        ProbMeasure.from_json_dict({"a|b:1": 0.5, "a|b:01": 0.5}, "locality")
+    assert str(caught.value) == "keys 'a|b:1' and 'a|b:01' are the same key"
 
 
 def test_exact_weights_must_have_mass_exactly_one():
