@@ -30,9 +30,11 @@ that is not an object and two spellings of one key, and ``degree_values``
 reads a {degree: number} object into the values at 0..K; ``decode_key`` is
 the one reader of each key kind.  ``decode_int`` is the one rule for an
 integer written in text (``-?[0-9]+``): degree keys, locality counts, the
-graph file's ``n=`` and edge endpoints, and ``--seed``.
+graph file's ``n=`` and edge endpoints, and ``--seed`` (a counting text in
+``encode``'s form is matched whole, with the same digits).
 
-All values are immutable after construction and every function here is pure,
+All values are immutable after construction (a measure's order and an atom's
+text are computed once, alike in any thread) and every function here is pure,
 so everything in this module is safe to share across threads.
 
 Weights may be exact rationals (``int`` / ``Fraction``, not ``bool``) or
@@ -46,6 +48,7 @@ by ``config_int`` and ``config_float``; each refuses a bad field naming it.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -62,8 +65,12 @@ PROB_MASS_TOL = 1e-12
 #: Float error allowed in a written number: a count at n, a constraint met.
 INPUT_TOL = 1e-9
 
-_LABEL_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
+_LABEL = r"[A-Za-z0-9_.-]+"
+_LABEL_RE = re.compile(_LABEL + r"\Z")
 _INT_RE = re.compile(r"-?[0-9]+\Z")
+# ``encode``'s form but for the label order: label:count, count > 0 with no leading zero
+_ENTRY = _LABEL + ":[1-9][0-9]*"
+_COUNTING_TEXT_RE = re.compile(rf"{_ENTRY}(?:,{_ENTRY})*\Z")
 
 
 def decode_int(text: str, problem: str) -> int:
@@ -121,11 +128,28 @@ class CountingMeasure:
         return iter(self.counts)
 
     def encode(self) -> str:
-        """Canonical text form, e.g. ``"a:2,b:1"`` (empty multiset -> ``""``)."""
+        """Canonical text form, e.g. ``"a:2,b:1"`` (empty multiset -> ``""``),
+        written once and kept."""
+        return self._text
+
+    @functools.cached_property
+    def _text(self) -> str:
         return _counting_text(self.counts)
 
     @classmethod
     def decode(cls, text: str) -> "CountingMeasure":
+        """The multiset ``text`` writes.  Text in ``encode``'s form is read in
+        one match, builds no message and is kept as ``encode()``; other text
+        (repeated labels add up, a zero count drops) goes entry by entry
+        through ``decode_int`` and ``__init__``, so a fault names its entry."""
+        if _COUNTING_TEXT_RE.match(text):
+            counts = tuple((label, int(count)) for label, _, count in
+                           (part.partition(":") for part in text.split(",")))
+            if all(x[0] < y[0] for x, y in zip(counts, counts[1:])):
+                measure = object.__new__(cls)
+                object.__setattr__(measure, "counts", counts)
+                object.__setattr__(measure, "_text", text)
+                return measure
         if not text:
             return cls()
         pairs = []
@@ -218,36 +242,51 @@ def _sort_key(key: Key):
     return (key[0], key[1].encode()) if key_kind(key) == "locality" else key
 
 
+def _check_weight(value: object, key: Key) -> None:
+    """Raise unless ``value`` is a finite non-negative real, not a bool."""
+    if isinstance(value, bool):
+        raise TypeError(f"bool weight {value!r} at key {key!r}")
+    if not isinstance(value, Real):
+        raise TypeError(f"weight {value!r} at key {key!r} is not a number")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"non-finite weight {value!r} at key {key!r}")
+    if value < 0:
+        raise ValueError(f"negative weight {value!r} at key {key!r}")
+
+
 class FiniteMeasure:
     """A non-negative weight function on a finite key set (mass unconstrained).
 
     Zero-weight keys are dropped at construction, so the support is exactly
     the stored key set and equal measures compare equal.  Instances are
-    immutable.
+    immutable; the support is put in canonical order once, on first read
+    (``keys``, ``items`` and every reader built on them), and kept.
     """
 
-    __slots__ = ("_w",)
+    __slots__ = ("_w", "_items")
 
     def __init__(self, weights: Mapping[Key, Scalar]):
+        self._keep(weights, None)
+
+    def _keep(self, weights: Mapping[Key, Scalar], kind: Optional[str]) -> None:
+        """Keep the non-zero weights, checking each weight, and each key's kind
+        unless ``kind`` is given (keys decoded as that kind)."""
         w: Dict[Key, Scalar] = {}
-        kind = None
+        check_keys = kind is None
         for key, value in weights.items():
-            k = key_kind(key)
-            if kind is None:
-                kind = k
-            elif k != kind:
-                raise TypeError(f"mixed key kinds in one measure: {kind} and {k}")
-            if isinstance(value, bool):
-                raise TypeError(f"bool weight {value!r} at key {key!r}")
-            if not isinstance(value, Real):
-                raise TypeError(f"weight {value!r} at key {key!r} is not a number")
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"non-finite weight {value!r} at key {key!r}")
-            if value < 0:
-                raise ValueError(f"negative weight {value!r} at key {key!r}")
+            if check_keys:
+                k = key_kind(key)
+                if kind is None:
+                    kind = k
+                elif k != kind:
+                    raise TypeError(f"mixed key kinds in one measure: {kind} and {k}")
+            # a float (every JSON weight) that is finite and >= 0 needs no other check
+            if type(value) is not float or not 0.0 <= value < math.inf:
+                _check_weight(value, key)
             if value != 0:
                 w[key] = value
         self._w = w
+        self._items = None
         self._validate()
 
     def _validate(self) -> None:
@@ -265,10 +304,15 @@ class FiniteMeasure:
 
     def keys(self) -> Tuple[Key, ...]:
         """Support keys in canonical order."""
-        return tuple(sorted(self._w, key=_sort_key))
+        return tuple(key for key, _ in self.items())
 
     def items(self) -> Tuple[Tuple[Key, Scalar], ...]:
-        return tuple((k, self._w[k]) for k in self.keys())
+        """``(key, weight)`` over the support in canonical order, sorted on
+        the first read and kept."""
+        if self._items is None:
+            order = sorted(self._w, key=_sort_key if self.kind() == "locality" else None)
+            self._items = tuple((key, self._w[key]) for key in order)
+        return self._items
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FiniteMeasure) and self._w == other._w
@@ -298,7 +342,12 @@ class FiniteMeasure:
 
     @classmethod
     def from_json_dict(cls, obj: Mapping[str, Scalar], kind: str) -> "FiniteMeasure":
-        return cls({key: v for key, _, v in decoded_items(obj, lambda k: decode_key(k, kind))})
+        """The measure a JSON object writes, each key read by ``decode_key``
+        as ``kind``, so only the weights are checked again."""
+        measure = cls.__new__(cls)
+        measure._keep({key: v for key, _, v in decoded_items(obj, lambda k: decode_key(k, kind))},
+                      kind)
+        return measure
 
 
 class ProbMeasure(FiniteMeasure):

@@ -333,6 +333,11 @@ def minimize_relative_entropy(log_q: VectorLike, cons: ConstraintSet,
     n_eq = feq.shape[0]
     a = np.vstack([feq, fge])            # (J, L+1)
     targets = np.concatenate([req, rge])  # (J,)
+    # the logits and the atoms' constraint values (one column an atom, the tail
+    # last), filled in place at each trial point; only the tail column moves
+    logits = np.empty(cap + 2)
+    atoms = np.empty((len(targets), cap + 2))
+    atoms[:, :-1] = a
 
     def dual_at(x: np.ndarray):
         """The dual at x: its value x . targets - log Z(x), its gradient (the
@@ -340,13 +345,17 @@ def minimize_relative_entropy(log_q: VectorLike, cons: ConstraintSet,
         equality, and each inequality except one held at 0 by a residual that
         pushes it below 0); then q_ref tilted by the dual combination of
         constraint vectors, normalized on the simplex, as p on the atoms 0..L
-        and the tail, the atoms' constraint values (one column an atom) and
-        the tail's own variance of k times its mass."""
+        and the tail, the tail's mean (its column of ``atoms``: that mean in
+        the mean rows, 0 elsewhere) and its own variance of k times its mass.
+        ``logits`` and ``atoms`` are filled in place, with the arithmetic of
+        building them afresh; every returned array is new, so a rejected
+        trial leaves the accepted point's p and gradient as they were."""
         # the tail sum_{k>L} q(k) e^{theta k} is Poisson(c e^theta) beyond L; theta is
         # clipped at 300, where log Z > c e^299 refuses the trial and c^2 e^600 is finite
         poisson = tail_mean * math.exp(min(float(means @ x), 300.0))
         upper = [poisson_tail(poisson, cap - j) for j in range(3)]
-        logits, mean, variance = np.append(log_q + a.T @ x, -math.inf), 0.0, 0.0
+        np.add(log_q, a.T @ x, out=logits[:-1])
+        logits[-1], mean, variance = -math.inf, 0.0, 0.0
         if upper[0] > 0:  # a tail whose mass does not underflow
             mean = poisson * upper[1] / upper[0]
             variance = max(poisson ** 2 * upper[2] / upper[0] + mean - mean ** 2, 0.0)
@@ -354,10 +363,11 @@ def minimize_relative_entropy(log_q: VectorLike, cons: ConstraintSet,
         peak = np.max(logits)
         lse = peak + math.log(np.sum(np.exp(logits - peak)))
         p = np.exp(logits - lse)
-        atoms = np.hstack([a, mean * means[:, None]])
+        atoms[:, -1] = mean * means
         g = targets - atoms @ p
-        free = np.concatenate([np.ones(n_eq, dtype=bool), (x[n_eq:] > 0) | (g[n_eq:] > 0)])
-        return float(x @ targets) - lse, g, free, p, atoms, p[-1] * variance
+        free = (x > 0) | (g > 0)
+        free[:n_eq] = True
+        return float(x @ targets) - lse, g, free, p, mean, p[-1] * variance
 
     # Projected Newton on the dual (Bertsekas 1982): Newton steps on the free
     # multipliers -- the dual Hessian is the tiny J x J covariance of the
@@ -386,17 +396,18 @@ def minimize_relative_entropy(log_q: VectorLike, cons: ConstraintSet,
 
     inner_tol = 0.5 * min(FEASIBILITY_TOL, KKT_TOL)
     x = np.zeros(len(targets))
-    dual, g, free, p, atoms, spread = dual_at(x)
+    dual, g, free, p, tail, spread = dual_at(x)
     iterations = 0
     while iterations < MAX_ITERATIONS:
         size = float(np.linalg.norm(g[free]))
         if size <= inner_tol:
             break
+        atoms[:, -1] = tail * means  # the accepted point's tail column
         a_free = atoms[free]
         mean = a_free @ p
         hess = ((a_free * p) @ a_free.T - np.outer(mean, mean)
                 + spread * np.outer(means[free], means[free]))
-        hess[np.diag_indices_from(hess)] += 1e-13
+        hess.flat[::len(hess) + 1] += 1e-13
         direction = np.zeros_like(x)
         try:
             direction[free] = np.linalg.solve(hess, g[free])
@@ -405,7 +416,7 @@ def minimize_relative_entropy(log_q: VectorLike, cons: ConstraintSet,
         step = line_search(direction) or line_search(np.where(free, g, 0.0))
         if step is None:
             break  # no trial point makes progress
-        x, (dual, g, free, p, atoms, spread) = step
+        x, (dual, g, free, p, tail, spread) = step
 
     # primal violation and complementary-slackness defect, read off the residuals
     primal_res = max(float(np.max(np.abs(g[:n_eq]), initial=0.0)),

@@ -99,10 +99,11 @@ class ReferenceLaw:
     The support of ``type_law`` (its weights are positive) is the alphabet,
     and ``link_law`` must be symmetric with keys inside the alphabet's pair
     space.  A pair rate pi(a, b) = 0 simply forbids
-    (a, b)-links: q(a, e) = 0 whenever e(b) > 0 there.
+    (a, b)-links: q(a, e) = 0 whenever e(b) > 0 there.  The logs of eta and
+    of the positive rates are taken once, at construction.
     """
 
-    __slots__ = ("type_law", "link_law", "alphabet", "_log_eta", "_rates", "_row_sums")
+    __slots__ = ("type_law", "link_law", "alphabet", "_log_eta", "_log_rates", "_row_sums")
 
     def __init__(self, type_law: ProbMeasure, link_law: FiniteMeasure):
         problem = law_pair_problem(type_law, link_law)
@@ -112,23 +113,24 @@ class ReferenceLaw:
         self.link_law = link_law
         self.alphabet = alphabet = type_law.keys()  # sorted, distinct and valid
         self._log_eta = {a: math.log(type_law(a)) for a in alphabet}
-        self._rates = {
-            a: {b: float(link_law((a, b))) / float(type_law(a)) for b in alphabet}
-            for a in alphabet
-        }
-        self._row_sums = {a: math.fsum(self._rates[a].values()) for a in alphabet}
+        rates = {a: {b: float(link_law((a, b))) / float(type_law(a)) for b in alphabet}
+                 for a in alphabet}
+        self._row_sums = {a: math.fsum(rates[a].values()) for a in alphabet}
+        # log r_ab of each allowed link type; a forbidden one (r_ab = 0) has none
+        self._log_rates = {a: {b: math.log(r) for b, r in rates[a].items() if r != 0.0}
+                           for a in alphabet}
 
     # -- pointwise evaluation ---------------------------------------------------
     def log_pmf(self, a: str, e: CountingMeasure) -> float:
-        if a not in self.alphabet:
+        log_rates = self._log_rates.get(a)
+        if log_rates is None:
             return -_INF
-        rates = self._rates[a]
         total = self._log_eta[a] - self._row_sums[a]
         for b, k in e:
-            r = rates.get(b, 0.0)
-            if r == 0.0:
+            log_rate = log_rates.get(b)
+            if log_rate is None:
                 return -_INF  # forbidden link type carried by e
-            total += k * math.log(r) - math.lgamma(k + 1)
+            total += k * log_rate - math.lgamma(k + 1)
         return total
 
     # -- truncation to a finite neighbor-count ball ------------------------------

@@ -109,6 +109,27 @@ def test_forbidden_link_gives_zero_not_error():
     assert q.log_pmf("a", CountingMeasure({"b": 1})) == -math.inf
 
 
+def test_log_pmf_is_the_formula_to_the_last_bit():
+    """The logs of the rates are taken once, at construction, and give the
+    floats of log eta(a) - sum_b r_ab + sum_b (e(b) log r_ab - log e(b)!)
+    taken term by term; a forbidden link type (r_ab = 0) or a label outside
+    the alphabet gives -inf."""
+    rng = np.random.default_rng(104)
+    for _ in range(30):
+        q = random_reference(rng)
+        for a in ("a", "b"):
+            rates = {b: float(q.link_law((a, b))) / float(q.type_law(a)) for b in "ab"}
+            for counts in ({}, {"a": 3}, {"b": 1}, {"a": 2, "b": 7}):
+                expected = math.log(q.type_law(a)) - math.fsum(rates.values())
+                for b, k in sorted(counts.items()):
+                    if not rates[b]:
+                        expected = -math.inf
+                        break
+                    expected += k * math.log(rates[b]) - math.lgamma(k + 1)
+                assert q.log_pmf(a, CountingMeasure(counts)) == expected
+    assert q.log_pmf("c", CountingMeasure()) == -math.inf
+
+
 def test_reference_validates_inputs():
     eta = ProbMeasure({"a": 1.0})
     with pytest.raises(ValueError, match="outside the alphabet"):
