@@ -181,15 +181,15 @@ def key_kind(key: Key) -> str:
     raise TypeError(f"unsupported measure key {key!r}")
 
 
+#: The text of a key of each kind: its label, ``a,b``, ``a|`` and the counting
+#: text, or its integer.
+_KEY_TEXT: Dict[str, Callable[[Key], str]] = {
+    "type": str, "degree": str, "pair": "{0[0]},{0[1]}".format,
+    "locality": lambda key: f"{key[0]}|{key[1].encode()}"}  # type: ignore[union-attr]
+
+
 def encode_key(key: Key) -> str:
-    kind = key_kind(key)
-    if kind == "type":
-        return key  # type: ignore[return-value]
-    if kind == "degree":
-        return str(key)
-    if kind == "pair":
-        return f"{key[0]},{key[1]}"
-    return f"{key[0]}|{key[1].encode()}"  # type: ignore[union-attr]
+    return _KEY_TEXT[key_kind(key)](key)
 
 
 def decode_key(text: str, kind: str) -> Key:
@@ -314,12 +314,17 @@ class FiniteMeasure:
             self._items = tuple((key, self._w[key]) for key in order)
         return self._items
 
+    def _texts(self) -> List[Tuple[str, Scalar]]:
+        """``(encode_key(key), weight)`` in canonical order, the kind read once."""
+        text = _KEY_TEXT.get(self.kind())
+        return [(text(key), w) for key, w in self.items()]
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FiniteMeasure) and self._w == other._w
 
     def __repr__(self) -> str:
         name = type(self).__name__
-        body = ", ".join(f"{encode_key(k)}: {w}" for k, w in self.items())
+        body = ", ".join(f"{text}: {w}" for text, w in self._texts())
         return f"{name}({{{body}}})"
 
     # -- totals ---------------------------------------------------------------
@@ -338,7 +343,7 @@ class FiniteMeasure:
 
     # -- serialization ----------------------------------------------------------
     def to_json_dict(self) -> Dict[str, float]:
-        return {encode_key(k): float(w) for k, w in self.items()}
+        return {text: float(w) for text, w in self._texts()}
 
     @classmethod
     def from_json_dict(cls, obj: Mapping[str, Scalar], kind: str) -> "FiniteMeasure":
@@ -482,8 +487,8 @@ def encode_measure(m: FiniteMeasure) -> str:
     """One-line canonical encoding, each weight as its exact fraction (a float
     as the binary fraction it holds: 0.5 as ``1/2``), so two measures encode
     identically iff they are equal, whatever their weight types."""
-    return "; ".join(f"{encode_key(key)}={_fraction_text(*Fraction(w).as_integer_ratio())}"
-                     for key, w in m.items())
+    return "; ".join(f"{text}={_fraction_text(*Fraction(w).as_integer_ratio())}"
+                     for text, w in m._texts())
 
 
 def encode_atom_counts(n: int, atom_counts: Iterable[Tuple[Tuple[str, Tuple], int]]) -> str:

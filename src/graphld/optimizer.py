@@ -283,17 +283,22 @@ def check_feasible(feq: np.ndarray, req: np.ndarray, fge: np.ndarray, rge: np.nd
     InfeasibleConstraintsError.  With ``tail`` (0/1 marks of the mean rows,
     equalities first) the law may put mass t beyond L, of first moment
     s >= (L + 1) t in the mean rows; where no feasible t is > 0, s = 0 too."""
-    cap, n_eq = feq.shape[1] - 1, feq.shape[0]
-    marks = np.zeros(n_eq + fge.shape[0]) if tail is None else tail
+    cap, n_eq, n_ge = feq.shape[1] - 1, feq.shape[0], fge.shape[0]
+    marks = np.zeros(n_eq + n_ge) if tail is None else tail
     # variables p(0..L), t and s, maximising t; one two-sided constraint: the
     # <= rows (-F_ge, then (L + 1) t - s), then the equalities with lower =
-    # upper (the mass first)
-    rows = np.r_[np.c_[-fge, 0 * rge, -marks[n_eq:]], [np.r_[np.zeros(cap + 1), cap + 1.0, -1.0]],
-                 np.c_[np.r_[np.ones((1, cap + 1)), feq], np.r_[1.0, 0 * req], np.r_[0.0, marks[:n_eq]]]]
-    rhs = np.r_[-rge, 0.0, 1.0, req]
-    constraints = LinearConstraint(rows, np.r_[np.full(len(rge) + 1, -np.inf), 1.0, req], rhs)
-    top = np.r_[upper, [np.inf if tail is not None else 0.0] * 2]
-    objective = np.r_[np.zeros(cap + 1), -1.0, 0.0]
+    # upper (the mass, p and t, first)
+    rows = np.zeros((n_ge + 2 + n_eq, cap + 3))
+    rows[:n_ge, :cap + 1], rows[:n_ge, -1] = -fge, -marks[n_eq:]
+    rows[n_ge, cap + 1:] = cap + 1.0, -1.0
+    rows[n_ge + 1, :cap + 2] = 1.0
+    rows[n_ge + 2:, :cap + 1], rows[n_ge + 2:, -1] = feq, marks[:n_eq]
+    rhs = np.concatenate([-rge, [0.0, 1.0], req])
+    constraints = LinearConstraint(rows, np.concatenate([np.full(n_ge + 1, -np.inf), [1.0], req]),
+                                   rhs)
+    top = np.concatenate([upper, [np.inf if tail is not None else 0.0] * 2])
+    objective = np.zeros(cap + 3)
+    objective[-2] = -1.0
     res = milp(objective, constraints=constraints, bounds=Bounds(0.0, top))
     if tail is not None and res.status == 0 and not res.x[-2] > 0:
         top[-1] = 0.0  # mass escaping to infinity (t = 0 < s) is no law
@@ -360,8 +365,8 @@ def minimize_relative_entropy(log_q: VectorLike, cons: ConstraintSet,
             mean = poisson * upper[1] / upper[0]
             variance = max(poisson ** 2 * upper[2] / upper[0] + mean - mean ** 2, 0.0)
             logits[-1] = poisson - tail_mean + math.log(upper[0])
-        peak = np.max(logits)
-        lse = peak + math.log(np.sum(np.exp(logits - peak)))
+        peak = logits.max()
+        lse = peak + math.log(np.exp(logits - peak).sum())
         p = np.exp(logits - lse)
         atoms[:, -1] = mean * means
         g = targets - atoms @ p

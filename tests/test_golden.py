@@ -75,14 +75,17 @@ def test_golden_output(tmp_path, entry):
 def test_rate_sweep_references_keep_their_weights():
     """The benchmark's ``rate`` references, rebuilt here, equal the recorded
     configs weight by weight: ``truncated_poisson(c, 45)`` and the typed law's
-    ``truncated(16)``."""
+    ``truncated(16)``; so does the 1,722-atom ``truncated(40)`` of a law with
+    all four pair rates positive."""
     entries = {e["id"]: e.get("config") for e in GOLDEN["entries"]}
     for c in (0.5, 1.0, 2.0, 4.0):
         assert truncated_poisson(c, 45).to_json_dict() == entries[f"rate.sweep-degree-{c}"]["p"]
-    typed = entries["rate.sweep-typed"]
-    eta = ProbMeasure.from_json_dict(typed["eta"], "type")
-    pi = FiniteMeasure.from_json_dict(typed["pi"], "pair")
-    assert ReferenceLaw(eta, pi).truncated(16).to_json_dict() == typed["p"]
+    for entry, cap, atoms in (("rate.sweep-typed", 16, 170), ("rate.typed-1722", 40, 1722)):
+        typed = entries[entry]
+        eta = ProbMeasure.from_json_dict(typed["eta"], "type")
+        pi = FiniteMeasure.from_json_dict(typed["pi"], "pair")
+        assert ReferenceLaw(eta, pi).truncated(cap).to_json_dict() == typed["p"]
+        assert len(typed["p"]) == atoms
 
 
 def _write_manifest() -> None:
