@@ -33,9 +33,9 @@ integer written in text (``-?[0-9]+``): degree keys, locality counts, the
 graph file's ``n=`` and edge endpoints, and ``--seed`` (a counting text in
 ``encode``'s form is matched whole, with the same digits).
 
-All values are immutable after construction (a measure's order and an atom's
-text are computed once, alike in any thread) and every function here is pure,
-so everything in this module is safe to share across threads.
+All values are immutable after construction (a measure's order is computed
+once, on first read, alike in any thread) and every function here is pure, so
+everything in this module is safe to share across threads.
 
 Weights may be exact rationals (``int`` / ``Fraction``, not ``bool``) or
 floats.  Empirical measures extracted from graphs are exact; exactness is
@@ -48,7 +48,6 @@ by ``config_int`` and ``config_float``; each refuses a bad field naming it.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from dataclasses import dataclass
@@ -128,13 +127,9 @@ class CountingMeasure:
         return iter(self.counts)
 
     def encode(self) -> str:
-        """Canonical text form, e.g. ``"a:2,b:1"`` (empty multiset -> ``""``),
-        written once and kept."""
-        return self._text
-
-    @functools.cached_property
-    def _text(self) -> str:
-        return _counting_text(self.counts)
+        """Canonical text form, e.g. ``"a:2,b:1"`` (empty multiset -> ``""``);
+        the text it was decoded from, when that was already canonical."""
+        return self.__dict__.get("_text") or _counting_text(self.counts)
 
     @classmethod
     def decode(cls, text: str) -> "CountingMeasure":
@@ -242,18 +237,6 @@ def _sort_key(key: Key):
     return (key[0], key[1].encode()) if key_kind(key) == "locality" else key
 
 
-def _check_weight(value: object, key: Key) -> None:
-    """Raise unless ``value`` is a finite non-negative real, not a bool."""
-    if isinstance(value, bool):
-        raise TypeError(f"bool weight {value!r} at key {key!r}")
-    if not isinstance(value, Real):
-        raise TypeError(f"weight {value!r} at key {key!r} is not a number")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"non-finite weight {value!r} at key {key!r}")
-    if value < 0:
-        raise ValueError(f"negative weight {value!r} at key {key!r}")
-
-
 class FiniteMeasure:
     """A non-negative weight function on a finite key set (mass unconstrained).
 
@@ -282,7 +265,14 @@ class FiniteMeasure:
                     raise TypeError(f"mixed key kinds in one measure: {kind} and {k}")
             # a float (every JSON weight) that is finite and >= 0 needs no other check
             if type(value) is not float or not 0.0 <= value < math.inf:
-                _check_weight(value, key)
+                if isinstance(value, bool):
+                    raise TypeError(f"bool weight {value!r} at key {key!r}")
+                if not isinstance(value, Real):
+                    raise TypeError(f"weight {value!r} at key {key!r} is not a number")
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ValueError(f"non-finite weight {value!r} at key {key!r}")
+                if value < 0:
+                    raise ValueError(f"negative weight {value!r} at key {key!r}")
             if value != 0:
                 w[key] = value
         self._w = w
