@@ -263,7 +263,7 @@ class FiniteMeasure:
                     kind = k
                 elif k != kind:
                     raise TypeError(f"mixed key kinds in one measure: {kind} and {k}")
-            # a float (every JSON weight) that is finite and >= 0 needs no other check
+            # a finite float >= 0 (as JSON weights mostly are) needs no other check
             if type(value) is not float or not 0.0 <= value < math.inf:
                 if isinstance(value, bool):
                     raise TypeError(f"bool weight {value!r} at key {key!r}")
