@@ -35,13 +35,17 @@ mean rows' multipliers, of mass e^{c(e^theta - 1)} P{Poisson(c e^theta) > L};
 its first and factorial second moments take the same form at L - 1 and
 L - 2 (``rate.poisson_tail``), and the Hessian gets its variance.
 
-Feasibility is established up front by a phase-1 linear program (HiGHS
-through ``scipy.optimize.milp`` with no integer variables, whose wrapper
-costs less than ``linprog``'s; a tail is its mass t and first moment
-s >= (L + 1) t, and t = 0 < s, mass escaping to infinity, is no law):
-infeasible sets raise with the solver's message rather than returning
-+infinity.  If a constraint forces mass onto points where q_ref is
-minuscule the value may be large but finite.
+The solve first evaluates the dual at x = 0, where the tilted law is q_ref
+itself.  When q_ref already meets the constraints that point is optimal,
+and the solve returns it with no trial point: value 0, or -log(mass) for a
+sub-probability q_ref.  Otherwise, before its first Newton step, a phase-1
+linear program establishes feasibility (HiGHS through
+``scipy.optimize.milp`` with no integer variables, whose wrapper costs less
+than ``linprog``'s, imported on the first LP; a tail is its mass t and
+first moment s >= (L + 1) t, and t = 0 < s, mass escaping to infinity, is
+no law): infeasible sets raise with the solver's message rather than
+returning +infinity.  If a constraint forces mass onto points where q_ref
+is minuscule the value may be large but finite.
 
 A constraint functional is stored as it was written: the name ``"mean"``
 or ``"pmf@k"`` (k read by ``measures.decode_key``), or the tuple of its
@@ -64,7 +68,6 @@ from fractions import Fraction
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .measures import (FiniteMeasure, config_field, config_float, config_int, decode_key,
                        degree_values)
@@ -282,7 +285,11 @@ def check_feasible(feq: np.ndarray, req: np.ndarray, fge: np.ndarray, rge: np.nd
     (``ConstraintSet.arrays``), each p(k) in [0, upper[k]]; raises
     InfeasibleConstraintsError.  With ``tail`` (0/1 marks of the mean rows,
     equalities first) the law may put mass t beyond L, of first moment
-    s >= (L + 1) t in the mean rows; where no feasible t is > 0, s = 0 too."""
+    s >= (L + 1) t in the mean rows; where no feasible t is > 0, s = 0 too.
+    ``minimize_relative_entropy`` calls it only where the reference misses
+    the constraints; HiGHS (``scipy.optimize``) is imported at the first call."""
+    from scipy.optimize import Bounds, LinearConstraint, milp  # HiGHS loads on first use
+
     cap, n_eq, n_ge = feq.shape[1] - 1, feq.shape[0], fge.shape[0]
     marks = np.zeros(n_eq + n_ge) if tail is None else tail
     # variables p(0..L), t and s, maximising t; one two-sided constraint: the
@@ -334,7 +341,6 @@ def minimize_relative_entropy(log_q: VectorLike, cons: ConstraintSet,
     cap = len(log_q) - 1
     feq, req, fge, rge = cons.arrays(cap)
     means = np.array([f == "mean" for f, _ in cons.equalities + cons.inequalities], dtype=float)
-    check_feasible(feq, req, fge, rge, np.isfinite(log_q) * 1.0, means if tail_mean > 0 else None)
     n_eq = feq.shape[0]
     a = np.vstack([feq, fge])            # (J, L+1)
     targets = np.concatenate([req, rge])  # (J,)
@@ -402,6 +408,11 @@ def minimize_relative_entropy(log_q: VectorLike, cons: ConstraintSet,
     inner_tol = 0.5 * min(FEASIBILITY_TOL, KKT_TOL)
     x = np.zeros(len(targets))
     dual, g, free, p, tail, spread = dual_at(x)
+    if float(np.linalg.norm(g[free])) > inner_tol:
+        # the reference misses the set: certify that the set is not empty
+        # before the first Newton step
+        check_feasible(feq, req, fge, rge, np.isfinite(log_q) * 1.0,
+                       means if tail_mean > 0 else None)
     iterations = 0
     while iterations < MAX_ITERATIONS:
         size = float(np.linalg.norm(g[free]))

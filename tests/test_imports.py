@@ -3,10 +3,14 @@ imports.
 
 A stdlib ``ast`` scan, so the check needs no linter.  The package's
 ``__init__.py`` is skipped: its imports are the package's re-exports, which
-must be exactly ``graphld.__all__``.
+must be exactly ``graphld.__all__``.  A fresh interpreter checks what
+importing the command line loads.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 from typing import List
 
@@ -76,3 +80,13 @@ def test_all_is_exactly_what_the_package_imports():
     assert sorted(graphld.__all__) == sorted(imported)
     assert len(set(imported)) == len(imported)
     assert [name for name in graphld.__all__ if not hasattr(graphld, name)] == []
+
+
+def test_the_command_line_loads_highs_only_for_the_lp():
+    """``scipy.optimize`` (HiGHS) is imported by the phase-1 LP on first use,
+    not by ``graphld.cli``: a command that solves nothing, or whose reference
+    already meets its event, never loads it."""
+    probe = "import sys, graphld.cli; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert done.stdout == "False\n"

@@ -588,3 +588,70 @@ def test_the_solve_on_all_degrees_is_bracketed_by_a_wide_cap(c, event):
     assert capped.value - opt.value <= 1e-9
     beyond = sum(w for k, w in capped.minimizer.items() if k > event.support_cap)
     assert opt.tail_mass == pytest.approx(beyond, abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# When the phase-1 LP runs
+# ---------------------------------------------------------------------------
+
+def counted_lp_calls(monkeypatch):
+    """A list that gains one entry at each ``check_feasible`` call, which
+    still runs the LP."""
+    calls, check = [], optimizer.check_feasible
+    monkeypatch.setattr(optimizer, "check_feasible",
+                        lambda *args: calls.append(args) or check(*args))
+    return calls
+
+
+@pytest.mark.parametrize("solve, value, lp_calls", [
+    (lambda: rate_infimum_for_event(2.0, ConstraintSet(
+        1, inequalities=[("pmf@0", 0.5 * math.exp(-2.0))])), 0.0, 0),
+    (lambda: rate_infimum_for_event(2.0, ConstraintSet(1)), 0.0, 0),
+    (lambda: minimize_relative_entropy(np.log([0.4, 0.3, 0.2]), ConstraintSet(
+        2, inequalities=[("pmf@0", 0.3)])), -math.log(0.9), 0),
+    (lambda: rate_infimum_for_event(2.0, ConstraintSet(1, inequalities=[("pmf@0", 0.4)])),
+     V_STAR_P0_04, 1),
+], ids=["slack-floor", "mean-alone", "sub-probability-reference", "binding-floor"])
+def test_the_lp_runs_only_where_the_reference_misses_the_event(monkeypatch, solve, value,
+                                                               lp_calls):
+    """Where the reference already meets the event the dual's first point,
+    x = 0, is optimal: the solve returns it with no trial point and no LP,
+    at value 0, or -log(mass) for a sub-probability reference.  A binding
+    floor runs the LP once."""
+    calls = counted_lp_calls(monkeypatch)
+    opt = solve()
+    assert len(calls) == lp_calls
+    assert opt.converged and (opt.iterations > 0) == (lp_calls > 0)
+    assert opt.value == pytest.approx(value, abs=1e-8)
+
+
+def test_the_rate_sweep_runs_the_lp_only_where_its_reference_misses_the_event(monkeypatch):
+    """Of the sweep's 26 events, Poisson(c) meets the 5 slack floors and the
+    5 mean equalities; the other 16 each run the LP once, before their first
+    Newton step."""
+    calls = counted_lp_calls(monkeypatch)
+    skipped = 0
+    for c, event in rate_sweep_events():
+        before = len(calls)
+        opt = rate_infimum_for_event(c, event)
+        assert len(calls) - before == (opt.iterations > 0)
+        skipped += opt.iterations == 0
+    assert (skipped, len(calls)) == (10, 16)
+
+
+@pytest.mark.parametrize("solve, message", [
+    (lambda: minimize_relative_entropy(np.log(poisson_vector(1.0, 5)), ConstraintSet(
+        5, inequalities=[("pmf@0", 0.6), ("pmf@1", 0.6)])),
+     "no degree law on 0..5 satisfies the constraints (phase-1 LP: "),
+    (lambda: rate_infimum_for_event(2.0, ConstraintSet(1, inequalities=[("pmf@0", 1.0)])),
+     "no degree law on 0, 1, ... satisfies the constraints (phase-1 LP: "),
+    (lambda: minimize_relative_entropy([0.0, 0.0, -math.inf], ConstraintSet(
+        2, inequalities=[("pmf@2", 0.1)])),
+     "no degree law on 0..2 satisfies the constraints (phase-1 LP: "),
+], ids=["two-floors", "mass-escaping", "zero-weight-degree"])
+def test_an_infeasible_set_raises_before_any_trial_point(monkeypatch, solve, message):
+    """The LP runs before the first Newton step, so an empty set raises its
+    LP message even when the solve may evaluate no trial point."""
+    monkeypatch.setattr(optimizer, "MAX_ITERATIONS", 0)
+    with pytest.raises(InfeasibleConstraintsError, match=re.escape(message)):
+        solve()
