@@ -121,11 +121,12 @@ def locality_atoms_of(types: Sequence[str], edges: Iterable[Edge]) -> ClassKey:
     locality atom ``(type, sorted neighbor-type counts)`` with the number of
     nodes that carry it, sorted.
 
-    The one per-graph atom counter: :func:`empirical_locality_measure` and
-    the enumeration census (``oracle._census``) both read it.  Only nodes
-    that an edge touches get neighbour counts; the untouched nodes of each
-    type are its node count less its touched ones, all of atom
-    ``(type, ())``, counted over ``types`` in C when some node is untouched.
+    The one per-graph atom counter and writer of a ``ClassKey``, read by
+    :func:`empirical_locality_measure` and both censuses (``oracle._census``,
+    and ``oracle._class_keys`` once per class).  Only nodes that an edge
+    touches get neighbour counts; the untouched nodes of each type are its
+    node count less its touched ones, all of atom ``(type, ())``, counted
+    over ``types`` in C when some node is untouched.
     """
     # 0-based node -> neighbour-type counts, touched nodes only
     neigh: Dict[int, Dict[str, int]] = {}

@@ -6,10 +6,10 @@ be enumerated outright at desk scale (guarded at 1e8 graphs).  On top of the
 enumeration sit:
 
 * ``type_class_counts`` -- group the support by exact empirical locality
-  measure (the type classes), each graph keyed by
-  ``graphs.locality_atoms_of``; ``sampled_class_counts`` groups Monte Carlo
-  draws the same way, in batches keyed by ``_class_keys``; both name a class
-  by ``measures.encode_atom_counts`` of its key;
+  measure (the type classes), each graph keyed by ``graphs.locality_atoms_of``;
+  ``sampled_class_counts`` groups Monte Carlo draws in batches (``_class_keys``),
+  each class keyed by ``locality_atoms_of`` of its first draw; both name a
+  class by ``measures.encode_atom_counts`` of its key;
 * ``exact_event_probability`` -- the exact rational probability of any
   predicate on the locality measure, evaluated once per type class of the
   census pass that ``type_class_counts`` also runs (``_census``);
@@ -104,32 +104,23 @@ def _row_ids(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.searchsorted(high[new], key), packed[new] & ((1 << bits) - 1)
 
 
-def _class_keys(labels: Sequence[str], node_type: np.ndarray, u: np.ndarray,
+def _class_keys(types: Sequence[str], node_type: np.ndarray, u: np.ndarray,
                 v: np.ndarray) -> Tuple[List[ClassKey], np.ndarray]:
-    """``locality_atoms_of`` of every graph (u[i], v[i]) of a batch (endpoint arrays
-    as ``ConditionalSampler.sample_batch`` returns them), without a Python
-    loop over graphs: the distinct keys, and each graph's index into them.
-    ``labels, node_type`` is ``np.unique(types, return_inverse=True)``."""
-    rows, n, t = u.shape[0], len(node_type), len(labels)
+    """The distinct ``locality_atoms_of`` keys of a batch of graphs (u[i], v[i])
+    in ``sample_batch`` form, each that of its class's first graph, and each
+    graph's index into them; graphs are grouped by sorted atom ids with no
+    Python loop.  ``node_type`` is ``np.unique(types, return_inverse=True)[1]``."""
+    rows, n, t = u.shape[0], len(node_type), int(node_type.max()) + 1
     # bin (graph * n + node) * t + b counts the type-b neighbours of a node
     # (0-based node ids; u and v are 1-based)
     base = (np.arange(rows) * n)[:, None] - 1
     bins = np.concatenate([((u + base) * t + node_type[v - 1]).ravel(),
                            ((v + base) * t + node_type[u - 1]).ravel()])
     neighbours = np.bincount(bins, minlength=rows * n * t).reshape(rows * n, t)
-    atoms = np.column_stack([np.tile(node_type, rows), neighbours])
-    atom_ids, atom_first = _row_ids(atoms)
-    classes = np.sort(atom_ids.reshape(rows, n), axis=1)
-    class_ids, class_first = _row_ids(classes)
-    atom_keys = [
-        (labels[a], tuple((b, c) for b, c in zip(labels, counts) if c))
-        for a, *counts in atoms[atom_first].tolist()
-    ]
-    keys = [
-        tuple(sorted((atom_keys[i], len(list(run))) for i, run in itertools.groupby(row)))
-        for row in classes[class_first].tolist()
-    ]
-    return keys, class_ids
+    atom_ids = _row_ids(np.column_stack([np.tile(node_type, rows), neighbours]))[0]
+    class_ids, class_first = _row_ids(np.sort(atom_ids.reshape(rows, n), axis=1))
+    firsts = zip(u[class_first].tolist(), v[class_first].tolist())
+    return [locality_atoms_of(types, zip(r, s)) for r, s in firsts], class_ids
 
 
 @dataclass(frozen=True)
@@ -228,17 +219,13 @@ def sampled_class_counts(spec: ConditionSpec, num_samples: int,
     """
     sampler = ConditionalSampler(spec)
     labels, node_type = np.unique(np.asarray(sampler.types), return_inverse=True)
-    labels = labels.tolist()
     edges = sum(block.edge_count for block in sampler.blocks)
     step = max(1, BATCH_ENTRIES // max(spec.n * (len(labels) + 1), edges))
     counts: Dict[ClassKey, int] = {}
     for start in range(0, num_samples, step):
         u, v = sampler.sample_batch(rng, min(step, num_samples - start))
-        keys, class_ids = _class_keys(labels, node_type, u, v)
+        keys, class_ids = _class_keys(sampler.types, node_type, u, v)
         for key, count in zip(keys, np.bincount(class_ids).tolist()):
             counts[key] = counts.get(key, 0) + count
     # interned: callers that keep many results share one copy of each class
-    return {
-        sys.intern(encode_atom_counts(spec.n, key)): count
-        for key, count in counts.items()
-    }
+    return {sys.intern(encode_atom_counts(spec.n, key)): count for key, count in counts.items()}

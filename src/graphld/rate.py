@@ -39,8 +39,6 @@ from dataclasses import asdict, dataclass
 from numbers import Rational
 from typing import Dict, Iterator, Tuple, Union
 
-from scipy.special import gammaln, pdtrc
-
 from .measures import (
     INPUT_TOL,
     CountingMeasure,
@@ -60,6 +58,19 @@ _INF = float("inf")
 # ---------------------------------------------------------------------------
 # Poisson helpers
 # ---------------------------------------------------------------------------
+
+def _first_use(name: str):
+    """Stands in for ``scipy.special.<name>`` until its first call, which
+    imports scipy.special and binds its ``gammaln`` and ``pdtrc`` here."""
+    def call(*args):
+        from scipy.special import gammaln, pdtrc
+        globals().update(gammaln=gammaln, pdtrc=pdtrc)
+        return globals()[name](*args)
+    return call
+
+
+gammaln, pdtrc = _first_use("gammaln"), _first_use("pdtrc")
+
 
 def poisson_log_pmf(mean: float, k):
     """log Poisson(mean)(k) = k log(mean) - mean - log k!  (mean > 0; k >= 0,

@@ -114,8 +114,8 @@ def prefix_label_spec() -> ConditionSpec:
 def class_keys(types: Sequence[str], u: np.ndarray, v: np.ndarray):
     """``oracle._class_keys`` of one batch, with the node types numbered the
     way ``sampled_class_counts`` numbers them."""
-    labels, node_type = np.unique(np.asarray(types), return_inverse=True)
-    return _class_keys(labels.tolist(), node_type, u, v)
+    node_type = np.unique(np.asarray(types), return_inverse=True)[1]
+    return _class_keys(types, node_type, u, v)
 
 
 def fit_decay_slope(records) -> float:

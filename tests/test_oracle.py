@@ -304,7 +304,10 @@ def test_sampled_class_counts_are_pinned(name, spec, draws):
                          ids=["binary4", "binary6", "binary8", "single4", "three5"])
 def test_batched_class_keys_equal_the_per_graph_key(spec):
     """``_class_keys`` on the whole support, as one batch in
-    ``sample_batch`` form, against ``locality_atoms_of`` graph by graph."""
+    ``sample_batch`` form, against ``locality_atoms_of`` graph by graph: each
+    class is keyed by the walk of its first graph, so this checks that the
+    ``_row_ids`` grouping of sorted atom ids puts every graph in the class of
+    its own key, and distinct keys in distinct classes."""
     sampler = ConditionalSampler(spec)
     graphs = [sorted(graph.edges) for graph in enumerate_support(spec)]
     edges = np.array(graphs, dtype=np.int64).reshape(len(graphs), -1, 2)
@@ -316,7 +319,8 @@ def test_batched_class_keys_equal_the_per_graph_key(spec):
 
 def test_batched_class_keys_of_wide_atoms_equal_the_per_graph_key():
     """16 types of 2 nodes in a ring of 2-edge blocks: 17 atom columns, as
-    many as t * n**t = 2**84 atom values would need."""
+    many as t * n**t = 2**84 atom values would need, still grouped as the
+    per-graph walk keys them."""
     labels = [f"t{i:02d}" for i in range(16)]
     pi = {}
     for a, b in zip(labels, labels[1:] + labels[:1]):
